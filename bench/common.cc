@@ -1,8 +1,5 @@
 #include "common.hh"
 
-#include <chrono>
-
-#include "common/logging.hh"
 #include "common/strutil.hh"
 
 namespace tomur::bench {
@@ -121,118 +118,6 @@ boxRow(const std::vector<double> &xs, int decimals)
     return strf("p5=%.*f p25=%.*f p50=%.*f p75=%.*f p95=%.*f",
                 decimals, b.p5, decimals, b.p25, decimals, b.p50,
                 decimals, b.p75, decimals, b.p95);
-}
-
-BenchReport::Stage &
-BenchReport::stage(const std::string &name)
-{
-    for (auto &s : stages_) {
-        if (s.name == name)
-            return s;
-    }
-    stages_.push_back(Stage{name, 0.0, 0.0, false, false});
-    return stages_.back();
-}
-
-void
-BenchReport::record(const std::string &name, bool parallel,
-                    double seconds)
-{
-    Stage &s = stage(name);
-    (parallel ? s.parallelSec : s.serialSec) = seconds;
-    (parallel ? s.hasParallel : s.hasSerial) = true;
-}
-
-void
-BenchReport::extra(const std::string &key, double value)
-{
-    for (auto &e : extras_) {
-        if (e.first == key) {
-            e.second = value;
-            return;
-        }
-    }
-    extras_.emplace_back(key, value);
-}
-
-double
-BenchReport::measure(const std::string &name, bool parallel,
-                     const std::function<void()> &fn)
-{
-    auto t0 = std::chrono::steady_clock::now();
-    fn();
-    auto t1 = std::chrono::steady_clock::now();
-    double sec = std::chrono::duration<double>(t1 - t0).count();
-    record(name, parallel, sec);
-    return sec;
-}
-
-bool
-BenchReport::writeJson(const std::string &path, int serialThreads,
-                       int parallelThreads) const
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        warnEvent("bench", "bench-json-unwritable",
-                  {{"path", path}});
-        return false;
-    }
-    auto speedup = [](double serial, double parallel) {
-        return parallel > 0.0 ? serial / parallel : 0.0;
-    };
-    std::fprintf(f, "{\n  \"bench\": \"%s\",\n", bench_.c_str());
-    std::fprintf(f, "  \"threads_serial\": %d,\n", serialThreads);
-    std::fprintf(f, "  \"threads_parallel\": %d,\n", parallelThreads);
-    if (parallelThreads < 2) {
-        // A one-thread pool makes the "parallel" column a second
-        // serial run — record that, so downstream tooling skips
-        // parallel-speedup assertions instead of failing them.
-        std::fprintf(f,
-                     "  \"note\": \"parallel pass ran with a "
-                     "1-thread pool; speedups compare two serial "
-                     "runs\",\n");
-    }
-    std::fprintf(f, "  \"stages\": [\n");
-    double tot_s = 0.0, tot_p = 0.0;
-    for (std::size_t i = 0; i < stages_.size(); ++i) {
-        const Stage &s = stages_[i];
-        tot_s += s.serialSec;
-        tot_p += s.parallelSec;
-        // Only the variants that actually ran are emitted: a stage
-        // that was skipped in one pass (e.g. the scenario stage
-        // under --no-scenario, or a single-variant extra stage) must
-        // not publish a fake 0-second measurement for diff tooling
-        // to trip over.
-        std::string body = strf("\"name\": \"%s\"", s.name.c_str());
-        if (s.hasSerial)
-            body += strf(", \"serial_sec\": %.6f", s.serialSec);
-        if (s.hasParallel)
-            body += strf(", \"parallel_sec\": %.6f", s.parallelSec);
-        if (s.hasSerial && s.hasParallel) {
-            body += strf(", \"speedup\": %.3f",
-                         speedup(s.serialSec, s.parallelSec));
-        }
-        std::fprintf(f, "    {%s}%s\n", body.c_str(),
-                     i + 1 < stages_.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n");
-    if (!extras_.empty()) {
-        std::fprintf(f, "  \"extras\": {\n");
-        for (std::size_t i = 0; i < extras_.size(); ++i) {
-            std::fprintf(f, "    \"%s\": %.6f%s\n",
-                         extras_[i].first.c_str(),
-                         extras_[i].second,
-                         i + 1 < extras_.size() ? "," : "");
-        }
-        std::fprintf(f, "  },\n");
-    }
-    std::fprintf(f,
-                 "  \"total\": {\"serial_sec\": %.6f, "
-                 "\"parallel_sec\": %.6f, \"speedup\": %.3f}\n",
-                 tot_s, tot_p, speedup(tot_s, tot_p));
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-    return true;
 }
 
 } // namespace tomur::bench

@@ -5,8 +5,8 @@
  * common co-location / traffic randomisation used across tables.
  */
 
-#ifndef TOMUR_BENCH_COMMON_HH
-#define TOMUR_BENCH_COMMON_HH
+#ifndef BENCH_COMMON_HH
+#define BENCH_COMMON_HH
 
 #include <cstdio>
 #include <map>
@@ -114,60 +114,6 @@ runExperiments(std::size_t items, std::uint64_t seed, F fn)
     });
 }
 
-/**
- * Machine-readable benchmark output: wall time per pipeline stage in
- * a serial and a parallel variant, emitted as JSON (BENCH_micro.json)
- * so the repo accumulates a performance trajectory across commits.
- */
-class BenchReport
-{
-  public:
-    explicit BenchReport(std::string benchName)
-        : bench_(std::move(benchName))
-    {
-    }
-
-    /** Record one stage variant's wall time (seconds). */
-    void record(const std::string &stage, bool parallel,
-                double seconds);
-
-    /** Wall-clock fn() and record it. @return seconds elapsed. */
-    double measure(const std::string &stage, bool parallel,
-                   const std::function<void()> &fn);
-
-    /** Record a scalar side metric (recovery samples, overhead
-     *  fractions, ...); emitted under an "extras" object. Re-using a
-     *  key overwrites. */
-    void extra(const std::string &key, double value);
-
-    /**
-     * Write the report. Stages appear in first-recorded order; each
-     * stage carries only the variant keys that were actually
-     * recorded (serial_sec / parallel_sec, plus speedup when both
-     * ran) so downstream diff tooling never compares against an
-     * absent measurement. A "total" entry sums all stages.
-     * @return false (with a warning) when the file cannot be
-     * written.
-     */
-    bool writeJson(const std::string &path, int serialThreads,
-                   int parallelThreads) const;
-
-  private:
-    struct Stage
-    {
-        std::string name;
-        double serialSec = 0.0;
-        double parallelSec = 0.0;
-        bool hasSerial = false;
-        bool hasParallel = false;
-    };
-    Stage &stage(const std::string &name);
-
-    std::string bench_;
-    std::vector<Stage> stages_;
-    std::vector<std::pair<std::string, double>> extras_;
-};
-
 } // namespace tomur::bench
 
-#endif // TOMUR_BENCH_COMMON_HH
+#endif // BENCH_COMMON_HH

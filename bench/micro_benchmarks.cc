@@ -3,42 +3,23 @@
  * Micro-benchmarks (google-benchmark) of the library's hot paths:
  * regex scanning (DFA and NFA), payload synthesis, gradient-boosting
  * training and inference, cache fixed point, round-robin solver,
- * and full testbed equilibrium solves.
- *
- * After the micro-benchmarks, a staged pipeline benchmark times the
- * end-to-end profiling/training/prediction path twice — once with
- * TOMUR_THREADS=1 (serial baseline) and once at the configured pool
- * width — and writes BENCH_micro.json (see tools/bench_report.sh)
- * with per-stage wall times and speedups: the repo's performance
- * trajectory record.
- *
- * Flags (besides the usual --benchmark_* ones):
- *   --pipeline-only   skip the google-benchmark suite
- *   --no-pipeline     skip the staged pipeline + JSON
- *   --no-scenario     skip the nonstationary replay scenario stage
- *                     (the JSON then omits that stage and its
- *                     extras, rather than publishing zeros)
- *   --no-chaos        skip the chaos-campaign stage (same omission
- *                     semantics as --no-scenario)
- *   --json=PATH       output path (default BENCH_micro.json)
+ * full testbed equilibrium solves, monitor ingest, checkpoint
+ * framing and workload profiling. A plain google-benchmark binary:
+ * every --benchmark_* flag applies. End-to-end performance is
+ * measured by perfbench (python3 perfbench/run.py).
  */
 
 #include <benchmark/benchmark.h>
 
-#include <cstring>
-#include <filesystem>
-#include <sstream>
 #include <string>
 
-#include "chaos_campaign.hh"
 #include "common.hh"
 #include "common/checkpoint.hh"
 #include "common/logging.hh"
 #include "hw/accel_des.hh"
 #include "hw/cache.hh"
 #include "regex/generator.hh"
-#include "replay_scenarios.hh"
-#include "tomur/supervisor.hh"
+#include "tomur/monitor.hh"
 
 using namespace tomur;
 
@@ -241,249 +222,6 @@ BM_WorkloadProfiling(benchmark::State &state)
 }
 BENCHMARK(BM_WorkloadProfiling);
 
-/**
- * One serial-or-parallel pass over the pipeline stages. Everything
- * is constructed fresh per pass (own testbed, cold solve cache) so
- * the serial baseline and the parallel run do identical work.
- * @return the pool width the pass actually ran at (the pool may
- *         clamp the request), so the report never claims a width it
- *         did not get.
- */
-int
-runPipeline(bench::BenchReport &report, bool parallel, int threads,
-            bool scenario, bool chaos)
-{
-    setGlobalThreadCount(threads);
-    int actual = globalThreadCount();
-
-    // Stage 1: the BenchLibrary profiling sweep (the one-time
-    // synthetic-competitor measurement effort).
-    auto rules = regex::defaultRuleSet();
-    framework::DeviceSet dev;
-    dev.regex = std::make_shared<framework::RegexDevice>(rules);
-    dev.compression =
-        std::make_shared<framework::CompressionDevice>();
-    dev.crypto = std::make_shared<framework::CryptoDevice>();
-    sim::Testbed bed(hw::blueField2(), sim::TestbedOptions{});
-    std::unique_ptr<core::BenchLibrary> lib;
-    report.measure("profile_sweep", parallel, [&] {
-        lib = std::make_unique<core::BenchLibrary>(bed, dev, rules);
-    });
-
-    // Stage 2: GBR ensemble fitting in isolation (synthetic data so
-    // the stage measures tree fitting, not the testbed).
-    report.measure("gbr_fit", parallel, [&] {
-        Rng rng(17);
-        ml::Dataset data(std::vector<std::string>{
-            "a", "b", "c", "d", "e", "f", "g", "h"});
-        for (int i = 0; i < 1200; ++i) {
-            std::vector<double> x;
-            for (int j = 0; j < 8; ++j)
-                x.push_back(rng.uniform(0, 1));
-            double y = 3 * x[0] + (x[1] > 0.5 ? 2 : 0) +
-                       x[2] * x[3] + 0.1 * x[7];
-            data.add(x, y);
-        }
-        core::MemoryModelOptions mo;
-        mo.trafficAware = false;
-        core::MemoryModel model(mo);
-        if (auto st = model.fit(data); !st)
-            fatal(st.message());
-        benchmark::DoNotOptimize(model.predictRow(
-            {0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5}));
-    });
-
-    // Stage 3: end-to-end train + predict (the acceptance metric):
-    // profiling sweep against the testbed, model fit, then a
-    // prediction batch with the trained model.
-    auto defaults = traffic::TrafficProfile::defaults();
-    core::TomurTrainer trainer(*lib);
-    auto nf = nfs::makeByName("FlowStats", dev);
-    core::TomurModel model;
-    report.measure("train_predict", parallel, [&] {
-        core::TrainOptions topts;
-        topts.sampling = core::SamplingStrategy::Random;
-        topts.adaptive.quota = 120;
-        model = trainer.train(*nf, defaults, topts);
-        const auto &benches = lib->memBenches();
-        auto preds = bench::runExperiments(
-            512, 2024, [&](std::size_t, Rng &rng) {
-                traffic::TrafficProfile p = defaults;
-                for (int a = 0; a < traffic::numAttributes; ++a) {
-                    auto attr = static_cast<traffic::Attribute>(a);
-                    auto r = traffic::defaultRange(attr);
-                    p = p.withAttribute(attr,
-                                        rng.uniform(r.min, r.max));
-                }
-                const auto &b = benches[rng.uniformInt(
-                    benches.size())];
-                return model.predict({b.level}, p);
-            });
-        benchmark::DoNotOptimize(preds);
-    });
-
-    // Stage 4: a standalone prediction batch (inference hot path).
-    report.measure("predict_batch", parallel, [&] {
-        const auto &benches = lib->memBenches();
-        auto preds = bench::runExperiments(
-            4096, 7, [&](std::size_t, Rng &rng) {
-                traffic::TrafficProfile p = defaults;
-                p = p.withAttribute(
-                    traffic::Attribute::FlowCount,
-                    rng.uniform(1e3, 500e3));
-                const auto &b = benches[rng.uniformInt(
-                    benches.size())];
-                return model.predict({b.level}, p);
-            });
-        benchmark::DoNotOptimize(preds);
-    });
-
-    // Stage 5: the monitor ingest hot path — the per-sample cost a
-    // deployed prediction service pays to watch its own accuracy.
-    // The fold is serial by contract; the stage exists in both
-    // passes so the report can bound its absolute wall time.
-    report.measure("monitor_ingest", parallel, [&] {
-        core::PredictionMonitor monitor;
-        core::MonitorSample s;
-        s.deployment = "bench";
-        s.profile = defaults;
-        s.predicted = 1000.0;
-        for (int i = 0; i < 200000; ++i) {
-            s.measured = 1000.0 + (i % 16) - 8.0;
-            benchmark::DoNotOptimize(monitor.ingest(s));
-        }
-    });
-
-    // Stage 6: the self-healing runtime's recurring cost — a
-    // checkpoint write/load cycle (tmp + rename, fsync off so the
-    // stage times the protocol, not the disk) around a serialized
-    // monitor, plus the supervisor's per-sample observe fold.
-    report.measure("checkpoint_cycle", parallel, [&] {
-        namespace fs = std::filesystem;
-        fs::path dir = fs::temp_directory_path() /
-                       (parallel ? "tomur_bench_ckpt_p"
-                                 : "tomur_bench_ckpt_s");
-        fs::remove_all(dir);
-        CheckpointOptions copts;
-        copts.fsync = false;
-        CheckpointStore store(dir.string(), copts);
-
-        core::PredictionMonitor monitor;
-        core::MonitorSample s;
-        s.deployment = "bench";
-        s.profile = traffic::TrafficProfile::defaults();
-        s.predicted = 1000.0;
-        core::Supervisor sup(
-            {}, [](std::size_t, std::string *) {
-                return Status::ok();
-            });
-        for (int i = 0; i < 400; ++i) {
-            s.measured = 1000.0 + (i % 16) - 8.0;
-            auto fired = monitor.ingest(s);
-            (void)sup.observe(static_cast<std::size_t>(i) + 1,
-                              fired);
-            if (i % 8 == 7) {
-                std::ostringstream body;
-                monitor.serialize(body);
-                sup.serialize(body);
-                if (auto st = store.writeGeneration(body.str());
-                    !st) {
-                    fatal(st.message());
-                }
-                if (!store.loadLatestValid())
-                    fatal("checkpoint reload failed");
-            }
-        }
-        fs::remove_all(dir);
-    });
-
-    // Stage 7: independent DES validation runs.
-    report.measure("des_run", parallel, [&] {
-        auto res = bench::runExperiments(
-            64, 3, [&](std::size_t i, Rng &rng) {
-                std::vector<hw::AccelQueue> queues = {
-                    {1e-6 * (1.0 + 0.1 * (i % 4)), 0, true},
-                    {2e-6, rng.uniform(1e5, 4e5), false},
-                    {0.5e-6, rng.uniform(5e4, 2e5), false}};
-                hw::DesOptions opts;
-                opts.duration = 0.02;
-                opts.warmup = 0.002;
-                opts.seed = deriveSeed(11, i);
-                return hw::simulateRoundRobin(queues, opts);
-            });
-        benchmark::DoNotOptimize(res);
-    });
-
-    // Stage 8: the nonstationary stress harness — a synthesized
-    // regime-change scenario through the autopilot, with the
-    // time-to-recovery and profiler-overhead extras.
-    if (scenario)
-        bench::runReplayScenarioStage(report, parallel);
-
-    // Stage 9: the chaos-campaign engine — a small seeded sweep of
-    // composed fault plans, with campaign-health and shrinker
-    // extras on the serial pass.
-    if (chaos)
-        bench::runChaosCampaignStage(report, parallel);
-
-    return actual;
-}
-
 } // namespace
 
-int
-main(int argc, char **argv)
-{
-    bool pipeline = true;
-    bool micro = true;
-    bool scenario = true;
-    bool chaos = true;
-    std::string json_path = "BENCH_micro.json";
-
-    // Strip our flags before google-benchmark sees the rest.
-    std::vector<char *> args;
-    for (int i = 0; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--pipeline-only") == 0) {
-            micro = false;
-        } else if (std::strcmp(argv[i], "--no-pipeline") == 0) {
-            pipeline = false;
-        } else if (std::strcmp(argv[i], "--no-scenario") == 0) {
-            scenario = false;
-        } else if (std::strcmp(argv[i], "--no-chaos") == 0) {
-            chaos = false;
-        } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-            json_path = argv[i] + 7;
-        } else {
-            args.push_back(argv[i]);
-        }
-    }
-    int bench_argc = static_cast<int>(args.size());
-    benchmark::Initialize(&bench_argc, args.data());
-
-    if (micro)
-        benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-
-    if (pipeline) {
-        int hw_threads = configuredThreadCount();
-        bench::BenchReport report("micro");
-        std::printf("\npipeline stages (serial vs %d threads):\n",
-                    hw_threads);
-        int serial_w = runPipeline(report, /*parallel=*/false, 1,
-                                   scenario, chaos);
-        int parallel_w = runPipeline(report, /*parallel=*/true,
-                                     hw_threads, scenario, chaos);
-        if (parallel_w < 2) {
-            // One-thread "parallel" numbers are serial numbers: say
-            // so rather than report a fake speedup baseline (the
-            // JSON records the actual width for the same reason).
-            std::printf("note: pool width %d — the \"parallel\" pass "
-                        "ran serially; speedups compare two serial "
-                        "runs\n",
-                        parallel_w);
-        }
-        if (report.writeJson(json_path, serial_w, parallel_w))
-            std::printf("wrote %s\n", json_path.c_str());
-    }
-    return 0;
-}
+BENCHMARK_MAIN();

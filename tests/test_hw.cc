@@ -199,6 +199,14 @@ struct RrCase
     const char *name;
 };
 
+// Named by case: the default printer dumps the struct's bytes, heap
+// pointers included, so the discovered test names would change from
+// one run to the next.
+void PrintTo(const RrCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
 class AccelDesAgreement : public ::testing::TestWithParam<RrCase>
 {
 };
@@ -238,10 +246,7 @@ INSTANTIATE_TEST_SUITE_P(
         RrCase{{{1e-6, 0.0, true},
                 {2e-6, 0.0, true},
                 {0.5e-6, 4e5, false}},
-               "three_mixed"}),
-    [](const ::testing::TestParamInfo<RrCase> &info) {
-        return info.param.name;
-    });
+               "three_mixed"}));
 
 TEST(AccelDes, SojournGrowsWithContention)
 {

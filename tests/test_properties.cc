@@ -204,6 +204,15 @@ struct PacketCase
     net::IpProto proto;
 };
 
+// Named by value: the default printer dumps the struct's bytes,
+// padding included, so the discovered test names would change from
+// one run to the next.
+void PrintTo(const PacketCase &c, std::ostream *os)
+{
+    *os << (c.proto == net::IpProto::Tcp ? "tcp" : "udp") << "_payload_"
+        << c.payload;
+}
+
 class PacketRoundTrip : public ::testing::TestWithParam<PacketCase>
 {
 };

@@ -21,15 +21,12 @@
 #      detect/shrink/replay loop proven live on every merge.
 #   5. Sanitizers: tools/run_sanitized_tests.sh (ASan+UBSan full
 #      suite, TSan on the parallel-engine tests).
-#   6. Performance: tools/bench_report.sh (micro benchmark stages and
-#      serving QPS/latency gated against the committed BENCH_*.json
-#      baselines, plus the train_predict parallel-speedup assertion —
-#      >= 1.5x at TOMUR_THREADS=8, skipped on single-core machines).
+#
+# Performance is not gated here: python3 perfbench/run.py measures
+# the BENCHMARK.json workloads.
 #
 # Usage: tools/ci_check.sh
 #   TOMUR_SKIP_TSAN=1      forwarded to run_sanitized_tests.sh
-#   TOMUR_BENCH_NO_GATE=1  forwarded to bench_report.sh (report only,
-#                          no regression gate)
 # Exits non-zero on the first failing stage.
 set -eu
 
@@ -224,10 +221,6 @@ echo "chaos smoke: clean campaign green; planted regression" \
 echo ""
 echo "=== Tier 5: sanitizer passes ==="
 "$repo_root/tools/run_sanitized_tests.sh"
-
-echo ""
-echo "=== Tier 6: performance gate ==="
-"$repo_root/tools/bench_report.sh"
 
 echo ""
 echo "ci_check: all stages passed"
