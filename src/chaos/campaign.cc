@@ -123,9 +123,8 @@ runCampaign(ChaosWorld &world, const CampaignOptions &opts)
                     break;
                 }
             }
-            if (opts.shrink &&
-                result.firstViolationKind !=
-                    InvariantKind::Determinism) {
+            if (result.firstViolationKind !=
+                InvariantKind::Determinism) {
                 ShrinkResult shrunk = shrinkPlan(
                     world, report.plan,
                     result.firstViolationKind, opts.runner,

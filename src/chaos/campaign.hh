@@ -43,8 +43,8 @@ struct CampaignOptions
     /** Every Nth plan is re-run and its event-stream fingerprint
      *  compared (the determinism invariant); 0 = never. */
     std::size_t determinismEveryN = 8;
-    /** Shrink the first violating plan. */
-    bool shrink = true;
+    /** How the first violating plan is shrunk (always, unless its
+     *  invariant is determinism). */
     ShrinkOptions shrinkOpts;
     RunnerOptions runner; ///< workDir is required
 };

@@ -5,7 +5,9 @@
 #include <map>
 #include <sstream>
 
+#include "common/json.hh"
 #include "common/strutil.hh"
+#include "common/table.hh"
 
 namespace tomur {
 
@@ -48,35 +50,78 @@ const char *const kVerdictNames[7] = {
 
 namespace {
 
-/** Extract the string value of "key" from a flat JSON line. */
-std::string
-jsonField(const std::string &line, const std::string &key)
+/** Each line of `body` that parses as a JSON object, with its raw
+ *  text; other lines are skipped — a report over partial artifacts
+ *  beats no report — and counted: returns the non-blank lines
+ *  skipped. */
+template <class Fn>
+std::size_t
+forEachObjectLine(const std::string &body, Fn &&fn)
 {
-    std::string tag = "\"" + key + "\":\"";
-    auto pos = line.find(tag);
-    if (pos == std::string::npos)
-        return "";
-    pos += tag.size();
-    std::string out;
-    while (pos < line.size() && line[pos] != '"') {
-        if (line[pos] == '\\' && pos + 1 < line.size())
-            ++pos; // keep the escaped char, drop the backslash
-        out.push_back(line[pos]);
-        ++pos;
+    std::istringstream in(body);
+    std::string line;
+    std::size_t skipped = 0;
+    while (std::getline(in, line)) {
+        auto doc = parseJson(line);
+        if (doc && doc.value().isObject())
+            fn(doc.value(), line);
+        else if (line.find_first_not_of(" \t\r") != std::string::npos)
+            ++skipped;
     }
-    return out;
+    return skipped;
 }
 
-/** Extract the numeric value of "key" from a flat JSON line. */
-double
-jsonNumber(const std::string &line, const std::string &key,
-           double fallback = 0.0)
+/** String member `key`, or "" when absent or not a string. */
+const std::string &
+str(const JsonValue &obj, std::string_view key)
 {
-    std::string tag = "\"" + key + "\":";
-    auto pos = line.find(tag);
-    if (pos == std::string::npos)
-        return fallback;
-    return std::strtod(line.c_str() + pos + tag.size(), nullptr);
+    static const std::string empty;
+    const JsonValue *v = obj.find(key);
+    return v && v->isString() ? v->asString() : empty;
+}
+
+/** Numeric member `key`, 0 when absent. The writers quote formatted
+ *  doubles (`"mean":"4"`), so a numeric string counts as well. */
+double
+num(const JsonValue &obj, std::string_view key)
+{
+    const JsonValue *v = obj.find(key);
+    if (v == nullptr)
+        return 0.0;
+    if (v->isString())
+        return std::strtod(v->asString().c_str(), nullptr);
+    return v->asNumber();
+}
+
+/** Member `key` is `true` or a non-zero number. */
+bool
+flag(const JsonValue &obj, std::string_view key)
+{
+    const JsonValue *v = obj.find(key);
+    return v && (v->asBool() || v->asNumber() != 0.0);
+}
+
+/** Append `line`, keeping only the newest kLastEvents. */
+void
+keepLast(std::vector<std::string> &lines, const std::string &line)
+{
+    lines.push_back(line);
+    if (lines.size() > kLastEvents)
+        lines.erase(lines.begin());
+}
+
+/** Count `value` against the first of `names` it equals. */
+template <std::size_t N>
+void
+tally(const char *const (&names)[N], std::size_t (&counts)[N],
+      const std::string &value)
+{
+    for (std::size_t k = 0; k < N; ++k) {
+        if (value == names[k]) {
+            ++counts[k];
+            return;
+        }
+    }
 }
 
 std::string
@@ -135,18 +180,17 @@ std::vector<TraceNameStats>
 parseTraceJsonl(const std::string &body)
 {
     std::map<std::string, TraceNameStats> by_name;
-    std::istringstream in(body);
-    std::string line;
-    while (std::getline(in, line)) {
-        std::string name = jsonField(line, "name");
+    forEachObjectLine(body, [&](const JsonValue &doc,
+                                const std::string &) {
+        const std::string &name = str(doc, "name");
         if (name.empty())
-            continue;
+            return;
         auto &st = by_name[name];
         st.name = name;
         ++st.count;
-        st.totalDurNs += static_cast<std::uint64_t>(
-            jsonNumber(line, "dur_ns"));
-    }
+        st.totalDurNs +=
+            static_cast<std::uint64_t>(num(doc, "dur_ns"));
+    });
     std::vector<TraceNameStats> out;
     out.reserve(by_name.size());
     for (auto &kv : by_name)
@@ -164,55 +208,39 @@ MonitorDigest
 parseMonitorJsonl(const std::string &body)
 {
     MonitorDigest d;
-    std::istringstream in(body);
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.find("{\"summary\":") == 0) {
+    forEachObjectLine(body, [&](const JsonValue &doc,
+                                const std::string &line) {
+        if (const JsonValue *sum = doc.find("summary")) {
             d.summaryLine = line;
-            if (line.find("\"recovery\":{") != std::string::npos) {
+            const JsonValue *rec = sum->find("recovery");
+            if (rec && rec->isObject()) {
                 d.hasRecovery = true;
-                d.recoveryCount = jsonNumber(line, "count");
-                d.recoveryMeanSamples = std::strtod(
-                    jsonField(line, "mean").c_str(), nullptr);
-                d.recoveryMaxSamples = jsonNumber(line, "max");
-                d.recoveryOpen = jsonNumber(line, "open") != 0.0;
+                d.recoveryCount = num(*rec, "count");
+                d.recoveryMeanSamples = num(*rec, "mean");
+                d.recoveryMaxSamples = num(*rec, "max");
+                d.recoveryOpen = flag(*rec, "open");
             }
-            continue;
+            return;
         }
-        if (line.find("{\"supervisor_summary\":") == 0) {
+        if (const JsonValue *sum = doc.find("supervisor_summary")) {
             d.hasSupervisor = true;
             d.supervisorSummaryLine = line;
-            d.deadlineMisses =
-                jsonNumber(line, "deadline_misses");
-            continue;
+            d.deadlineMisses = num(*sum, "deadline_misses");
+            return;
         }
-        std::string sup = jsonField(line, "supervisor_event");
-        if (!sup.empty()) {
+        if (const std::string &sup = str(doc, "supervisor_event");
+            !sup.empty()) {
             d.hasSupervisor = true;
-            for (int k = 0; k < 9; ++k) {
-                if (sup == kSupervisorEventNames[k]) {
-                    ++d.supervisorEventCounts[k];
-                    break;
-                }
-            }
-            d.lastEvents.push_back(line);
-            if (d.lastEvents.size() > kLastEvents)
-                d.lastEvents.erase(d.lastEvents.begin());
-            continue;
+            tally(kSupervisorEventNames, d.supervisorEventCounts, sup);
+            keepLast(d.lastEvents, line);
+            return;
         }
-        std::string kind = jsonField(line, "event");
+        const std::string &kind = str(doc, "event");
         if (kind.empty())
-            continue;
-        for (int k = 0; k < 5; ++k) {
-            if (kind == kEventNames[k]) {
-                ++d.eventCounts[k];
-                break;
-            }
-        }
-        d.lastEvents.push_back(line);
-        if (d.lastEvents.size() > kLastEvents)
-            d.lastEvents.erase(d.lastEvents.begin());
-    }
+            return;
+        tally(kEventNames, d.eventCounts, kind);
+        keepLast(d.lastEvents, line);
+    });
     return d;
 }
 
@@ -220,68 +248,41 @@ SloDigest
 parseSloJsonl(const std::string &body)
 {
     SloDigest d;
-    std::istringstream in(body);
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.find("{\"slo_summary\":") == 0) {
+    forEachObjectLine(body, [&](const JsonValue &doc,
+                                const std::string &line) {
+        if (const JsonValue *sum = doc.find("slo_summary")) {
             d.hasSummary = true;
-            d.eventsDropped = jsonNumber(line, "events_dropped");
-            // The objectives array is a nested list on one line;
-            // carve it out and digest each {...} element with the
-            // flat-field helpers (every field inside is scalar).
-            std::string open = "\"objectives\":[";
-            auto start = line.find(open);
-            if (start == std::string::npos)
-                continue;
-            start += open.size();
-            auto end = line.find(']', start);
-            if (end == std::string::npos)
-                continue;
-            std::string arr = line.substr(start, end - start);
-            std::size_t pos = 0;
-            while (pos < arr.size()) {
-                auto close = arr.find('}', pos);
-                if (close == std::string::npos)
-                    break;
-                std::string obj = arr.substr(pos, close + 1 - pos);
+            d.eventsDropped = num(*sum, "events_dropped");
+            const JsonValue *objectives = sum->find("objectives");
+            if (objectives == nullptr)
+                return;
+            for (const auto &o : objectives->items()) {
                 SloObjectiveRow row;
-                row.name = jsonField(obj, "name");
-                row.kind = jsonField(obj, "kind");
-                row.target = std::strtod(
-                    jsonField(obj, "target").c_str(), nullptr);
-                row.total = jsonNumber(obj, "total");
-                row.bad = jsonNumber(obj, "bad");
-                row.fastBurn = std::strtod(
-                    jsonField(obj, "fast_burn").c_str(), nullptr);
-                row.slowBurn = std::strtod(
-                    jsonField(obj, "slow_burn").c_str(), nullptr);
-                row.budgetRemaining = std::strtod(
-                    jsonField(obj, "budget_remaining").c_str(),
-                    nullptr);
-                row.burning =
-                    obj.find("\"burning\":true") != std::string::npos;
-                row.burnEvents = jsonNumber(obj, "burn_events");
-                row.recoveredEvents =
-                    jsonNumber(obj, "recovered_events");
+                row.name = str(o, "name");
+                row.kind = str(o, "kind");
+                row.target = num(o, "target");
+                row.total = num(o, "total");
+                row.bad = num(o, "bad");
+                row.fastBurn = num(o, "fast_burn");
+                row.slowBurn = num(o, "slow_burn");
+                row.budgetRemaining = num(o, "budget_remaining");
+                row.burning = flag(o, "burning");
+                row.burnEvents = num(o, "burn_events");
+                row.recoveredEvents = num(o, "recovered_events");
                 if (!row.name.empty())
                     d.objectives.push_back(std::move(row));
-                pos = close + 1;
-                if (pos < arr.size() && arr[pos] == ',')
-                    ++pos;
             }
-            continue;
+            return;
         }
-        std::string kind = jsonField(line, "event");
+        const std::string &kind = str(doc, "event");
         if (kind == "SLO_BURN")
             ++d.burnEvents;
         else if (kind == "SLO_RECOVERED")
             ++d.recoveredEvents;
         else
-            continue;
-        d.lastEvents.push_back(line);
-        if (d.lastEvents.size() > kLastEvents)
-            d.lastEvents.erase(d.lastEvents.begin());
-    }
+            return;
+        keepLast(d.lastEvents, line);
+    });
     return d;
 }
 
@@ -289,26 +290,19 @@ AccessDigest
 parseAccessJsonl(const std::string &body)
 {
     AccessDigest d;
-    std::istringstream in(body);
-    std::string line;
-    while (std::getline(in, line)) {
-        std::string verdict = jsonField(line, "verdict");
+    forEachObjectLine(body, [&](const JsonValue &doc,
+                                const std::string &) {
+        const std::string &verdict = str(doc, "verdict");
         if (verdict.empty())
-            continue;
+            return;
         ++d.records;
-        int status = static_cast<int>(jsonNumber(line, "status"));
-        int cls = status / 100;
+        int cls = static_cast<int>(num(doc, "status")) / 100;
         d.statusClass[(cls >= 1 && cls <= 5) ? cls : 0] += 1;
-        for (int k = 0; k < 7; ++k) {
-            if (verdict == kVerdictNames[k]) {
-                ++d.verdictCounts[k];
-                break;
-            }
-        }
-        if (line.find("\"deadline_miss\":true") != std::string::npos)
+        tally(kVerdictNames, d.verdictCounts, verdict);
+        if (flag(doc, "deadline_miss"))
             ++d.deadlineMisses;
-        d.totalHandleMs += jsonNumber(line, "handle_ms");
-    }
+        d.totalHandleMs += num(doc, "handle_ms");
+    });
     return d;
 }
 
@@ -316,77 +310,288 @@ ChaosDigest
 parseChaosJsonl(const std::string &body)
 {
     ChaosDigest d;
-    std::istringstream in(body);
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.find("\"chaos_summary\"") != std::string::npos) {
+    forEachObjectLine(body, [&](const JsonValue &doc,
+                                const std::string &line) {
+        if (const JsonValue *sum = doc.find("chaos_summary")) {
             d.hasSummary = true;
-            d.crashes = jsonNumber(line, "crashes");
-            d.resumes = jsonNumber(line, "resumes");
-            d.faultsInjected = jsonNumber(line, "faults_injected");
-            d.determinismReruns =
-                jsonNumber(line, "determinism_reruns");
-            d.shrinkIterations =
-                jsonNumber(line, "shrink_iterations");
-            continue;
+            d.crashes = num(*sum, "crashes");
+            d.resumes = num(*sum, "resumes");
+            d.faultsInjected = num(*sum, "faults_injected");
+            d.determinismReruns = num(*sum, "determinism_reruns");
+            d.shrinkIterations = num(*sum, "shrink_iterations");
+            return;
         }
-        if (line.find("\"chaos_plan\"") == std::string::npos)
-            continue;
+        if (doc.find("chaos_plan") == nullptr)
+            return;
         ++d.plans;
-        auto violations = static_cast<std::size_t>(
-            jsonNumber(line, "violations"));
+        auto violations =
+            static_cast<std::size_t>(num(doc, "violations"));
         d.violations += violations;
         if (violations > 0) {
             ++d.violatingPlans;
-            d.violatingLines.push_back(line);
-            if (d.violatingLines.size() > kLastEvents)
-                d.violatingLines.erase(d.violatingLines.begin());
+            keepLast(d.violatingLines, line);
         }
-        // Walk the verdicts object: "name":"pass" / "name":"FAIL".
-        std::string open = "\"verdicts\":{";
-        auto start = line.find(open);
-        if (start == std::string::npos)
-            continue;
-        start += open.size();
-        auto end = line.find('}', start);
-        if (end == std::string::npos)
-            continue;
-        std::string obj = line.substr(start, end - start);
-        std::size_t pos = 0;
-        while ((pos = obj.find('"', pos)) != std::string::npos) {
-            auto nameEnd = obj.find('"', pos + 1);
-            if (nameEnd == std::string::npos)
-                break;
-            std::string name = obj.substr(pos + 1,
-                                          nameEnd - pos - 1);
-            auto valStart = obj.find('"', nameEnd + 1);
-            if (valStart == std::string::npos)
-                break;
-            auto valEnd = obj.find('"', valStart + 1);
-            if (valEnd == std::string::npos)
-                break;
-            std::string val =
-                obj.substr(valStart + 1, valEnd - valStart - 1);
-            ChaosInvariantRow *row = nullptr;
-            for (auto &r : d.invariants) {
-                if (r.name == name) {
-                    row = &r;
-                    break;
-                }
-            }
-            if (!row) {
-                d.invariants.push_back({name, 0, 0});
-                row = &d.invariants.back();
-            }
-            if (val == "pass")
+        const JsonValue *verdicts = doc.find("verdicts");
+        if (verdicts == nullptr)
+            return;
+        for (std::size_t i = 0; i < verdicts->keys().size(); ++i) {
+            const std::string &name = verdicts->keys()[i];
+            auto row = std::find_if(
+                d.invariants.begin(), d.invariants.end(),
+                [&](const ChaosInvariantRow &r) {
+                    return r.name == name;
+                });
+            if (row == d.invariants.end())
+                row = d.invariants.insert(row, {name, 0, 0});
+            if (verdicts->items()[i].asString() == "pass")
                 ++row->passes;
             else
                 ++row->failures;
-            pos = valEnd + 1;
         }
-    }
+    });
     return d;
 }
+
+namespace {
+
+/**
+ * One block of the dashboard: an optional table (header + rows of
+ * cells) followed by optional preformatted lines. The text and HTML
+ * forms render the same section list, so they show the same rows.
+ */
+struct Section
+{
+    std::string title;
+    std::vector<std::string> header = {}; ///< empty = no table
+    std::vector<std::vector<std::string>> rows = {};
+    std::vector<std::string> lines = {};
+};
+
+std::string
+count(std::size_t n)
+{
+    return strf("%zu", n);
+}
+
+std::string
+whole(double v)
+{
+    return strf("%.0f", v);
+}
+
+std::vector<Section>
+buildSections(const ReportArtifacts &artifacts)
+{
+    auto monitor = parseMonitorJsonl(artifacts.monitorJsonl);
+    auto slo = parseSloJsonl(artifacts.sloJsonl);
+    auto access = parseAccessJsonl(artifacts.accessJsonl);
+    auto chaos = parseChaosJsonl(artifacts.chaosJsonl);
+    auto traces = parseTraceJsonl(artifacts.traceJsonl);
+    auto metrics = parseMetricsText(artifacts.metricsText);
+
+    std::vector<Section> out;
+    auto table = [&](std::string title,
+                     std::vector<std::string> header) -> Section & {
+        return out.emplace_back(
+            Section{std::move(title), std::move(header)});
+    };
+    auto lines = [&](const char *title,
+                     const std::vector<std::string> &raw) {
+        if (!raw.empty())
+            out.push_back({title, {}, {}, raw});
+    };
+    if (!artifacts.monitorJsonl.empty()) {
+        Section &events = table("Monitor events", {"kind", "count"});
+        for (int k = 0; k < 5; ++k)
+            events.rows.push_back(
+                {kEventNames[k], count(monitor.eventCounts[k])});
+        if (monitor.hasRecovery) {
+            table("Recovery (regime change -> recovered accuracy)",
+                  {"measure", "value"})
+                .rows = {
+                {"recoveries", whole(monitor.recoveryCount)},
+                {"mean recovery (samples)",
+                 strf("%.1f", monitor.recoveryMeanSamples)},
+                {"max recovery (samples)",
+                 whole(monitor.recoveryMaxSamples)},
+                {"open regime", monitor.recoveryOpen ? "yes" : "no"}};
+        }
+        lines("Recent events", monitor.lastEvents);
+        if (!monitor.summaryLine.empty())
+            lines("Summary", {monitor.summaryLine});
+    }
+    if (monitor.hasSupervisor) {
+        Section &events = table("Supervisor events", {"kind", "count"});
+        for (int k = 0; k < 9; ++k)
+            events.rows.push_back({kSupervisorEventNames[k],
+                                   count(monitor.supervisorEventCounts[k])});
+        events.rows.push_back(
+            {"deadline misses", whole(monitor.deadlineMisses)});
+        if (!monitor.supervisorSummaryLine.empty())
+            lines("Supervisor summary", {monitor.supervisorSummaryLine});
+    }
+    if (!artifacts.sloJsonl.empty()) {
+        Section &objectives =
+            table("SLO objectives",
+                  {"name", "kind", "target", "total", "bad", "fast burn",
+                   "slow burn", "budget", "state"});
+        for (const auto &o : slo.objectives) {
+            objectives.rows.push_back(
+                {o.name, o.kind, strf("%.4f", o.target), whole(o.total),
+                 whole(o.bad), strf("%.3f", o.fastBurn),
+                 strf("%.3f", o.slowBurn), strf("%.3f", o.budgetRemaining),
+                 o.burning ? "BURNING" : "ok"});
+        }
+        table("SLO events", {"kind", "count"}).rows = {
+            {"SLO_BURN", count(slo.burnEvents)},
+            {"SLO_RECOVERED", count(slo.recoveredEvents)},
+            {"events dropped", whole(slo.eventsDropped)}};
+        lines("Recent SLO events", slo.lastEvents);
+    }
+    if (access.records > 0) {
+        static const char *const cls[6] = {"no answer", "1xx", "2xx",
+                                           "3xx",       "4xx", "5xx"};
+        Section &log =
+            table(strf("Access log (%zu records)", access.records),
+                  {"outcome", "count"});
+        for (int k = 0; k < 6; ++k) {
+            if (access.statusClass[k] > 0)
+                log.rows.push_back({cls[k], count(access.statusClass[k])});
+        }
+        for (int k = 0; k < 7; ++k) {
+            if (access.verdictCounts[k] > 0)
+                log.rows.push_back(
+                    {std::string("verdict ") + kVerdictNames[k],
+                     count(access.verdictCounts[k])});
+        }
+        log.rows.push_back(
+            {"deadline misses", count(access.deadlineMisses)});
+        std::size_t answered = access.records - access.statusClass[0];
+        if (answered > 0) {
+            log.rows.push_back(
+                {"mean handle ms",
+                 strf("%.3f", access.totalHandleMs /
+                                  static_cast<double>(answered))});
+        }
+    }
+    if (chaos.plans > 0) {
+        Section &invariants =
+            table(strf("Chaos campaign (%zu plans)", chaos.plans),
+                  {"invariant", "pass", "fail"});
+        for (const auto &r : chaos.invariants)
+            invariants.rows.push_back(
+                {r.name, count(r.passes), count(r.failures)});
+        Section &totals = table("Chaos totals", {"measure", "value"});
+        totals.rows.push_back({"violations",
+                               strf("%zu (%zu plans)", chaos.violations,
+                                    chaos.violatingPlans)});
+        if (chaos.hasSummary) {
+            totals.rows.insert(
+                totals.rows.end(),
+                {{"crashes injected", whole(chaos.crashes)},
+                 {"checkpoint resumes", whole(chaos.resumes)},
+                 {"faults injected", whole(chaos.faultsInjected)},
+                 {"determinism re-runs", whole(chaos.determinismReruns)},
+                 {"shrink iterations", whole(chaos.shrinkIterations)}});
+        }
+        lines("Violating plans", chaos.violatingLines);
+    }
+    if (!traces.empty()) {
+        Section &spans =
+            table(strf("Trace spans (%zu names)", traces.size()),
+                  {"name", "count", "total ms"});
+        for (const auto &t : traces) {
+            spans.rows.push_back(
+                {t.name, count(t.count),
+                 strf("%.3f", static_cast<double>(t.totalDurNs) / 1e6)});
+        }
+    }
+    if (!metrics.empty()) {
+        Section &series =
+            table(strf("Metrics (%zu series)", metrics.size()),
+                  {"series", "value"});
+        for (const auto &m : metrics)
+            series.rows.push_back({m.name, fmtDouble(m.value, 6)});
+    }
+    // Lines the digests above could not read, so a report over a
+    // truncated or foreign artifact says what it left out.
+    const std::pair<const char *, const std::string *> streams[] = {
+        {"trace", &artifacts.traceJsonl},
+        {"monitor", &artifacts.monitorJsonl},
+        {"SLO", &artifacts.sloJsonl},
+        {"access", &artifacts.accessJsonl},
+        {"chaos", &artifacts.chaosJsonl}};
+    std::vector<std::vector<std::string>> skipped;
+    for (const auto &[name, body] : streams) {
+        std::size_t n = forEachObjectLine(
+            *body, [](const JsonValue &, const std::string &) {});
+        if (n > 0)
+            skipped.push_back({name, count(n)});
+    }
+    if (!skipped.empty())
+        table("Lines skipped (not a JSON object)", {"artifact", "lines"})
+            .rows = std::move(skipped);
+    return out;
+}
+
+std::string
+renderText(const std::string &title, const std::vector<Section> &sections)
+{
+    std::string out = "== " + title + " ==\n";
+    for (const auto &s : sections) {
+        out += "\n-- " + s.title + " --\n";
+        if (!s.header.empty()) {
+            AsciiTable table(s.header);
+            for (const auto &row : s.rows)
+                table.addRow(row);
+            out += table.toString();
+        }
+        for (const auto &line : s.lines)
+            out += "  " + line + "\n";
+    }
+    return out;
+}
+
+/** Self-contained HTML: inline style, no external assets. */
+std::string
+renderHtml(const std::string &title, const std::vector<Section> &sections)
+{
+    std::string out =
+        "<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\">";
+    out += "<title>" + htmlEscape(title) + "</title>\n";
+    out += "<style>body{font-family:monospace;margin:2em;}"
+           "table{border-collapse:collapse;margin-bottom:2em;}"
+           "th,td{border:1px solid #999;padding:4px 8px;"
+           "text-align:left;}th{background:#eee;}"
+           "h2{border-bottom:2px solid #333;}</style></head><body>\n";
+    out += "<h1>" + htmlEscape(title) + "</h1>\n";
+    auto cells = [](const std::vector<std::string> &row,
+                    const char *tag) {
+        std::string tr = "<tr>";
+        for (const auto &c : row)
+            tr += strf("<%s>%s</%s>", tag, htmlEscape(c).c_str(), tag);
+        return tr + "</tr>\n";
+    };
+    for (const auto &s : sections) {
+        out += "<h2>" + htmlEscape(s.title) + "</h2>\n";
+        if (!s.header.empty()) {
+            out += "<table>" + cells(s.header, "th");
+            for (const auto &row : s.rows)
+                out += cells(row, "td");
+            out += "</table>\n";
+        }
+        if (!s.lines.empty()) {
+            out += "<pre>";
+            for (const auto &line : s.lines)
+                out += htmlEscape(line) + "\n";
+            out += "</pre>\n";
+        }
+    }
+    out += "</body></html>\n";
+    return out;
+}
+
+} // namespace
 
 Result<std::string>
 renderReport(const ReportArtifacts &artifacts,
@@ -402,336 +607,9 @@ renderReport(const ReportArtifacts &artifacts,
             "no artifacts to render (metrics, trace, monitor, SLO, "
             "access, and chaos streams are all empty)");
     }
-
-    auto metric_samples = parseMetricsText(artifacts.metricsText);
-    auto trace_stats = parseTraceJsonl(artifacts.traceJsonl);
-    auto monitor = parseMonitorJsonl(artifacts.monitorJsonl);
-    auto slo = parseSloJsonl(artifacts.sloJsonl);
-    auto access = parseAccessJsonl(artifacts.accessJsonl);
-    auto chaos = parseChaosJsonl(artifacts.chaosJsonl);
-    bool have_monitor = !artifacts.monitorJsonl.empty();
-    bool have_slo = !artifacts.sloJsonl.empty();
-    bool have_access = access.records > 0;
-    bool have_chaos = chaos.plans > 0;
-
-    std::string out;
-    if (!opts.html) {
-        out += "== " + opts.title + " ==\n";
-        if (have_monitor) {
-            out += "\n-- Monitor events --\n";
-            for (int k = 0; k < 5; ++k) {
-                out += strf("%-26s %zu\n", kEventNames[k],
-                            monitor.eventCounts[k]);
-            }
-            if (monitor.hasRecovery) {
-                out += "\n-- Recovery (regime change -> recovered "
-                       "accuracy) --\n";
-                out += strf("%-26s %.0f\n", "recoveries",
-                            monitor.recoveryCount);
-                out += strf("%-26s %.1f\n",
-                            "mean recovery (samples)",
-                            monitor.recoveryMeanSamples);
-                out += strf("%-26s %.0f\n",
-                            "max recovery (samples)",
-                            monitor.recoveryMaxSamples);
-                out += strf("%-26s %s\n", "open regime",
-                            monitor.recoveryOpen ? "yes" : "no");
-            }
-            if (!monitor.lastEvents.empty()) {
-                out += "recent events:\n";
-                for (const auto &e : monitor.lastEvents)
-                    out += "  " + e + "\n";
-            }
-            if (!monitor.summaryLine.empty())
-                out += "summary: " + monitor.summaryLine + "\n";
-        }
-        if (monitor.hasSupervisor) {
-            out += "\n-- Supervisor events --\n";
-            for (int k = 0; k < 9; ++k) {
-                out += strf("%-26s %zu\n", kSupervisorEventNames[k],
-                            monitor.supervisorEventCounts[k]);
-            }
-            out += strf("deadline misses            %.0f\n",
-                        monitor.deadlineMisses);
-            if (!monitor.supervisorSummaryLine.empty()) {
-                out += "supervisor summary: " +
-                       monitor.supervisorSummaryLine + "\n";
-            }
-        }
-        if (have_slo) {
-            out += "\n-- SLO objectives --\n";
-            out += strf("%-24s %-12s %8s %8s %6s %9s %9s %7s %s\n",
-                        "name", "kind", "target", "total", "bad",
-                        "fast", "slow", "budget", "state");
-            for (const auto &o : slo.objectives) {
-                out += strf(
-                    "%-24s %-12s %8.4f %8.0f %6.0f %9.3f %9.3f "
-                    "%7.3f %s\n",
-                    o.name.c_str(), o.kind.c_str(), o.target,
-                    o.total, o.bad, o.fastBurn, o.slowBurn,
-                    o.budgetRemaining,
-                    o.burning ? "BURNING" : "ok");
-            }
-            out += strf("%-26s %zu\n", "SLO_BURN",
-                        slo.burnEvents);
-            out += strf("%-26s %zu\n", "SLO_RECOVERED",
-                        slo.recoveredEvents);
-            if (slo.eventsDropped > 0) {
-                out += strf("%-26s %.0f\n", "events dropped",
-                            slo.eventsDropped);
-            }
-            if (!slo.lastEvents.empty()) {
-                out += "recent slo events:\n";
-                for (const auto &e : slo.lastEvents)
-                    out += "  " + e + "\n";
-            }
-        }
-        if (have_access) {
-            out += strf("\n-- Access log (%zu records) --\n",
-                        access.records);
-            static const char *const cls[6] = {
-                "no answer", "1xx", "2xx", "3xx", "4xx", "5xx"};
-            for (int k = 0; k < 6; ++k) {
-                if (access.statusClass[k] > 0)
-                    out += strf("%-26s %zu\n", cls[k],
-                                access.statusClass[k]);
-            }
-            std::string verdicts;
-            for (int k = 0; k < 7; ++k) {
-                if (access.verdictCounts[k] == 0)
-                    continue;
-                if (!verdicts.empty())
-                    verdicts += " ";
-                verdicts += strf("%s=%zu", kVerdictNames[k],
-                                 access.verdictCounts[k]);
-            }
-            out += "verdicts: " + verdicts + "\n";
-            out += strf("%-26s %zu\n", "deadline misses",
-                        access.deadlineMisses);
-            std::size_t answered = access.records -
-                                   access.statusClass[0];
-            if (answered > 0) {
-                out += strf("%-26s %.3f\n", "mean handle ms",
-                            access.totalHandleMs /
-                                static_cast<double>(answered));
-            }
-        }
-        if (have_chaos) {
-            out += strf("\n-- Chaos campaign (%zu plans) --\n",
-                        chaos.plans);
-            out += strf("%-26s %10s %10s\n", "invariant", "pass",
-                        "fail");
-            for (const auto &r : chaos.invariants) {
-                out += strf("%-26s %10zu %10zu\n", r.name.c_str(),
-                            r.passes, r.failures);
-            }
-            out += strf("%-26s %zu (%zu plans)\n", "violations",
-                        chaos.violations, chaos.violatingPlans);
-            if (chaos.hasSummary) {
-                out += strf("%-26s %.0f\n", "crashes injected",
-                            chaos.crashes);
-                out += strf("%-26s %.0f\n", "checkpoint resumes",
-                            chaos.resumes);
-                out += strf("%-26s %.0f\n", "faults injected",
-                            chaos.faultsInjected);
-                out += strf("%-26s %.0f\n", "determinism re-runs",
-                            chaos.determinismReruns);
-                out += strf("%-26s %.0f\n", "shrink iterations",
-                            chaos.shrinkIterations);
-            }
-            if (!chaos.violatingLines.empty()) {
-                out += "violating plans:\n";
-                for (const auto &l : chaos.violatingLines)
-                    out += "  " + l + "\n";
-            }
-        }
-        if (!trace_stats.empty()) {
-            out += strf("\n-- Trace spans (%zu names) --\n",
-                        trace_stats.size());
-            out += strf("%-40s %10s %12s\n", "name", "count",
-                        "total ms");
-            for (const auto &t : trace_stats) {
-                out += strf("%-40s %10zu %12.3f\n", t.name.c_str(),
-                            t.count,
-                            static_cast<double>(t.totalDurNs) / 1e6);
-            }
-        }
-        if (!metric_samples.empty()) {
-            out += strf("\n-- Metrics (%zu series) --\n",
-                        metric_samples.size());
-            for (const auto &m : metric_samples)
-                out += strf("%-56s %s\n", m.name.c_str(),
-                            fmtDouble(m.value, 6).c_str());
-        }
-        return out;
-    }
-
-    // Self-contained HTML: inline style, no external assets.
-    out += "<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\">";
-    out += "<title>" + htmlEscape(opts.title) + "</title>\n";
-    out += "<style>body{font-family:monospace;margin:2em;}"
-           "table{border-collapse:collapse;margin-bottom:2em;}"
-           "th,td{border:1px solid #999;padding:4px 8px;"
-           "text-align:left;}th{background:#eee;}"
-           "h2{border-bottom:2px solid #333;}</style></head><body>\n";
-    out += "<h1>" + htmlEscape(opts.title) + "</h1>\n";
-    if (have_monitor) {
-        out += "<h2>Monitor events</h2>\n<table>"
-               "<tr><th>kind</th><th>count</th></tr>\n";
-        for (int k = 0; k < 5; ++k) {
-            out += strf("<tr><td>%s</td><td>%zu</td></tr>\n",
-                        kEventNames[k], monitor.eventCounts[k]);
-        }
-        out += "</table>\n";
-        if (monitor.hasRecovery) {
-            out += "<h2>Recovery</h2>\n<table>"
-                   "<tr><th>recoveries</th>"
-                   "<th>mean (samples)</th><th>max (samples)</th>"
-                   "<th>open regime</th></tr>\n";
-            out += strf("<tr><td>%.0f</td><td>%.1f</td>"
-                        "<td>%.0f</td><td>%s</td></tr>\n",
-                        monitor.recoveryCount,
-                        monitor.recoveryMeanSamples,
-                        monitor.recoveryMaxSamples,
-                        monitor.recoveryOpen ? "yes" : "no");
-            out += "</table>\n";
-        }
-        if (!monitor.lastEvents.empty()) {
-            out += "<h2>Recent events</h2>\n<pre>";
-            for (const auto &e : monitor.lastEvents)
-                out += htmlEscape(e) + "\n";
-            out += "</pre>\n";
-        }
-        if (!monitor.summaryLine.empty()) {
-            out += "<h2>Summary</h2>\n<pre>" +
-                   htmlEscape(monitor.summaryLine) + "</pre>\n";
-        }
-        if (monitor.hasSupervisor) {
-            out += "<h2>Supervisor events</h2>\n<table>"
-                   "<tr><th>kind</th><th>count</th></tr>\n";
-            for (int k = 0; k < 9; ++k) {
-                out += strf("<tr><td>%s</td><td>%zu</td></tr>\n",
-                            kSupervisorEventNames[k],
-                            monitor.supervisorEventCounts[k]);
-            }
-            out += strf("<tr><td>deadline misses</td>"
-                        "<td>%.0f</td></tr>\n",
-                        monitor.deadlineMisses);
-            out += "</table>\n";
-            if (!monitor.supervisorSummaryLine.empty()) {
-                out += "<h2>Supervisor summary</h2>\n<pre>" +
-                       htmlEscape(monitor.supervisorSummaryLine) +
-                       "</pre>\n";
-            }
-        }
-    }
-    if (have_slo) {
-        out += "<h2>SLO objectives</h2>\n<table>"
-               "<tr><th>name</th><th>kind</th><th>target</th>"
-               "<th>total</th><th>bad</th><th>fast burn</th>"
-               "<th>slow burn</th><th>budget</th>"
-               "<th>state</th></tr>\n";
-        for (const auto &o : slo.objectives) {
-            out += strf("<tr><td>%s</td><td>%s</td><td>%.4f</td>"
-                        "<td>%.0f</td><td>%.0f</td><td>%.3f</td>"
-                        "<td>%.3f</td><td>%.3f</td>"
-                        "<td>%s</td></tr>\n",
-                        htmlEscape(o.name).c_str(),
-                        htmlEscape(o.kind).c_str(), o.target,
-                        o.total, o.bad, o.fastBurn, o.slowBurn,
-                        o.budgetRemaining,
-                        o.burning ? "BURNING" : "ok");
-        }
-        out += "</table>\n";
-        out += strf("<p>SLO_BURN events: %zu &middot; "
-                    "SLO_RECOVERED events: %zu</p>\n",
-                    slo.burnEvents, slo.recoveredEvents);
-        if (!slo.lastEvents.empty()) {
-            out += "<h2>Recent SLO events</h2>\n<pre>";
-            for (const auto &e : slo.lastEvents)
-                out += htmlEscape(e) + "\n";
-            out += "</pre>\n";
-        }
-    }
-    if (have_access) {
-        out += strf("<h2>Access log (%zu records)</h2>\n",
-                    access.records);
-        out += "<table><tr><th>outcome</th><th>count</th></tr>\n";
-        static const char *const cls[6] = {
-            "no answer", "1xx", "2xx", "3xx", "4xx", "5xx"};
-        for (int k = 0; k < 6; ++k) {
-            if (access.statusClass[k] > 0)
-                out += strf("<tr><td>%s</td><td>%zu</td></tr>\n",
-                            cls[k], access.statusClass[k]);
-        }
-        for (int k = 0; k < 7; ++k) {
-            if (access.verdictCounts[k] > 0)
-                out += strf("<tr><td>verdict %s</td>"
-                            "<td>%zu</td></tr>\n",
-                            kVerdictNames[k],
-                            access.verdictCounts[k]);
-        }
-        out += strf("<tr><td>deadline misses</td>"
-                    "<td>%zu</td></tr>\n",
-                    access.deadlineMisses);
-        out += "</table>\n";
-    }
-    if (have_chaos) {
-        out += strf("<h2>Chaos campaign (%zu plans)</h2>\n",
-                    chaos.plans);
-        out += "<table><tr><th>invariant</th><th>pass</th>"
-               "<th>fail</th></tr>\n";
-        for (const auto &r : chaos.invariants) {
-            out += strf("<tr><td>%s</td><td>%zu</td>"
-                        "<td>%zu</td></tr>\n",
-                        htmlEscape(r.name).c_str(), r.passes,
-                        r.failures);
-        }
-        out += "</table>\n";
-        out += strf("<p>violations: %zu (%zu plans)",
-                    chaos.violations, chaos.violatingPlans);
-        if (chaos.hasSummary) {
-            out += strf(" &middot; crashes %.0f &middot; resumes "
-                        "%.0f &middot; faults %.0f &middot; "
-                        "determinism re-runs %.0f &middot; shrink "
-                        "iterations %.0f",
-                        chaos.crashes, chaos.resumes,
-                        chaos.faultsInjected,
-                        chaos.determinismReruns,
-                        chaos.shrinkIterations);
-        }
-        out += "</p>\n";
-        if (!chaos.violatingLines.empty()) {
-            out += "<h2>Violating plans</h2>\n<pre>";
-            for (const auto &l : chaos.violatingLines)
-                out += htmlEscape(l) + "\n";
-            out += "</pre>\n";
-        }
-    }
-    if (!trace_stats.empty()) {
-        out += "<h2>Trace spans</h2>\n<table>"
-               "<tr><th>name</th><th>count</th>"
-               "<th>total ms</th></tr>\n";
-        for (const auto &t : trace_stats) {
-            out += strf("<tr><td>%s</td><td>%zu</td>"
-                        "<td>%.3f</td></tr>\n",
-                        htmlEscape(t.name).c_str(), t.count,
-                        static_cast<double>(t.totalDurNs) / 1e6);
-        }
-        out += "</table>\n";
-    }
-    if (!metric_samples.empty()) {
-        out += "<h2>Metrics</h2>\n<table>"
-               "<tr><th>series</th><th>value</th></tr>\n";
-        for (const auto &m : metric_samples) {
-            out += strf("<tr><td>%s</td><td>%s</td></tr>\n",
-                        htmlEscape(m.name).c_str(),
-                        fmtDouble(m.value, 6).c_str());
-        }
-        out += "</table>\n";
-    }
-    out += "</body></html>\n";
-    return out;
+    auto sections = buildSections(artifacts);
+    return opts.html ? renderHtml(opts.title, sections)
+                     : renderText(opts.title, sections);
 }
 
 } // namespace tomur

@@ -59,11 +59,9 @@ WorkloadProfiler::profile(
     // exactly the flows this session warmed (flow identity is a pure
     // function of the flow index, so warm sets nest by flow count)
     // and the new profile wants at least as many.
-    std::uint64_t want = opts_.warmFlows
-        ? std::min<std::uint64_t>(traffic_profile.flowCount,
-                                  opts_.maxWarmupPackets)
-        : 0;
-    bool incremental = warmed_ && opts_.warmFlows &&
+    std::uint64_t want = std::min<std::uint64_t>(
+        traffic_profile.flowCount, opts_.maxWarmupPackets);
+    bool incremental = warmed_ &&
                        nf_.packetsProcessed() == expectedPackets_ &&
                        want >= warmedFlows_;
     if (!incremental) {
@@ -77,7 +75,7 @@ WorkloadProfiler::profile(
     // Phase 1: warm per-flow state so data-structure footprints match
     // the flow count (accelerator-non-functional, empty payloads —
     // flow state depends only on addressing).
-    if (opts_.warmFlows && want > warmedFlows_) {
+    if (want > warmedFlows_) {
         CostContext warm_ctx;
         warm_ctx.setAccelFunctional(false);
         // Reuse one buffer, rewriting the addressing per flow: the

@@ -72,12 +72,11 @@ struct ProfileOptions
     std::size_t samplePackets = 384;
     std::uint64_t seed = 12345;
     /**
-     * Warm per-flow state by pushing one (payload-free, accelerator-
-     * non-functional) packet per distinct flow before measuring, so
-     * table footprints reflect the profile's flow count.
+     * Cap on warm-up packets. Before measuring, one (payload-free,
+     * accelerator-non-functional) packet per distinct flow, up to
+     * this cap, warms per-flow state so table footprints reflect the
+     * profile's flow count.
      */
-    bool warmFlows = true;
-    /** Cap on warm-up packets (one per flow up to this). */
     std::size_t maxWarmupPackets = 600000;
 };
 

@@ -40,9 +40,10 @@ Dataset::ensureCapacity(std::size_t rows)
     std::size_t grown = stride_ == 0 ? 64 : stride_ * 2;
     while (grown < rows)
         grown *= 2;
-    // Repack: every column moves to its new stride-aligned slot.
+    // Repack: every column moves to its new stride-aligned slot (an
+    // empty dataset has nothing to move, and no buffer to move from).
     std::vector<double> next(grown * names_.size());
-    for (std::size_t f = 0; f < names_.size(); ++f) {
+    for (std::size_t f = 0; f < names_.size() && size() > 0; ++f) {
         std::memcpy(next.data() + f * grown,
                     cols_.data() + f * stride_,
                     size() * sizeof(double));

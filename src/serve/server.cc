@@ -455,7 +455,7 @@ Server::handlePhase()
             route.field("path", path);
         }
         if (span.active()) {
-            span.field("id", p.rid);
+            span.field("request_id", p.rid);
             span.field("peer", p.conn->clientId);
             span.field("method", p.request.method);
             span.field("path", path);

@@ -1,13 +1,10 @@
 #include "serve/service.hh"
 
-#include <cctype>
-#include <cmath>
-#include <cstdlib>
-#include <cstring>
-
+#include <algorithm>
 #include <sstream>
 
 #include "common/deadline.hh"
+#include "common/json.hh"
 #include "common/report.hh"
 #include "common/strutil.hh"
 #include "common/telemetry.hh"
@@ -16,100 +13,6 @@
 #include "tomur/attribution.hh"
 
 namespace tomur::serve {
-
-// ---------------------------------------------------------------
-// Flat-JSON field extraction
-// ---------------------------------------------------------------
-
-namespace {
-
-/** Position just past `"key"` followed by ':' (npos if absent). */
-std::size_t
-valueStart(const std::string &body, const std::string &key)
-{
-    std::string needle = "\"" + key + "\"";
-    std::size_t at = 0;
-    while ((at = body.find(needle, at)) != std::string::npos) {
-        std::size_t p = at + needle.size();
-        while (p < body.size() &&
-               std::isspace(static_cast<unsigned char>(body[p])))
-            ++p;
-        if (p < body.size() && body[p] == ':') {
-            ++p;
-            while (p < body.size() &&
-                   std::isspace(
-                       static_cast<unsigned char>(body[p])))
-                ++p;
-            return p;
-        }
-        at += 1; // quoted key without a colon (e.g. a string value)
-    }
-    return std::string::npos;
-}
-
-} // namespace
-
-bool
-jsonHasField(const std::string &body, const std::string &key)
-{
-    return valueStart(body, key) != std::string::npos;
-}
-
-Result<double>
-jsonNumberField(const std::string &body, const std::string &key)
-{
-    std::size_t p = valueStart(body, key);
-    if (p == std::string::npos)
-        return Status::notFound("field '" + key + "' is absent");
-    std::size_t end = p;
-    while (end < body.size() &&
-           std::strchr("+-0123456789.eE", body[end]) != nullptr)
-        ++end;
-    if (end == p) {
-        return Status::invalidArgument(
-            "field '" + key + "' is not a number");
-    }
-    std::string token = body.substr(p, end - p);
-    char *stop = nullptr;
-    double v = std::strtod(token.c_str(), &stop);
-    if (stop != token.c_str() + token.size() || !std::isfinite(v)) {
-        return Status::invalidArgument(
-            "field '" + key + "' is not a finite number");
-    }
-    return v;
-}
-
-Result<std::string>
-jsonStringField(const std::string &body, const std::string &key)
-{
-    std::size_t p = valueStart(body, key);
-    if (p == std::string::npos)
-        return Status::notFound("field '" + key + "' is absent");
-    if (p >= body.size() || body[p] != '"') {
-        return Status::invalidArgument(
-            "field '" + key + "' is not a string");
-    }
-    std::string out;
-    for (std::size_t i = p + 1; i < body.size(); ++i) {
-        char c = body[i];
-        if (c == '"')
-            return out;
-        if (c == '\\') {
-            if (i + 1 >= body.size())
-                break;
-            char esc = body[++i];
-            if (esc == '"' || esc == '\\' || esc == '/')
-                out.push_back(esc);
-            else
-                return Status::invalidArgument(
-                    "unsupported escape in field '" + key + "'");
-            continue;
-        }
-        out.push_back(c);
-    }
-    return Status::invalidArgument(
-        "unterminated string in field '" + key + "'");
-}
 
 // ---------------------------------------------------------------
 // Reply helpers
@@ -307,9 +210,41 @@ ModelService::handleDebug(const std::string &path) const
             errorBody("no such endpoint '" + path + "'")};
 }
 
+namespace {
+
+/**
+ * A request body: one JSON object (the strict reader's refusals
+ * apply) whose members are all named in `fields`. An unknown member —
+ * a typo, or a field nested one level down — is refused rather than
+ * silently answered with defaults.
+ */
+Result<JsonValue>
+objectBody(const std::string &body,
+           std::initializer_list<std::string_view> fields)
+{
+    auto doc = parseJson(body);
+    if (!doc) {
+        return Status::invalidArgument("request body: " +
+                                       doc.status().message());
+    }
+    if (!doc.value().isObject())
+        return Status::invalidArgument(
+            "request body must be a JSON object");
+    for (const auto &key : doc.value().keys()) {
+        if (std::find(fields.begin(), fields.end(), key) == fields.end())
+            return Status::invalidArgument("unknown field '" + key + "'");
+    }
+    return doc;
+}
+
+} // namespace
+
 Result<traffic::TrafficProfile>
 ModelService::profileFromBody(const std::string &body) const
 {
+    auto doc = objectBody(body, {"flows", "size", "mtbr"});
+    if (!doc)
+        return doc.status();
     auto profile = traffic::TrafficProfile::defaults();
     struct
     {
@@ -322,17 +257,20 @@ ModelService::profileFromBody(const std::string &body) const
         {"mtbr", traffic::Attribute::Mtbr, 0.0, 1e7},
     };
     for (const auto &f : fields) {
-        if (!jsonHasField(body, f.key))
+        const JsonValue *v = doc.value().find(f.key);
+        if (v == nullptr)
             continue;
-        auto v = jsonNumberField(body, f.key);
-        if (!v)
-            return v.status();
-        if (v.value() < f.min || v.value() > f.max) {
+        if (!v->isNumber()) {
             return Status::invalidArgument(
-                strf("field '%s' = %g is outside [%g, %g]", f.key,
-                     v.value(), f.min, f.max));
+                strf("field '%s' is not a number", f.key));
         }
-        profile = profile.withAttribute(f.attr, v.value());
+        double x = v->asNumber();
+        if (x < f.min || x > f.max) {
+            return Status::invalidArgument(
+                strf("field '%s' = %g is outside [%g, %g]", f.key, x,
+                     f.min, f.max));
+        }
+        profile = profile.withAttribute(f.attr, x);
     }
     return profile;
 }
@@ -424,10 +362,18 @@ ModelService::handleDiagnose(const HttpRequest &req) const
 ServiceReply
 ModelService::handleReload(const HttpRequest &req)
 {
-    auto path = jsonStringField(req.body, "model");
-    if (!path)
-        return replyFromStatus(path.status());
-    auto swapped = registry_.swapFromFile(path.value());
+    auto doc = objectBody(req.body, {"model"});
+    if (!doc)
+        return replyFromStatus(doc.status());
+    const JsonValue *model = doc.value().find("model");
+    if (model == nullptr)
+        return replyFromStatus(
+            Status::notFound("field 'model' is absent"));
+    if (!model->isString())
+        return replyFromStatus(
+            Status::invalidArgument("field 'model' is not a string"));
+    const std::string &path = model->asString();
+    auto swapped = registry_.swapFromFile(path);
     if (!swapped) {
         // The previous version keeps serving; say so explicitly.
         ServiceReply r = replyFromStatus(swapped.status());
@@ -441,7 +387,7 @@ ModelService::handleReload(const HttpRequest &req)
     ServiceReply r;
     r.body = strf("{\"version\":%llu,\"source\":\"%s\"}",
                   (unsigned long long)swapped.value(),
-                  jsonEscape(path.value()).c_str());
+                  jsonEscape(path).c_str());
     return r;
 }
 

@@ -67,6 +67,12 @@ class Service
  *   POST /diagnose  same body -> ranked contention attribution
  *   POST /reload    {"model":"PATH"} -> hot-swap the model
  *
+ * POST bodies must be one JSON object, read by the strict parseJson
+ * (common/json.hh), naming only the fields shown; every field of
+ * /predict and /diagnose is optional (absent ones keep the default
+ * traffic profile). A body that breaks these rules is a 400 naming
+ * the fault.
+ *
  * Live introspection (GET-only, read-only, response bodies capped
  * the way requests are capped by ParserLimits):
  *
@@ -126,20 +132,6 @@ class ModelService : public Service
     bool draining_ = false;
     const ServerObservatory *observatory_ = nullptr;
 };
-
-/**
- * Minimal flat-JSON field extraction for the request bodies above.
- * Deliberately not a general JSON parser: it finds `"key"` at the
- * top level and parses the scalar after the colon, with strict
- * syntax on what it does accept (no NaN/Inf, no trailing garbage in
- * the number). Bodies are already size-capped by the HTTP parser.
- */
-Result<double> jsonNumberField(const std::string &body,
-                               const std::string &key);
-Result<std::string> jsonStringField(const std::string &body,
-                                    const std::string &key);
-/** True when the key appears at all (absent fields keep defaults). */
-bool jsonHasField(const std::string &body, const std::string &key);
 
 } // namespace tomur::serve
 

@@ -20,6 +20,7 @@
 #include <limits>
 #include <sstream>
 
+#include "common/json.hh"
 #include "common/report.hh"
 #include "common/rng.hh"
 #include "common/sampler.hh"
@@ -787,6 +788,38 @@ TEST(Report, RendersTextAndHtml)
     EXPECT_EQ(html.value().find("x<y"), std::string::npos);
 }
 
+TEST(Report, SkippedLinesAreCounted)
+{
+    // A span line with a repeated key (as trace files from before the
+    // `request_id` rename wrote), a torn line and a blank line: the
+    // first two are skipped and counted, the blank one is neither.
+    ReportArtifacts artifacts;
+    artifacts.traceJsonl =
+        "{\"name\":\"server.request\",\"id\":1,\"dur_ns\":5,"
+        "\"id\":\"c1-r1\"}\n"
+        "{\"name\":\"serve.predict\",\"id\":2,\"dur_ns\":7}\n"
+        "\n"
+        "{\"name\":\"serve.pre";
+    EXPECT_EQ(parseTraceJsonl(artifacts.traceJsonl).size(), 1u);
+    ReportOptions opts;
+    opts.html = true;
+    auto html = renderReport(artifacts, opts);
+    ASSERT_TRUE(html);
+    EXPECT_NE(html.value().find("Lines skipped"), std::string::npos);
+    EXPECT_NE(html.value().find("<td>trace</td><td>2</td>"),
+              std::string::npos)
+        << html.value();
+    auto text = renderReport(artifacts);
+    ASSERT_TRUE(text);
+    EXPECT_NE(text.value().find("Lines skipped"), std::string::npos);
+
+    // Clean artifacts get no such section.
+    artifacts.traceJsonl =
+        "{\"name\":\"serve.predict\",\"id\":2,\"dur_ns\":7}\n";
+    EXPECT_EQ(renderReport(artifacts).value().find("Lines skipped"),
+              std::string::npos);
+}
+
 TEST(Report, AllArtifactsEmptyIsAnError)
 {
     auto r = renderReport(ReportArtifacts{});
@@ -935,6 +968,336 @@ TEST(MonitorGolden, WideReplayIsByteIdenticalToFixture)
         return;
     }
     checkGolden("monitor_events.jsonl", events);
+}
+
+// ---------------------------------------------------------------
+// Report digests over the committed goldens
+// ---------------------------------------------------------------
+
+/** The lines of one `{"golden_section":"<name>"}` section of a
+ *  multi-section fixture (serve_observatory.jsonl). */
+std::string
+goldenSection(const std::string &file, const std::string &name)
+{
+    std::istringstream in(readFileOrEmpty(goldenPath(file)));
+    const std::string marker = "{\"golden_section\":";
+    std::string line, out;
+    bool inside = false;
+    while (std::getline(in, line)) {
+        if (line.rfind(marker, 0) == 0) {
+            inside = line == marker + "\"" + name + "\"}";
+            continue;
+        }
+        if (inside)
+            out += line + "\n";
+    }
+    return out;
+}
+
+/** The first line of `body` that starts with `prefix`. */
+std::string
+lineStartingWith(const std::string &body, const std::string &prefix)
+{
+    std::istringstream in(body);
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind(prefix, 0) == 0)
+            return line;
+    }
+    return "";
+}
+
+/** Occurrences of `needle` in `body`. */
+std::size_t
+countOf(const std::string &body, const std::string &needle)
+{
+    std::size_t n = 0;
+    for (auto at = body.find(needle); at != std::string::npos;
+         at = body.find(needle, at + needle.size()))
+        ++n;
+    return n;
+}
+
+const char *const kMonitorKinds[5] = {
+    "DRIFT_DETECTED", "ACCURACY_DEGRADED", "TRAFFIC_SHIFT",
+    "RECALIBRATION_RECOMMENDED", "ACCURACY_RECOVERED"};
+
+const char *const kSupervisorKinds[9] = {
+    "RECALIBRATION_STARTED", "RECALIBRATION_SUCCEEDED",
+    "RECALIBRATION_FAILED",  "BREAKER_OPENED",
+    "BREAKER_HALF_OPEN",     "BREAKER_CLOSED",
+    "DEADLINE_MISSED",       "RETRY_BUDGET_EXHAUSTED",
+    "CHECKPOINT_WRITTEN"};
+
+TEST(ReportGolden, MonitorDigestAgreesWithItsSummary)
+{
+    auto body = readFileOrEmpty(goldenPath("monitor_events.jsonl"));
+    ASSERT_FALSE(body.empty());
+    auto d = parseMonitorJsonl(body);
+    ASSERT_FALSE(d.summaryLine.empty());
+    std::size_t events = 0;
+    for (int k = 0; k < 5; ++k) {
+        EXPECT_NE(d.summaryLine.find(strf("\"%s\":%zu",
+                                          kMonitorKinds[k],
+                                          d.eventCounts[k])),
+                  std::string::npos)
+            << kMonitorKinds[k];
+        events += d.eventCounts[k];
+    }
+    EXPECT_EQ(events, 4u);
+    EXPECT_EQ(d.lastEvents.size(), 4u);
+
+    ASSERT_TRUE(d.hasRecovery);
+    EXPECT_DOUBLE_EQ(d.recoveryCount, 1.0);
+    EXPECT_DOUBLE_EQ(d.recoveryMeanSamples, 4.0);
+    EXPECT_DOUBLE_EQ(d.recoveryMaxSamples, 4.0);
+    EXPECT_TRUE(d.recoveryOpen);
+    EXPECT_NE(d.summaryLine.find("\"recovery\":{\"count\":1,"
+                                 "\"mean\":\"4\",\"max\":4,"
+                                 "\"open\":1}"),
+              std::string::npos);
+    EXPECT_FALSE(d.hasSupervisor);
+}
+
+TEST(ReportGolden, SupervisorDigestAgreesWithItsSummary)
+{
+    auto body =
+        readFileOrEmpty(goldenPath("autopilot_events.jsonl"));
+    ASSERT_FALSE(body.empty());
+    auto d = parseMonitorJsonl(body);
+    ASSERT_TRUE(d.hasSupervisor);
+    ASSERT_FALSE(d.supervisorSummaryLine.empty());
+    for (int k = 0; k < 9; ++k) {
+        EXPECT_NE(d.supervisorSummaryLine.find(
+                      strf("\"%s\":%zu", kSupervisorKinds[k],
+                           d.supervisorEventCounts[k])),
+                  std::string::npos)
+            << kSupervisorKinds[k];
+    }
+    EXPECT_EQ(d.supervisorEventCounts[8], 5u); // CHECKPOINT_WRITTEN
+    EXPECT_EQ(d.supervisorEventCounts[0], 1u); // RECALIBRATION_STARTED
+    EXPECT_DOUBLE_EQ(d.deadlineMisses, 0.0);
+    EXPECT_NE(d.supervisorSummaryLine.find("\"deadline_misses\":0"),
+              std::string::npos);
+    // The monitor half of the same stream agrees with its trailer.
+    for (int k = 0; k < 5; ++k) {
+        EXPECT_NE(d.summaryLine.find(strf("\"%s\":%zu",
+                                          kMonitorKinds[k],
+                                          d.eventCounts[k])),
+                  std::string::npos)
+            << kMonitorKinds[k];
+    }
+    ASSERT_TRUE(d.hasRecovery);
+    EXPECT_DOUBLE_EQ(d.recoveryCount, 0.0);
+    EXPECT_TRUE(d.recoveryOpen);
+}
+
+TEST(ReportGolden, ChaosDigestAgreesWithItsSummary)
+{
+    auto body =
+        readFileOrEmpty(goldenPath("chaos_campaign.jsonl"));
+    ASSERT_FALSE(body.empty());
+    auto summary = lineStartingWith(body, "{\"chaos_summary\":");
+    ASSERT_FALSE(summary.empty());
+    auto d = parseChaosJsonl(body);
+    ASSERT_TRUE(d.hasSummary);
+    EXPECT_EQ(d.plans, 30u);
+    EXPECT_NE(summary.find(strf("\"plans\":%zu", d.plans)),
+              std::string::npos);
+    EXPECT_NE(summary.find(strf("\"violations\":%zu", d.violations)),
+              std::string::npos);
+    EXPECT_NE(summary.find(strf("\"violating_plans\":%zu",
+                                d.violatingPlans)),
+              std::string::npos);
+    EXPECT_NE(summary.find(strf("\"crashes\":%.0f", d.crashes)),
+              std::string::npos);
+    EXPECT_NE(summary.find(strf("\"resumes\":%.0f", d.resumes)),
+              std::string::npos);
+    EXPECT_NE(summary.find(strf("\"faults_injected\":%.0f",
+                                d.faultsInjected)),
+              std::string::npos);
+    EXPECT_NE(summary.find(strf("\"determinism_reruns\":%.0f",
+                                d.determinismReruns)),
+              std::string::npos);
+    EXPECT_NE(summary.find(strf("\"shrink_iterations\":%.0f",
+                                d.shrinkIterations)),
+              std::string::npos);
+    EXPECT_DOUBLE_EQ(d.crashes, 4.0);
+    EXPECT_DOUBLE_EQ(d.faultsInjected, 180.0);
+
+    ASSERT_EQ(d.invariants.size(), 5u);
+    for (const auto &row : d.invariants) {
+        EXPECT_EQ(row.passes + row.failures, d.plans) << row.name;
+        // passes = plans - chaos_summary.failures[name]
+        EXPECT_NE(summary.find(strf("\"%s\":%zu", row.name.c_str(),
+                                    d.plans - row.passes)),
+                  std::string::npos)
+            << row.name;
+    }
+    EXPECT_EQ(d.invariants[0].name, "no_hang");
+    EXPECT_EQ(d.invariants[4].name, "determinism");
+}
+
+TEST(ReportGolden, SloDigestAgreesWithItsSummary)
+{
+    auto body = goldenSection("serve_observatory.jsonl", "slo");
+    ASSERT_FALSE(body.empty());
+    auto summary = lineStartingWith(body, "{\"slo_summary\":");
+    ASSERT_FALSE(summary.empty());
+    auto d = parseSloJsonl(body);
+    ASSERT_TRUE(d.hasSummary);
+    ASSERT_EQ(d.objectives.size(), 2u);
+    double burns = 0.0, recoveries = 0.0;
+    for (const auto &o : d.objectives) {
+        EXPECT_DOUBLE_EQ(o.bad, 4.0) << o.name;
+        EXPECT_DOUBLE_EQ(o.total, 20.0) << o.name;
+        EXPECT_DOUBLE_EQ(o.target, 0.9) << o.name;
+        EXPECT_DOUBLE_EQ(o.slowBurn, 1.25) << o.name;
+        EXPECT_DOUBLE_EQ(o.budgetRemaining, -0.25) << o.name;
+        EXPECT_FALSE(o.burning) << o.name;
+        burns += o.burnEvents;
+        recoveries += o.recoveredEvents;
+    }
+    EXPECT_EQ(d.objectives[0].name, "golden_availability");
+    EXPECT_EQ(d.objectives[0].kind, "availability");
+    EXPECT_EQ(d.objectives[1].name, "golden_deadline");
+    EXPECT_EQ(d.objectives[1].kind, "latency");
+    // Event lines agree with the per-objective trailer counters and
+    // with the trailer's event total.
+    EXPECT_DOUBLE_EQ(burns, static_cast<double>(d.burnEvents));
+    EXPECT_DOUBLE_EQ(recoveries,
+                     static_cast<double>(d.recoveredEvents));
+    EXPECT_NE(summary.find(strf("\"events\":%zu",
+                                d.burnEvents + d.recoveredEvents)),
+              std::string::npos);
+    EXPECT_EQ(d.lastEvents.size(), 2u);
+    EXPECT_DOUBLE_EQ(d.eventsDropped, 0.0);
+}
+
+TEST(ReportGolden, AccessDigestAgreesWithItsRecords)
+{
+    auto body = goldenSection("serve_observatory.jsonl", "access");
+    ASSERT_FALSE(body.empty());
+    auto d = parseAccessJsonl(body);
+    EXPECT_EQ(d.records, countOf(body, "\n"));
+    std::size_t verdicts = 0;
+    for (int k = 0; k < 7; ++k) {
+        EXPECT_EQ(d.verdictCounts[k],
+                  countOf(body, strf("\"verdict\":\"%s\"",
+                                     kVerdictNames[k])))
+            << kVerdictNames[k];
+        EXPECT_GT(d.verdictCounts[k], 0u) << kVerdictNames[k];
+        verdicts += d.verdictCounts[k];
+    }
+    EXPECT_EQ(verdicts, d.records);
+    EXPECT_EQ(d.statusClass[0], countOf(body, "\"status\":0,"));
+    for (int cls = 1; cls <= 5; ++cls) {
+        EXPECT_EQ(d.statusClass[cls],
+                  countOf(body, strf("\"status\":%d", cls)))
+            << cls << "xx";
+    }
+    EXPECT_EQ(d.deadlineMisses,
+              countOf(body, "\"deadline_miss\":true"));
+}
+
+TEST(ReportGolden, RendersAllSixArtifactsInBothForms)
+{
+    ReportArtifacts artifacts;
+    artifacts.metricsText = readFileOrEmpty(goldenPath("metrics.txt"));
+    artifacts.traceJsonl =
+        readFileOrEmpty(goldenPath("trace_canonical.jsonl"));
+    artifacts.monitorJsonl =
+        readFileOrEmpty(goldenPath("autopilot_events.jsonl"));
+    artifacts.sloJsonl =
+        goldenSection("serve_observatory.jsonl", "slo");
+    artifacts.accessJsonl =
+        goldenSection("serve_observatory.jsonl", "access");
+    artifacts.chaosJsonl =
+        readFileOrEmpty(goldenPath("chaos_campaign.jsonl"));
+    auto text = renderReport(artifacts);
+    ASSERT_TRUE(text);
+    ReportOptions opts;
+    opts.html = true;
+    auto html = renderReport(artifacts, opts);
+    ASSERT_TRUE(html);
+    EXPECT_EQ(html.value().find("<!DOCTYPE html>"), 0u);
+    for (const char *token :
+         {"Monitor events", "Supervisor events", "SLO objectives",
+          "Access log", "Chaos campaign", "Trace spans", "Metrics",
+          "DRIFT_DETECTED", "CHECKPOINT_WRITTEN", "golden_availability",
+          "golden_deadline", "SLO_BURN", "2xx", "5xx", "throttled",
+          "no_hang", "graceful_degradation", "ml.gbr.fit",
+          "golden.scenario", "tomur_cache_hits_total"}) {
+        EXPECT_NE(text.value().find(token), std::string::npos)
+            << "text lacks " << token;
+        EXPECT_NE(html.value().find(token), std::string::npos)
+            << "html lacks " << token;
+    }
+}
+
+TEST(ReportGolden, EveryArtifactLineIsStrictJson)
+{
+    // Every stream the program writes must read back through the one
+    // strict reader, or the report would silently skip its lines.
+    for (const char *file :
+         {"autopilot_events.jsonl", "chaos_campaign.jsonl",
+          "monitor_events.jsonl", "replay_events.jsonl",
+          "serve_observatory.jsonl", "trace_canonical.jsonl"}) {
+        std::istringstream in(readFileOrEmpty(goldenPath(file)));
+        std::string line;
+        std::size_t lines = 0;
+        while (std::getline(in, line)) {
+            ++lines;
+            auto doc = parseJson(line);
+            ASSERT_TRUE(doc) << file << ": " << doc.status().toString()
+                             << "\n" << line;
+            EXPECT_TRUE(doc.value().isObject()) << file << ": " << line;
+        }
+        EXPECT_GT(lines, 0u) << file;
+    }
+}
+
+TEST(Report, TextAndHtmlShowTheSameRows)
+{
+    ReportArtifacts artifacts;
+    artifacts.sloJsonl =
+        goldenSection("serve_observatory.jsonl", "slo");
+    artifacts.accessJsonl =
+        "{\"id\":\"c1-r1\",\"status\":200,\"verdict\":\"ok\","
+        "\"deadline_miss\":false,\"handle_ms\":1.5}\n"
+        "{\"id\":\"c1-r2\",\"status\":503,\"verdict\":\"shed\","
+        "\"deadline_miss\":false,\"handle_ms\":0.5}\n";
+    artifacts.chaosJsonl =
+        readFileOrEmpty(goldenPath("chaos_campaign.jsonl"));
+    artifacts.monitorJsonl =
+        readFileOrEmpty(goldenPath("replay_events.jsonl"));
+    auto text = renderReport(artifacts);
+    ReportOptions opts;
+    opts.html = true;
+    auto html = renderReport(artifacts, opts);
+    ASSERT_TRUE(text);
+    ASSERT_TRUE(html);
+    // Rows once shown by one form only now appear in both.
+    for (const char *row : {"mean handle ms", "events dropped",
+                            "crashes injected", "open regime"}) {
+        EXPECT_NE(text.value().find(row), std::string::npos) << row;
+        EXPECT_NE(html.value().find(row), std::string::npos) << row;
+    }
+    EXPECT_NE(text.value().find("| mean handle ms "), std::string::npos);
+    EXPECT_NE(text.value().find("| 1.000 "), std::string::npos);
+    // Every HTML cell is a text cell: one section list, two forms.
+    std::size_t cells = 0;
+    for (auto at = html.value().find("<td>"); at != std::string::npos;
+         at = html.value().find("<td>", at + 1)) {
+        auto end = html.value().find("</td>", at);
+        ASSERT_NE(end, std::string::npos);
+        std::string cell = html.value().substr(at + 4, end - at - 4);
+        EXPECT_NE(text.value().find("| " + cell + " "),
+                  std::string::npos)
+            << cell;
+        ++cells;
+    }
+    EXPECT_GT(cells, 40u);
 }
 
 // ---------------------------------------------------------------

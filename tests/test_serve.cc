@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "common/deadline.hh"
+#include "common/json.hh"
 #include "common/rng.hh"
 #include "common/sampler.hh"
 #include "common/slo.hh"
@@ -1164,9 +1165,111 @@ TEST(ModelServiceEndpoints, PredictValidatesProfile)
     EXPECT_EQ(h.roundTrip(simplePost("/predict",
                                      "{\"flows\":nan}")),
               400);
-    // A body with no recognised field falls back to the default
-    // traffic profile — degraded input degrades gracefully.
-    EXPECT_EQ(h.roundTrip(simplePost("/predict", "not json")), 200);
+    // A body that is not a JSON object is refused, not answered
+    // with the default traffic profile the caller never sent.
+    EXPECT_EQ(h.roundTrip(simplePost("/predict", "not json")), 400);
+    // An object without fields does mean "the default profile".
+    EXPECT_EQ(h.roundTrip(simplePost("/predict", "{}")), 200);
+}
+
+TEST(ModelServiceEndpoints, MalformedBodiesGet400WithReason)
+{
+    ServiceHarness h;
+    const std::pair<std::string, std::string> cases[] = {
+        // A field nested one level down is not the field.
+        {"{\"x\":{\"flows\":5}}", "unknown field 'x'"},
+        {"{\"flow\":5}", "unknown field 'flow'"},
+        {"{\"flows\":5,\"flows\":900000}", "duplicate key 'flows'"},
+        {"{\"flows\":5}xyz", "trailing characters"},
+        {"{\"flows\":5x}", "expected ',' or '}'"},
+        {"[{\"flows\":5}]", "must be a JSON object"},
+        {"5", "must be a JSON object"},
+        {"\"flows\"", "must be a JSON object"},
+        {"", "unexpected end of input"},
+        {"not json", "malformed JSON"},
+        {"{\"flows\":NaN}", "malformed JSON"},
+        {"{\"flows\":+5}", "may not start with '+'"},
+        {"{\"flows\":1e999}", "overflows"},
+        {"{\"flows\":\"5\"}", "field 'flows' is not a number"},
+        {"{\"flows\":true}", "field 'flows' is not a number"},
+    };
+    for (const char *target : {"/predict", "/diagnose"}) {
+        for (const auto &[body, reason] : cases) {
+            EXPECT_EQ(h.roundTrip(simplePost(target, body)), 400)
+                << target << " " << body;
+            EXPECT_EQ(h.body.find("{\"error\":"), 0u) << h.body;
+            EXPECT_NE(h.body.find(reason), std::string::npos)
+                << target << " " << body << " -> " << h.body;
+        }
+    }
+    const std::pair<std::string, std::string> reloads[] = {
+        {"{\"model\":\"a\",\"model\":\"b\"}", "duplicate key 'model'"},
+        {"{\"model\":\"a\"}trailing", "trailing characters"},
+        {"{\"x\":{\"model\":\"a\"}}", "unknown field 'x'"},
+        {"[\"a\"]", "must be a JSON object"},
+        {"{\"model\":5}", "field 'model' is not a string"},
+        {"{\"model\":\"\\q\"}", "bad escape"},
+    };
+    for (const auto &[body, reason] : reloads) {
+        EXPECT_EQ(h.roundTrip(simplePost("/reload", body)), 400)
+            << body;
+        EXPECT_NE(h.body.find(reason), std::string::npos)
+            << body << " -> " << h.body;
+    }
+    // The largest body the parser admits, as one array of zeros: the
+    // reader refuses it at kJsonMaxValues instead of building a tree
+    // of half a million nodes.
+    std::string zeros = "{\"flows\":[0";
+    while (zeros.size() + 4 <= ParserLimits{}.maxBodyBytes)
+        zeros += ",0";
+    zeros += "]}";
+    EXPECT_EQ(h.roundTrip(simplePost("/predict", zeros)), 400);
+    EXPECT_NE(h.body.find(strf("more than %zu values", kJsonMaxValues)),
+              std::string::npos)
+        << h.body;
+    // Nothing was swapped by any of them.
+    EXPECT_EQ(h.registry.version(), 1u);
+}
+
+TEST(ModelServiceEndpoints, EveryClientBodyShapeIsAccepted)
+{
+    // The shapes the repository's clients send: perfbench's load
+    // generator and accuracy probes, the chaos runner (spaces after
+    // the colons), the README curl lines, and Python's json.dumps in
+    // the CI smoke. Each must answer for exactly the traffic sent.
+    ServiceHarness h;
+    Rng rng(7);
+    std::vector<std::pair<std::string, std::string>> shapes;
+    for (int i = 0; i < 8; ++i) {
+        int flows = static_cast<int>(rng.uniformInt(1000, 500000));
+        int size = static_cast<int>(rng.uniformInt(64, 1500));
+        int mtbr = static_cast<int>(rng.uniformInt(0, 1100));
+        shapes.push_back({strf("{\"flows\":%d,\"size\":%d,\"mtbr\":%d}",
+                               flows, size, mtbr),
+                          strf("{\"flows\":%d,\"size\":%d,\"mtbr\":%d}",
+                               flows, size, mtbr)});
+    }
+    shapes.push_back({strf("{\"flows\":%llu,\"size\":%llu,\"mtbr\":%g}",
+                           12345ULL, 777ULL, 650.5),
+                      "{\"flows\":12345,\"size\":777,\"mtbr\":650.5}"});
+    shapes.push_back({"{\"flows\": 16000, \"size\": 512, \"mtbr\": 400}",
+                      "{\"flows\":16000,\"size\":512,\"mtbr\":400}"});
+    shapes.push_back({"{\"flows\":20000,\"size\":512,\"mtbr\":400}",
+                      "{\"flows\":20000,\"size\":512,\"mtbr\":400}"});
+    shapes.push_back({"{\"flows\":20000}", "{\"flows\":20000,"});
+    shapes.push_back({"{\n  \"mtbr\": 1.1e3,\n  \"flows\": 8e3\n}\n",
+                      "{\"flows\":8000,"});
+    for (const char *target : {"/predict", "/diagnose"}) {
+        for (const auto &[body, echo] : shapes) {
+            EXPECT_EQ(h.roundTrip(simplePost(target, body)), 200)
+                << target << " " << body << " -> " << h.body;
+            if (std::string(target) == "/predict") {
+                EXPECT_NE(h.body.find("\"profile\":" + echo),
+                          std::string::npos)
+                    << body << " -> " << h.body;
+            }
+        }
+    }
 }
 
 TEST(ModelServiceEndpoints, DiagnoseRanksResources)

@@ -1,7 +1,8 @@
 /**
  * @file
  * Self-healing runtime tests: the crash-safe checkpoint store (write
- * protocol, corruption corpus, injected crash points), cooperative
+ * protocol, corruption corpus, injected crash points, content-
+ * addressed model blobs), cooperative
  * deadlines (granule budgets through parallelFor and runBatch), the
  * supervisor's circuit breaker (scripted hooks and a real retrain
  * under heavy fault injection), and the autopilot chaos golden: a run
@@ -18,6 +19,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -922,6 +924,232 @@ TEST(AutopilotGolden, WideRunIsByteIdenticalToFixture)
         return;
     }
     checkGolden("autopilot_events.jsonl", events);
+}
+
+// ---------------------------------------------------------------
+// Content-addressed model blobs
+// ---------------------------------------------------------------
+
+/** A small-quota model of catalog NF `name` on a fresh testbed. */
+core::TomurModel
+trainCatalogModel(const std::string &name)
+{
+    auto rules = regex::defaultRuleSet();
+    fw::DeviceSet dev;
+    dev.regex = std::make_shared<fw::RegexDevice>(rules);
+    dev.compression = std::make_shared<fw::CompressionDevice>();
+    dev.crypto = std::make_shared<fw::CryptoDevice>();
+    sim::Testbed bed(hw::blueField2());
+    core::BenchLibrary lib(bed, dev, rules);
+    core::TomurTrainer trainer(lib);
+    auto nf = nfs::makeByName(name, dev);
+    core::TrainOptions topts;
+    topts.adaptive.quota = 20;
+    return trainer.train(*nf, AutoEnv::defaults(), topts);
+}
+
+std::string
+saveBytes(const core::TomurModel &m)
+{
+    std::ostringstream out;
+    EXPECT_TRUE(m.save(out));
+    return out.str();
+}
+
+core::TomurModel
+loadBytes(const std::string &bytes)
+{
+    core::TomurModel m;
+    std::istringstream in(bytes);
+    EXPECT_TRUE(m.load(in));
+    return m;
+}
+
+TEST(CheckpointBlob, ContentDigestTracksSaveBytes)
+{
+    PoolWidth width(1);
+    auto stats = trainCatalogModel("FlowStats");
+    auto router = trainCatalogModel("IPRouter");
+    auto reloaded = loadBytes(saveBytes(stats));
+    auto flagged = loadBytes(saveBytes(stats));
+    flagged.markMemoryDegraded("unit test");
+
+    const core::TomurModel *models[] = {&stats, &router, &reloaded,
+                                        &flagged};
+    for (const auto *a : models) {
+        for (const auto *b : models) {
+            EXPECT_EQ(a->contentDigest() == b->contentDigest(),
+                      saveBytes(*a) == saveBytes(*b))
+                << a->nfName() << " vs " << b->nfName();
+        }
+    }
+    // Both directions of "exactly when" are exercised.
+    EXPECT_EQ(stats.contentDigest(), reloaded.contentDigest());
+    EXPECT_NE(stats.contentDigest(), router.contentDigest());
+    EXPECT_NE(stats.contentDigest(), flagged.contentDigest());
+}
+
+TEST(CheckpointBlob, PassWritesOneBlobPerModelVersion)
+{
+    PoolWidth width(1);
+    auto dir = freshDir("blob_per_version");
+    Counter &blobWrites =
+        metrics().counter("tomur_checkpoint_blob_writes_total");
+    const double before = blobWrites.value();
+
+    AutoEnv env(/*trainInitial=*/true);
+    auto ctx = env.ctx();
+    auto monitor = makeGoldenMonitor();
+    Supervisor sup(fastBreaker(), env.recalibrate());
+    // Retain every generation, so every version stays referenced.
+    auto store = makeStore(dir, /*generations=*/16);
+    auto res = core::runAutopilot(ctx, goldenSchedule(), monitor,
+                                  sup, &store, goldenOptions());
+    ASSERT_TRUE(res) << res.status().toString();
+
+    const std::size_t versions =
+        1 + res.value().supervisorSummary.recalibrationsSucceeded;
+    EXPECT_EQ(versions, 2u) << "the scenario retrains once";
+    EXPECT_EQ(store.listGenerations().size(), 5u);
+    EXPECT_DOUBLE_EQ(blobWrites.value() - before,
+                     static_cast<double>(versions));
+    auto blobs = store.listBlobs();
+    ASSERT_EQ(blobs.size(), versions);
+    for (std::uint64_t d : blobs)
+        EXPECT_TRUE(fs::exists(store.blobPath(d)));
+
+    // The newest generation references the serving model's blob.
+    auto rec = store.loadLatestValid();
+    ASSERT_TRUE(rec);
+    auto restored = core::loadCheckpointModel(rec.value());
+    ASSERT_TRUE(restored) << restored.status().toString();
+    EXPECT_EQ(restored.value().contentDigest(),
+              env.model.contentDigest());
+}
+
+/** Two generations, each referencing its own blob. */
+void
+writeTwoBlobGenerations(CheckpointStore &store)
+{
+    ASSERT_TRUE(store.writeBlob(0xa1, "model version one"));
+    ASSERT_TRUE(store.writeGeneration("gen one", {0xa1}));
+    ASSERT_TRUE(store.writeBlob(0xb2, "model version two"));
+    ASSERT_TRUE(store.writeGeneration("gen two", {0xb2}));
+}
+
+TEST(CheckpointBlob, MissingBlobFallsBackToOlderGeneration)
+{
+    auto dir = freshDir("blob_missing");
+    auto store = makeStore(dir);
+    writeTwoBlobGenerations(store);
+    fs::remove(store.blobPath(0xb2));
+
+    auto rec = makeStore(dir).loadLatestValid();
+    ASSERT_TRUE(rec) << rec.status().toString();
+    EXPECT_EQ(rec.value().generation, 1u);
+    EXPECT_EQ(rec.value().body, "gen one");
+    ASSERT_EQ(rec.value().blobs.count(0xa1), 1u);
+    EXPECT_EQ(rec.value().blobs.at(0xa1), "model version one");
+}
+
+TEST(CheckpointBlob, BitFlippedBlobFallsBackToOlderGeneration)
+{
+    auto dir = freshDir("blob_flipped");
+    auto store = makeStore(dir);
+    writeTwoBlobGenerations(store);
+    std::string bytes = readFile(store.blobPath(0xb2));
+    ASSERT_FALSE(bytes.empty());
+    bytes.back() ^= 0x01; // last payload byte
+    writeFile(store.blobPath(0xb2), bytes);
+
+    auto rec = makeStore(dir).loadLatestValid();
+    ASSERT_TRUE(rec) << rec.status().toString();
+    EXPECT_EQ(rec.value().generation, 1u);
+    EXPECT_EQ(rec.value().blobs.at(0xa1), "model version one");
+}
+
+TEST(CheckpointBlob, PruneKeepsReferencedBlobsAcrossReopen)
+{
+    auto dir = freshDir("blob_prune");
+    {
+        auto store = makeStore(dir, /*generations=*/2);
+        writeTwoBlobGenerations(store);
+        ASSERT_TRUE(store.writeBlob(0xdead, "never referenced"));
+        // Gen 3 drops gen 1, so blob a1 and the orphan go.
+        ASSERT_TRUE(store.writeGeneration("gen three", {0xb2}));
+        EXPECT_EQ(store.listGenerations(),
+                  (std::vector<std::uint64_t>{2, 3}));
+        EXPECT_EQ(store.listBlobs(),
+                  (std::vector<std::uint64_t>{0xb2}));
+    }
+    // A reopened store knows nothing in memory: its prune must read
+    // the references back from the retained generations on disk.
+    auto store = makeStore(dir, /*generations=*/2);
+    ASSERT_TRUE(store.writeBlob(0xbeef, "orphan after reopen"));
+    ASSERT_TRUE(store.writeBlob(0xc3, "model version three"));
+    ASSERT_TRUE(store.writeGeneration("gen four", {0xc3}));
+    EXPECT_EQ(store.listGenerations(),
+              (std::vector<std::uint64_t>{3, 4}));
+    EXPECT_EQ(store.listBlobs(),
+              (std::vector<std::uint64_t>{0xb2, 0xc3}));
+    EXPECT_FALSE(fs::exists(store.blobPath(0xbeef)));
+    auto rec = store.loadLatestValid();
+    ASSERT_TRUE(rec);
+    EXPECT_EQ(rec.value().generation, 4u);
+    EXPECT_EQ(rec.value().blobs.at(0xc3), "model version three");
+}
+
+TEST(CheckpointBlob, CrashBetweenBlobAndGenerationResumes)
+{
+    auto dir = freshDir("blob_crash");
+    {
+        auto store = makeStore(dir);
+        ASSERT_TRUE(store.writeBlob(0xa1, "model version one"));
+        ASSERT_TRUE(store.writeGeneration("gen one", {0xa1}));
+        // The next version's blob is durable, then the process dies
+        // before its generation exists.
+        ASSERT_TRUE(store.writeBlob(0xb2, "model version two"));
+        store.setCrashPoint(CheckpointCrashPoint::BeforeTempWrite);
+        EXPECT_THROW((void)store.writeGeneration("gen two", {0xb2}),
+                     SimulatedCrash);
+    }
+    auto store = makeStore(dir);
+    auto rec = store.loadLatestValid();
+    ASSERT_TRUE(rec) << rec.status().toString();
+    EXPECT_EQ(rec.value().generation, 1u);
+    EXPECT_EQ(rec.value().blobs.at(0xa1), "model version one");
+    // The resumed run reuses the surviving blob instead of rewriting
+    // it, and the generation that names it restores.
+    EXPECT_TRUE(store.hasBlob(0xb2));
+    ASSERT_TRUE(store.writeGeneration("gen two", {0xb2}));
+    rec = store.loadLatestValid();
+    ASSERT_TRUE(rec);
+    EXPECT_EQ(rec.value().body, "gen two");
+    EXPECT_EQ(rec.value().blobs.at(0xb2), "model version two");
+}
+
+TEST(CheckpointBlob, VersionOneRecordsAreRefusedWithAClearStatus)
+{
+    // A v1 frame (the model nested in the body, no blob list).
+    std::string v1 = CheckpointStore::frame("body");
+    v1.replace(0, std::strlen("tomur_ckpt 2"), "tomur_ckpt 1");
+    Status frame = CheckpointStore::verifyFrame(v1, nullptr);
+    EXPECT_EQ(frame.code(), StatusCode::CorruptData);
+    EXPECT_NE(frame.message().find("unsupported checkpoint version 1"),
+              std::string::npos)
+        << frame.toString();
+
+    // A v1 autopilot body inside a valid v2 frame.
+    CheckpointRecord rec;
+    rec.generation = 1;
+    rec.body = "tomur_autopilot 1\nsample 5\n";
+    auto model = core::loadCheckpointModel(rec);
+    ASSERT_FALSE(model);
+    EXPECT_EQ(model.status().code(), StatusCode::FailedPrecondition);
+    EXPECT_NE(model.status().message().find(
+                  "unsupported body version 1"),
+              std::string::npos)
+        << model.status().toString();
 }
 
 } // namespace
