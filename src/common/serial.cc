@@ -7,6 +7,9 @@
 #include <cstring>
 #include <istream>
 #include <ostream>
+#include <streambuf>
+
+#include "common/strutil.hh"
 
 namespace tomur {
 
@@ -50,12 +53,10 @@ SerialWriter::separate()
 }
 
 void
-SerialWriter::integer(std::int64_t v)
+SerialWriter::token(std::string_view s)
 {
     separate();
-    char buf[24];
-    auto res = std::to_chars(buf, buf + sizeof(buf), v);
-    out_.write(buf, res.ptr - buf);
+    out_.write(s.data(), static_cast<std::streamsize>(s.size()));
 }
 
 void
@@ -63,13 +64,6 @@ SerialWriter::real(double v)
 {
     separate();
     writeSerialDouble(out_, v);
-}
-
-void
-SerialWriter::text(std::string_view s)
-{
-    separate();
-    out_.write(s.data(), static_cast<std::streamsize>(s.size()));
 }
 
 void
@@ -90,7 +84,7 @@ SerialDigest::real(double v)
 }
 
 void
-SerialDigest::text(std::string_view s)
+SerialDigest::line(std::string_view s)
 {
     mix(s.size());
     for (std::size_t i = 0; i < s.size(); i += 8) {
@@ -98,6 +92,99 @@ SerialDigest::text(std::string_view s)
         std::memcpy(&w, s.data() + i,
                     std::min<std::size_t>(8, s.size() - i));
         mix(w);
+    }
+}
+
+namespace {
+
+/** The C locale's isspace, which is what `istream >>` splits on. */
+bool
+isSpace(int c)
+{
+    return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+} // namespace
+
+SerialReader::SerialReader(std::istream &in) : in_(*in.rdbuf()) {}
+
+bool
+SerialReader::token()
+{
+    if (!ok())
+        return false;
+    using Traits = std::streambuf::traits_type;
+    int c = in_.sgetc();
+    while (c != Traits::eof() && isSpace(c))
+        c = in_.snextc();
+    tok_.clear();
+    while (c != Traits::eof() && !isSpace(c)) {
+        tok_.push_back(static_cast<char>(c));
+        c = in_.snextc();
+    }
+    if (tok_.empty()) {
+        fail("unexpected end of input");
+        return false;
+    }
+    return true;
+}
+
+void
+SerialReader::fail(const std::string &what)
+{
+    if (ok()) {
+        status_ = Status::corruptData(
+            strf("%s section: %s", section_, what.c_str()));
+    }
+}
+
+void
+SerialReader::failToken(const char *expected)
+{
+    // Quote at most 32 bytes: a hostile token may be the whole input.
+    fail(strf("expected %s, got '%.32s'", expected, tok_.c_str()));
+}
+
+void
+SerialReader::tag(const char *t)
+{
+    section_ = t;
+    if (token() && tok_ != t)
+        failToken(strf("'%s'", t).c_str());
+}
+
+void
+SerialReader::flag(bool &b)
+{
+    int v = 0;
+    integer(v);
+    b = v != 0;
+}
+
+void
+SerialReader::text(std::string &s)
+{
+    if (token())
+        s = tok_ == "-" ? std::string() : tok_;
+}
+
+void
+SerialReader::line(std::string &s)
+{
+    if (!ok())
+        return;
+    using Traits = std::streambuf::traits_type;
+    if (in_.sbumpc() != ' ') {
+        fail("expected a space before the line text");
+        return;
+    }
+    s.clear();
+    for (int c = in_.sbumpc(); c != '\n'; c = in_.sbumpc()) {
+        if (c == Traits::eof()) {
+            fail("unterminated line");
+            return;
+        }
+        s.push_back(static_cast<char>(c));
     }
 }
 

@@ -5,19 +5,54 @@
  * Every persistent artifact in the repo (trained models, checkpoint
  * generations, monitor/supervisor state) uses the same line-oriented
  * discipline: magic tokens, max_digits10 doubles so reloads are
- * bit-identical, and FNV-1a 64 checksums over framed bodies. These
- * helpers used to be duplicated per serializer (ml/serialize.cc,
- * tomur/serialize.cc, sim/measurement_cache.cc); they live here so
- * the checkpoint store and the model format can never drift apart.
+ * bit-identical, and FNV-1a 64 checksums over framed bodies.
+ *
+ * One walk per format. A persisted type defines its format exactly
+ * once, as a field walk
+ *
+ *     template <class Self, class Sink>
+ *     static void walk(Self &self, Sink &s);
+ *
+ * and three sinks run that walk: SerialWriter (Self const) writes
+ * the text, SerialDigest (Self const) hashes the same fields, and
+ * SerialReader (Self mutable) parses the text back, in the same
+ * order. Save, digest and load therefore cannot drift apart.
+ *
+ * Sink protocol: tag() for a constant keyword; integer() / real() /
+ * flag() / text() for values, text() being one whitespace-free token
+ * (the empty string travels as "-"); line() for the rest of a line
+ * (spaces allowed); enumerated() / keyword() for an enum written as
+ * its index / as a name; count() then elements() for a sequence;
+ * check() for a validity rule; endLine() after each line. loaded()
+ * sets a field a load derives (fitted flags) and present() opens an
+ * optional sub-object; both only act when reading.
+ *
+ * Reader rules. Tokens are whitespace-separated and each one must
+ * parse whole into its field's type (an out-of-range integer is an
+ * error, not a wrap). A walk sets every field it visits (count()
+ * clears a sequence first; present() fills an absent optional), so
+ * callers parse into a temporary and commit only on success. count()
+ * checks the declared count against the walk's bound, and elements()
+ * appends elements as they are read and never sizes a container from
+ * the count, so allocation follows the bytes actually read. The first
+ * failure latches a CorruptData Status naming the section (the last
+ * tag read); every later op is a no-op.
  */
 
 #ifndef TOMUR_COMMON_SERIAL_HH
 #define TOMUR_COMMON_SERIAL_HH
 
+#include <charconv>
+#include <concepts>
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
+
+#include "common/status.hh"
 
 namespace tomur {
 
@@ -30,33 +65,90 @@ std::uint64_t fnv1a64(std::string_view bytes);
 void writeSerialDouble(std::ostream &out, double v);
 
 /** Consume one whitespace-delimited token and require it to equal
- *  `token`; false on mismatch or stream failure. */
+ *  `token`; false on mismatch or stream failure. For the hand-read
+ *  frame headers; bodies go through SerialReader. */
 bool expectToken(std::istream &in, const char *token);
 
-/**
- * Field sinks for the model formats. A serializable class walks its
- * fields once, in a `walkFields(Sink &)` template, and that one walk
- * feeds both sinks: SerialWriter produces the text save() writes and
- * SerialDigest hashes exactly the same fields. The digest therefore
- * cannot drift from the bytes.
- *
- * Sink protocol: tag() for a constant keyword, integer() / real() /
- * text() for values, endLine() after each line.
- */
-class SerialWriter
+/** The ops SerialWriter and SerialDigest share: composites over
+ *  their integer() / text() and the reader-only ops as no-ops. */
+template <class Out>
+class SerialOutput
+{
+  public:
+    void flag(bool b) { out().integer(b ? 1 : 0); }
+
+    template <class E>
+    void
+    enumerated(E e, int)
+    {
+        out().integer(static_cast<int>(e));
+    }
+
+    template <class E, std::size_t N>
+    void
+    keyword(E e, const char *const (&names)[N])
+    {
+        out().text(names[static_cast<std::size_t>(e)]);
+    }
+
+    template <class Seq>
+    std::size_t
+    count(const Seq &seq, std::size_t)
+    {
+        out().integer(seq.size());
+        return seq.size();
+    }
+
+    template <class Seq, class Fn>
+    void
+    elements(const Seq &seq, std::size_t, Fn &&each)
+    {
+        for (const auto &e : seq)
+            each(e);
+    }
+
+    void check(bool, const char *) {}
+
+    template <class T, class V> void loaded(const T &, V &&) {}
+
+    template <class T>
+    const T &
+    present(const std::optional<T> &slot)
+    {
+        return *slot;
+    }
+
+  private:
+    Out &out() { return static_cast<Out &>(*this); }
+};
+
+/** Writes a walk as text: tokens space-separated, endLine() a
+ *  newline. */
+class SerialWriter : public SerialOutput<SerialWriter>
 {
   public:
     explicit SerialWriter(std::ostream &out) : out_(out) {}
 
-    void tag(std::string_view t) { text(t); }
-    void integer(std::int64_t v);
+    void tag(std::string_view t) { token(t); }
+
+    template <std::integral T>
+    void
+    integer(T v)
+    {
+        char buf[24];
+        auto res = std::to_chars(buf, buf + sizeof(buf), v);
+        token({buf, static_cast<std::size_t>(res.ptr - buf)});
+    }
+
     void real(double v);
-    void text(std::string_view s);
+    void text(std::string_view s) { token(s.empty() ? "-" : s); }
+    void line(std::string_view s) { token(s); }
     void endLine();
 
   private:
     /** Tokens on one line are joined by single spaces. */
     void separate();
+    void token(std::string_view s);
 
     std::ostream &out_;
     bool lineStart_ = true;
@@ -69,13 +161,21 @@ class SerialWriter
  * because a walk's structure fixes them, and NaNs are canonicalized
  * because the text format prints every NaN of a sign alike.
  */
-class SerialDigest
+class SerialDigest : public SerialOutput<SerialDigest>
 {
   public:
     void tag(std::string_view) {}
-    void integer(std::int64_t v) { mix(static_cast<std::uint64_t>(v)); }
+
+    template <std::integral T>
+    void
+    integer(T v)
+    {
+        mix(static_cast<std::uint64_t>(v));
+    }
+
     void real(double v);
-    void text(std::string_view s);
+    void text(std::string_view s) { line(s.empty() ? "-" : s); }
+    void line(std::string_view s);
     void endLine() {}
 
     std::uint64_t value() const { return h_; }
@@ -93,6 +193,132 @@ class SerialDigest
     }
 
     std::uint64_t h_ = 0x6a09e667f3bcc909ULL;
+};
+
+/**
+ * Parses SerialWriter's text back through the same walk (see the
+ * reader rules above). Reads straight from the stream's buffer and
+ * consumes nothing past the last token's end, so a caller can read
+ * on from the stream afterwards.
+ */
+class SerialReader
+{
+  public:
+    explicit SerialReader(std::istream &in);
+
+    /** Require keyword `t` (a string literal); it names the section
+     *  in any later error. */
+    void tag(const char *t);
+
+    template <std::integral T>
+    void
+    integer(T &v)
+    {
+        number(v, "an integer");
+    }
+
+    void real(double &v) { number(v, "a number"); }
+    void flag(bool &b);
+    void text(std::string &s);
+    void line(std::string &s);
+    void endLine() {}
+
+    template <class E>
+    void
+    enumerated(E &e, int n)
+    {
+        int v = 0;
+        integer(v);
+        check(v >= 0 && v < n, "enum value out of range");
+        if (ok())
+            e = static_cast<E>(v);
+    }
+
+    template <class E, std::size_t N>
+    void
+    keyword(E &e, const char *const (&names)[N])
+    {
+        if (!token())
+            return;
+        for (std::size_t i = 0; i < N; ++i) {
+            if (tok_ == names[i]) {
+                e = static_cast<E>(i);
+                return;
+            }
+        }
+        failToken("a known keyword");
+    }
+
+    template <class Seq>
+    std::size_t
+    count(Seq &seq, std::size_t max)
+    {
+        seq.clear();
+        std::size_t n = 0;
+        integer(n);
+        check(n <= max, "count exceeds its bound");
+        return ok() ? n : 0;
+    }
+
+    template <class Seq, class Fn>
+    void
+    elements(Seq &seq, std::size_t n, Fn &&each)
+    {
+        for (std::size_t i = 0; i < n && ok(); ++i) {
+            seq.emplace_back();
+            each(seq.back());
+        }
+    }
+
+    void check(bool cond, const char *what)
+    {
+        if (!cond)
+            fail(what);
+    }
+
+    template <class T, class V>
+    void
+    loaded(T &field, V &&v)
+    {
+        field = std::forward<V>(v);
+    }
+
+    template <class T>
+    T &
+    present(std::optional<T> &slot)
+    {
+        if (!slot)
+            slot.emplace();
+        return *slot;
+    }
+
+    bool ok() const { return status_.isOk(); }
+    const Status &status() const { return status_; }
+
+  private:
+    /** Next whitespace-delimited token into tok_; false (latching a
+     *  failure at end of input) when there is none. */
+    bool token();
+    void fail(const std::string &what);
+    void failToken(const char *expected);
+
+    /** Parse the next token, whole, into `v`. */
+    template <class T>
+    void
+    number(T &v, const char *expected)
+    {
+        if (!token())
+            return;
+        const char *end = tok_.data() + tok_.size();
+        auto res = std::from_chars(tok_.data(), end, v);
+        if (res.ec != std::errc() || res.ptr != end)
+            failToken(expected);
+    }
+
+    std::streambuf &in_;
+    std::string tok_;
+    const char *section_ = "start";
+    Status status_;
 };
 
 } // namespace tomur

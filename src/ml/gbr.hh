@@ -77,9 +77,12 @@ class GradientBoostingRegressor
     /** Load from save() output. @return false on malformed input. */
     bool load(std::istream &in);
 
-    /** The field walk behind save() (common/serial.hh sinks);
-     *  instantiated for SerialWriter and SerialDigest. */
-    template <class Sink> void walkFields(Sink &sink) const;
+    /** The one definition of the format save() writes, load()
+     *  reads and digests hash (common/serial.hh); instantiated for
+     *  SerialWriter and SerialDigest over a const model and for
+     *  SerialReader. */
+    template <class Self, class Sink>
+    static void walk(Self &self, Sink &sink);
 
   private:
     GbrParams params_;

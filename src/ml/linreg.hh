@@ -8,7 +8,6 @@
 #ifndef TOMUR_ML_LINREG_HH
 #define TOMUR_ML_LINREG_HH
 
-#include <iosfwd>
 #include <vector>
 
 #include "ml/dataset.hh"
@@ -44,12 +43,6 @@ class LinearRegression
     const std::vector<double> &coefficients() const { return coef_; }
 
     bool fitted() const { return fitted_; }
-
-    /** Serialize to a text stream. */
-    void save(std::ostream &out) const;
-
-    /** Load from save() output. @return false on malformed input. */
-    bool load(std::istream &in);
 
   private:
     double intercept_ = 0.0;

@@ -1,100 +1,87 @@
 /**
  * @file
- * Text serialization of the ML models (save/load round trips).
- *
- * The format is line-oriented and versioned by a leading magic token
- * per object; floating-point values are written with max_digits10 so
- * reloaded models predict bit-identically.
+ * Text serialization of the ML models: the field walks behind
+ * GradientBoostingRegressor::save() and load() (common/serial.hh).
+ * Doubles are written with max_digits10, so reloaded models predict
+ * bit-identically.
  */
 
 #include <istream>
 #include <ostream>
-#include <string>
 
 #include "common/logging.hh"
 #include "common/serial.hh"
 #include "ml/gbr.hh"
-#include "ml/linreg.hh"
 #include "ml/tree.hh"
 
 namespace tomur::ml {
 
 namespace {
 
-// Shared helpers (common/serial.hh) under the historical local names
-// so the save/load bodies read unchanged.
-using tomur::expectToken;
-constexpr auto writeDouble = writeSerialDouble;
+/** Bounds on declared counts. Far above any trained model, they
+ *  reject corrupt or hostile counts. */
+constexpr std::size_t kMaxTreeNodes = 10'000'000;
+constexpr std::size_t kMaxTrees = 1'000'000;
 
 } // namespace
 
-template <class Sink>
+template <class Self, class Sink>
 void
-RegressionTree::walkFields(Sink &s) const
+RegressionTree::walk(Self &self, Sink &s)
 {
     s.tag("tree");
-    s.integer(static_cast<std::int64_t>(nodes_.size()));
+    std::size_t n = s.count(self.nodes_, kMaxTreeNodes);
+    s.check(n > 0, "empty tree");
     s.endLine();
-    for (const Node &n : nodes_) {
-        s.integer(n.feature);
-        s.real(n.threshold);
-        s.real(n.value);
-        s.integer(n.left);
-        s.integer(n.right);
+    // Children must stay in range (or be absent on leaves), and a
+    // split's children follow it, as the builder appends nodes in
+    // pre-order: then every prediction walk ends at a leaf.
+    auto inRange = [&](int idx) {
+        return idx >= -1 && idx < static_cast<int>(n);
+    };
+    s.elements(self.nodes_, n, [&](auto &node) {
+        const auto index = &node - self.nodes_.data();
+        s.integer(node.feature);
+        s.real(node.threshold);
+        s.real(node.value);
+        s.integer(node.left);
+        s.integer(node.right);
+        s.check(inRange(node.left) && inRange(node.right),
+                "child index out of range");
+        s.check(node.feature < 0 ||
+                    (node.left > index && node.right > index),
+                "split child does not follow the split");
         s.endLine();
-    }
+    });
 }
 
+template <class Self, class Sink>
 void
-RegressionTree::save(std::ostream &out) const
-{
-    SerialWriter w(out);
-    walkFields(w);
-}
-
-bool
-RegressionTree::load(std::istream &in)
-{
-    if (!expectToken(in, "tree"))
-        return false;
-    std::size_t count = 0;
-    in >> count;
-    if (!in || count > 10'000'000)
-        return false;
-    std::vector<Node> nodes(count);
-    for (auto &n : nodes) {
-        in >> n.feature >> n.threshold >> n.value >> n.left >>
-            n.right;
-        if (!in)
-            return false;
-        // Children must stay in range (or be absent on leaves).
-        auto bad = [&](int idx) {
-            return idx < -1 || idx >= static_cast<int>(count);
-        };
-        if (bad(n.left) || bad(n.right))
-            return false;
-    }
-    nodes_ = std::move(nodes);
-    return true;
-}
-
-template <class Sink>
-void
-GradientBoostingRegressor::walkFields(Sink &s) const
+GradientBoostingRegressor::walk(Self &self, Sink &s)
 {
     s.tag("gbr");
-    s.integer(static_cast<std::int64_t>(trees_.size()));
-    s.real(base_);
-    s.real(params_.learningRate);
+    std::size_t n = s.count(self.trees_, kMaxTrees);
+    s.real(self.base_);
+    s.real(self.params_.learningRate);
+    s.check(self.params_.learningRate > 0.0,
+            "learning rate must be positive");
     s.endLine();
-    for (const auto &t : trees_)
-        t.walkFields(s);
+    s.elements(self.trees_, n,
+               [&](auto &t) { RegressionTree::walk(t, s); });
+    // A loaded ensemble is fitted, with the trees it read.
+    s.loaded(self.params_.numTrees, static_cast<int>(n));
+    s.loaded(self.fitted_, true);
 }
 
 template void
-GradientBoostingRegressor::walkFields(SerialWriter &) const;
+GradientBoostingRegressor::walk(const GradientBoostingRegressor &,
+                                SerialWriter &);
 template void
-GradientBoostingRegressor::walkFields(SerialDigest &) const;
+GradientBoostingRegressor::walk(const GradientBoostingRegressor &,
+                                SerialDigest &);
+template void
+GradientBoostingRegressor::walk(GradientBoostingRegressor &,
+                                SerialReader &);
 
 void
 GradientBoostingRegressor::save(std::ostream &out) const
@@ -102,70 +89,20 @@ GradientBoostingRegressor::save(std::ostream &out) const
     if (!fitted_)
         panic("GradientBoostingRegressor::save before fit");
     SerialWriter w(out);
-    walkFields(w);
+    walk(*this, w);
 }
 
 bool
 GradientBoostingRegressor::load(std::istream &in)
 {
-    if (!expectToken(in, "gbr"))
+    // A fresh model keeps this one's other params and drops the
+    // warm-start caches: a loaded model matches no in-memory dataset.
+    GradientBoostingRegressor m(params_);
+    SerialReader r(in);
+    walk(m, r);
+    if (!r.ok())
         return false;
-    std::size_t count = 0;
-    double base = 0.0, lr = 0.0;
-    in >> count >> base >> lr;
-    if (!in || count > 1'000'000 || lr <= 0.0)
-        return false;
-    std::vector<RegressionTree> trees(count);
-    for (auto &t : trees) {
-        if (!t.load(in))
-            return false;
-    }
-    trees_ = std::move(trees);
-    base_ = base;
-    params_.learningRate = lr;
-    params_.numTrees = static_cast<int>(count);
-    fitted_ = true;
-    // A loaded model matches no in-memory dataset: drop the
-    // warm-start caches so the next fit runs cold.
-    binned_.reset();
-    fitFeatureFp_ = 0;
-    fitLabelFp_ = 0;
-    return true;
-}
-
-void
-LinearRegression::save(std::ostream &out) const
-{
-    if (!fitted_)
-        panic("LinearRegression::save before fit");
-    out << "linreg " << coef_.size() << " ";
-    writeDouble(out, intercept_);
-    for (double c : coef_) {
-        out << " ";
-        writeDouble(out, c);
-    }
-    out << "\n";
-}
-
-bool
-LinearRegression::load(std::istream &in)
-{
-    if (!expectToken(in, "linreg"))
-        return false;
-    std::size_t count = 0;
-    double b0 = 0.0;
-    in >> count >> b0;
-    if (!in || count > 1'000'000)
-        return false;
-    std::vector<double> coef(count);
-    for (auto &c : coef) {
-        in >> c;
-        if (!in)
-            return false;
-    }
-    intercept_ = b0;
-    coef_ = std::move(coef);
-    fitted_ = true;
+    *this = std::move(m);
     return true;
 }
 

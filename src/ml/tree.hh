@@ -12,7 +12,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <vector>
 
 #include "ml/binned.hh"
@@ -96,14 +95,10 @@ class RegressionTree
     /** Depth of the fitted tree. */
     int depth() const;
 
-    /** Serialize to a line-oriented text stream. */
-    void save(std::ostream &out) const;
-
-    /** Load from save() output. @return false on malformed input. */
-    bool load(std::istream &in);
-
-    /** The field walk behind save() (common/serial.hh sinks). */
-    template <class Sink> void walkFields(Sink &sink) const;
+    /** The tree's field walk, run by its ensemble's
+     *  (common/serial.hh). */
+    template <class Self, class Sink>
+    static void walk(Self &self, Sink &sink);
 
   private:
     struct Node

@@ -21,7 +21,6 @@
 #ifndef TOMUR_TOMUR_ACCEL_MODEL_HH
 #define TOMUR_TOMUR_ACCEL_MODEL_HH
 
-#include <iosfwd>
 #include <vector>
 
 #include "common/status.hh"
@@ -79,15 +78,10 @@ class AccelQueueModel
 
     bool calibrated() const { return calibrated_; }
 
-    /** Serialize the calibrated parameters to a text stream. */
-    Status save(std::ostream &out) const;
-
-    /** Load from save() output. On error the model is untouched and
-     *  the Status names what was malformed. */
-    Status load(std::istream &in);
-
-    /** The field walk behind save() (common/serial.hh sinks). */
-    template <class Sink> void walkFields(Sink &sink) const;
+    /** The field walk behind the model file's accelerator sections
+     *  (common/serial.hh). */
+    template <class Self, class Sink>
+    static void walk(Self &self, Sink &sink);
 
   private:
     int queues_ = 1;

@@ -72,12 +72,10 @@ class MemoryModel
     /** Serialize the fitted ensemble to a text stream. */
     Status save(std::ostream &out) const;
 
-    /** Load from save() output. On error the model is untouched and
-     *  the Status names what was malformed. */
-    Status load(std::istream &in);
-
-    /** The field walk behind save() (common/serial.hh sinks). */
-    template <class Sink> void walkFields(Sink &sink) const;
+    /** The field walk behind save() and the model file's memory
+     *  section (common/serial.hh). */
+    template <class Self, class Sink>
+    static void walk(Self &self, Sink &sink);
 
   private:
     MemoryModelOptions opts_;

@@ -166,19 +166,19 @@ histogramQuantile(const Histogram::Snapshot &snap, double q)
 
 PredictionMonitor::PredictionMonitor(MonitorOptions opts)
     : opts_(std::move(opts)),
-      mSamples_(metrics().counter("tomur_monitor_samples_total")),
+      mSamples_(&metrics().counter("tomur_monitor_samples_total")),
       mInvalid_(
-          metrics().counter("tomur_monitor_invalid_samples_total")),
+          &metrics().counter("tomur_monitor_invalid_samples_total")),
       mDegraded_(
-          metrics().counter("tomur_monitor_degraded_samples_total")),
-      mEvents_(metrics().counter("tomur_monitor_events_total")),
-      mEwma_(metrics().gauge("tomur_monitor_ewma_abs_error")),
-      mErrHist_(metrics().histogram(
+          &metrics().counter("tomur_monitor_degraded_samples_total")),
+      mEvents_(&metrics().counter("tomur_monitor_events_total")),
+      mEwma_(&metrics().gauge("tomur_monitor_ewma_abs_error")),
+      mErrHist_(&metrics().histogram(
           "tomur_monitor_abs_rel_error",
           opts_.errorBounds.empty() ? defaultErrorBounds()
                                     : opts_.errorBounds)),
-      mRecoveryHist_(metrics().histogram("tomur_recovery_samples",
-                                         recoveryBounds()))
+      mRecoveryHist_(&metrics().histogram("tomur_recovery_samples",
+                                          recoveryBounds()))
 {
     if (opts_.errorBounds.empty())
         opts_.errorBounds = defaultErrorBounds();
@@ -215,7 +215,7 @@ PredictionMonitor::fire(std::vector<MonitorEvent> &out,
     ev.detail = std::move(detail);
 
     lastFired_[static_cast<int>(kind)] = samples_;
-    mEvents_.inc();
+    mEvents_->inc();
     mKind_[static_cast<int>(kind)]->inc();
     if (kind == MonitorEventKind::TrafficShift ||
         kind == MonitorEventKind::DriftDetected) {
@@ -245,10 +245,10 @@ PredictionMonitor::ingest(const MonitorSample &s)
 {
     std::vector<MonitorEvent> fired;
     ++samples_;
-    mSamples_.inc();
+    mSamples_->inc();
     if (s.degraded) {
         ++degraded_;
-        mDegraded_.inc();
+        mDegraded_->inc();
     }
 
     // Cooldown: a kind may fire when it never has, or when enough
@@ -307,19 +307,19 @@ PredictionMonitor::ingest(const MonitorSample &s)
                  std::isfinite(s.predicted);
     if (!valid) {
         ++invalid_;
-        mInvalid_.inc();
+        mInvalid_->inc();
         return fired;
     }
     double err = (s.measured - s.predicted) / s.measured;
     double abs_err = std::abs(err);
-    mErrHist_.observe(abs_err);
+    mErrHist_->observe(abs_err);
     ewmaAbsErr_ = errorSamples_ == 0
                       ? abs_err
                       : ewmaAbsErr_ +
                             opts_.ewmaAlpha * (abs_err - ewmaAbsErr_);
     sumAbsErr_ += abs_err;
     ++errorSamples_;
-    mEwma_.set(ewmaAbsErr_);
+    mEwma_->set(ewmaAbsErr_);
     window_.push_back(abs_err);
     while (window_.size() > opts_.window)
         window_.pop_front();
@@ -397,7 +397,7 @@ PredictionMonitor::ingest(const MonitorSample &s)
                 sumRecoverySamples_ += static_cast<double>(span);
                 maxRecoverySamples_ =
                     std::max(maxRecoverySamples_, span);
-                mRecoveryHist_.observe(static_cast<double>(span));
+                mRecoveryHist_->observe(static_cast<double>(span));
                 fire(fired, MonitorEventKind::AccuracyRecovered, s,
                      static_cast<double>(span), recovered,
                      strf("%s at sample %llu recovered after %llu "
@@ -467,223 +467,111 @@ PredictionMonitor::exportJsonl(std::ostream &out) const
 
 namespace {
 
-/** Read the remainder of the current line after a leading space
- *  (deployment/detail fields may contain spaces but no newlines). */
-bool
-readRestOfLine(std::istream &in, std::string *out)
-{
-    if (in.get() != ' ')
-        return false;
-    return static_cast<bool>(std::getline(in, *out));
-}
+/** Version of the monitor_state format. */
+constexpr int kStateVersion = 2;
 
 } // namespace
+
+template <class Self, class Sink>
+void
+PredictionMonitor::walk(Self &self, Sink &s)
+{
+    s.tag("monitor_state");
+    int version = kStateVersion;
+    s.integer(version);
+    s.check(version == kStateVersion, "unsupported version");
+    s.endLine();
+    s.tag("counts");
+    s.integer(self.samples_);
+    s.integer(self.invalid_);
+    s.integer(self.degraded_);
+    s.integer(self.errorSamples_);
+    s.integer(self.trafficSamples_);
+    s.endLine();
+    s.tag("ewma");
+    s.real(self.ewmaAbsErr_);
+    s.real(self.sumAbsErr_);
+    s.flag(self.accuracyAlarm_);
+    s.endLine();
+    s.tag("window");
+    std::size_t n = s.count(self.window_, self.samples_);
+    s.elements(self.window_, n, [&](auto &v) { s.real(v); });
+    s.endLine();
+    s.tag("ph");
+    s.integer(self.phN_);
+    s.real(self.phMean_);
+    s.real(self.phUp_);
+    s.real(self.phUpMin_);
+    s.real(self.phDown_);
+    s.real(self.phDownMax_);
+    s.integer(self.driftsSinceRecal_);
+    s.endLine();
+    s.tag("traffic");
+    for (auto &base : self.trafficBase_)
+        s.real(base);
+    s.endLine();
+    s.tag("cooldown");
+    for (auto &last : self.lastFired_)
+        s.integer(last);
+    s.endLine();
+    s.tag("recovery");
+    s.flag(self.recoveryOpen_);
+    s.integer(self.recoveryStartSample_);
+    s.integer(self.recoveryTriggerKind_);
+    s.check(self.recoveryTriggerKind_ >= 0 &&
+                self.recoveryTriggerKind_ < numMonitorEventKinds,
+            "trigger kind out of range");
+    s.integer(self.recoveryStable_);
+    s.integer(self.recoveries_);
+    s.real(self.sumRecoverySamples_);
+    s.integer(self.maxRecoverySamples_);
+    s.endLine();
+    s.tag("events");
+    n = s.count(self.events_, self.samples_ * numMonitorEventKinds);
+    s.endLine();
+    s.elements(self.events_, n, [&](auto &ev) {
+        s.tag("event");
+        s.enumerated(ev.kind, numMonitorEventKinds);
+        s.integer(ev.sample);
+        s.real(ev.value);
+        s.real(ev.threshold);
+        s.endLine();
+        s.tag("deployment");
+        s.line(ev.deployment);
+        s.endLine();
+        s.tag("detail");
+        s.line(ev.detail);
+        s.endLine();
+    });
+}
 
 void
 PredictionMonitor::serialize(std::ostream &out) const
 {
-    auto d = [&](double v) {
-        out << ' ';
-        writeSerialDouble(out, v);
-    };
-    out << "monitor_state 2\n";
-    out << "counts " << samples_ << ' ' << invalid_ << ' '
-        << degraded_ << ' ' << errorSamples_ << ' '
-        << trafficSamples_ << "\n";
-    out << "ewma";
-    d(ewmaAbsErr_);
-    d(sumAbsErr_);
-    out << ' ' << (accuracyAlarm_ ? 1 : 0) << "\n";
-    out << "window " << window_.size();
-    for (double v : window_)
-        d(v);
-    out << "\n";
-    out << "ph " << phN_;
-    d(phMean_);
-    d(phUp_);
-    d(phUpMin_);
-    d(phDown_);
-    d(phDownMax_);
-    out << ' ' << driftsSinceRecal_ << "\n";
-    out << "traffic";
-    for (int a = 0; a < traffic::numAttributes; ++a)
-        d(trafficBase_[a]);
-    out << "\n";
-    out << "cooldown";
-    for (int k = 0; k < numMonitorEventKinds; ++k)
-        out << ' ' << lastFired_[k];
-    out << "\n";
-    out << "recovery " << (recoveryOpen_ ? 1 : 0) << ' '
-        << recoveryStartSample_ << ' ' << recoveryTriggerKind_
-        << ' ' << recoveryStable_ << ' ' << recoveries_;
-    d(sumRecoverySamples_);
-    out << ' ' << maxRecoverySamples_ << "\n";
-    out << "events " << events_.size() << "\n";
-    for (const auto &ev : events_) {
-        out << "event " << static_cast<int>(ev.kind) << ' '
-            << ev.sample;
-        d(ev.value);
-        d(ev.threshold);
-        out << "\n";
-        out << "deployment " << ev.deployment << "\n";
-        out << "detail " << ev.detail << "\n";
-    }
+    SerialWriter w(out);
+    walk(*this, w);
 }
 
 Status
 PredictionMonitor::restore(std::istream &in)
 {
-    auto bad = [](const char *section) {
-        return Status::corruptData(
-            strf("monitor state: unreadable %s section", section));
-    };
-
-    if (!expectToken(in, "monitor_state"))
-        return bad("magic");
-    int version = 0;
-    in >> version;
-    if (!in || version != 2) {
-        return Status::corruptData(
-            strf("monitor state: unsupported version %d", version));
-    }
-
-    std::size_t samples = 0, invalid = 0, degraded = 0,
-                errorSamples = 0, trafficSamples = 0;
-    if (!expectToken(in, "counts"))
-        return bad("counts");
-    in >> samples >> invalid >> degraded >> errorSamples >>
-        trafficSamples;
-    if (!in)
-        return bad("counts");
-
-    double ewma = 0.0, sumAbs = 0.0;
-    int alarm = 0;
-    if (!expectToken(in, "ewma"))
-        return bad("ewma");
-    in >> ewma >> sumAbs >> alarm;
-    if (!in)
-        return bad("ewma");
-
-    std::size_t wn = 0;
-    if (!expectToken(in, "window"))
-        return bad("window");
-    in >> wn;
-    if (!in || wn > samples)
-        return bad("window");
-    std::deque<double> window;
-    for (std::size_t i = 0; i < wn; ++i) {
-        double v = 0.0;
-        in >> v;
-        if (!in)
-            return bad("window");
-        window.push_back(v);
-    }
-
-    std::size_t phN = 0, drifts = 0;
-    double phMean = 0.0, phUp = 0.0, phUpMin = 0.0, phDown = 0.0,
-           phDownMax = 0.0;
-    if (!expectToken(in, "ph"))
-        return bad("ph");
-    in >> phN >> phMean >> phUp >> phUpMin >> phDown >> phDownMax >>
-        drifts;
-    if (!in)
-        return bad("ph");
-
-    double trafficBase[traffic::numAttributes];
-    if (!expectToken(in, "traffic"))
-        return bad("traffic");
-    for (int a = 0; a < traffic::numAttributes; ++a) {
-        in >> trafficBase[a];
-        if (!in)
-            return bad("traffic");
-    }
-
-    std::size_t lastFired[numMonitorEventKinds];
-    if (!expectToken(in, "cooldown"))
-        return bad("cooldown");
-    for (int k = 0; k < numMonitorEventKinds; ++k) {
-        in >> lastFired[k];
-        if (!in)
-            return bad("cooldown");
-    }
-
-    int recoveryOpen = 0, recoveryTrigger = 0;
-    std::size_t recoveryStart = 0, recoveryStable = 0,
-                recoveries = 0, maxRecovery = 0;
-    double sumRecovery = 0.0;
-    if (!expectToken(in, "recovery"))
-        return bad("recovery");
-    in >> recoveryOpen >> recoveryStart >> recoveryTrigger >>
-        recoveryStable >> recoveries >> sumRecovery >> maxRecovery;
-    if (!in || recoveryTrigger < 0 ||
-        recoveryTrigger >= numMonitorEventKinds)
-        return bad("recovery");
-
-    std::size_t nEvents = 0;
-    if (!expectToken(in, "events"))
-        return bad("events");
-    in >> nEvents;
-    if (!in || nEvents > samples * numMonitorEventKinds)
-        return bad("events");
-    std::vector<MonitorEvent> events;
-    events.reserve(nEvents);
-    for (std::size_t i = 0; i < nEvents; ++i) {
-        MonitorEvent ev;
-        int kind = -1;
-        if (!expectToken(in, "event"))
-            return bad("event");
-        in >> kind >> ev.sample >> ev.value >> ev.threshold;
-        if (!in || kind < 0 || kind >= numMonitorEventKinds)
-            return bad("event");
-        ev.kind = static_cast<MonitorEventKind>(kind);
-        if (!expectToken(in, "deployment") ||
-            !readRestOfLine(in, &ev.deployment))
-            return bad("event deployment");
-        if (!expectToken(in, "detail") ||
-            !readRestOfLine(in, &ev.detail))
-            return bad("event detail");
-        events.push_back(std::move(ev));
-    }
+    PredictionMonitor parsed = *this;
+    SerialReader r(in);
+    walk(parsed, r);
+    if (!r.ok())
+        return r.status().withContext("monitor state");
 
     // Commit, then re-apply the observability side effects that a
     // fresh process would otherwise have lost.
-    samples_ = samples;
-    invalid_ = invalid;
-    degraded_ = degraded;
-    errorSamples_ = errorSamples;
-    trafficSamples_ = trafficSamples;
-    ewmaAbsErr_ = ewma;
-    sumAbsErr_ = sumAbs;
-    accuracyAlarm_ = alarm != 0;
-    window_ = std::move(window);
-    phN_ = phN;
-    phMean_ = phMean;
-    phUp_ = phUp;
-    phUpMin_ = phUpMin;
-    phDown_ = phDown;
-    phDownMax_ = phDownMax;
-    driftsSinceRecal_ = drifts;
-    for (int a = 0; a < traffic::numAttributes; ++a)
-        trafficBase_[a] = trafficBase[a];
-    for (int k = 0; k < numMonitorEventKinds; ++k)
-        lastFired_[k] = lastFired[k];
-    recoveryOpen_ = recoveryOpen != 0;
-    recoveryStartSample_ = recoveryStart;
-    recoveryTriggerKind_ = recoveryTrigger;
-    recoveryStable_ = recoveryStable;
-    recoveries_ = recoveries;
-    sumRecoverySamples_ = sumRecovery;
-    maxRecoverySamples_ = maxRecovery;
-    events_ = std::move(events);
-
-    mSamples_.inc(samples_);
-    mInvalid_.inc(invalid_);
-    mDegraded_.inc(degraded_);
-    mEvents_.inc(events_.size());
+    *this = std::move(parsed);
+    mSamples_->inc(samples_);
+    mInvalid_->inc(invalid_);
+    mDegraded_->inc(degraded_);
+    mEvents_->inc(events_.size());
     for (const auto &ev : events_)
         mKind_[static_cast<int>(ev.kind)]->inc();
     if (errorSamples_ > 0)
-        mEwma_.set(ewmaAbsErr_);
+        mEwma_->set(ewmaAbsErr_);
     return Status::ok();
 }
 

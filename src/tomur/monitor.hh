@@ -232,6 +232,11 @@ class PredictionMonitor
               std::string detail);
     void resetDriftDetector();
 
+    /** The state format serialize() writes and restore() reads
+     *  (common/serial.hh). */
+    template <class Self, class Sink>
+    static void walk(Self &self, Sink &s);
+
     MonitorOptions opts_;
     std::ostream *sink_ = nullptr;
     std::vector<MonitorEvent> events_;
@@ -272,14 +277,15 @@ class PredictionMonitor
     std::size_t maxRecoverySamples_ = 0;
 
     // Metrics (looked up once; registration is the only lock).
-    Counter &mSamples_;
-    Counter &mInvalid_;
-    Counter &mDegraded_;
-    Counter &mEvents_;
+    // Pointers, so restore() can assign a parsed copy.
+    Counter *mSamples_;
+    Counter *mInvalid_;
+    Counter *mDegraded_;
+    Counter *mEvents_;
     Counter *mKind_[numMonitorEventKinds];
-    Gauge &mEwma_;
-    Histogram &mErrHist_;
-    Histogram &mRecoveryHist_;
+    Gauge *mEwma_;
+    Histogram *mErrHist_;
+    Histogram *mRecoveryHist_;
 };
 
 // ---------------------------------------------------------------

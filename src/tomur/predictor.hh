@@ -193,7 +193,10 @@ class TomurModel
   private:
     friend class TomurTrainer;
 
-    template <class Sink> void walkFields(Sink &sink) const;
+    /** The model body's field walk: save(), load() and
+     *  contentDigest() all run it (common/serial.hh). */
+    template <class Self, class Sink>
+    static void walk(Self &self, Sink &sink);
 
     std::string nfName_;
     framework::ExecutionPattern pattern_ =

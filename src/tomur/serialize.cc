@@ -10,11 +10,12 @@
  *
  * followed by exactly <body-bytes> bytes of body. The length +
  * checksum let load() reject truncated or bit-flipped files with a
- * descriptive error before parsing anything; inside the body every
- * section is validated against named bounds, and a parse failure
- * names the section so a corrupt model file is diagnosable. Loading
- * never mutates the destination model until the whole file has been
- * validated.
+ * descriptive error before parsing anything. The body is one field
+ * walk per sub-model (common/serial.hh): save(), load() and
+ * contentDigest() run the same walks, every section is validated
+ * against named bounds, and a parse failure names the section so a
+ * corrupt model file is diagnosable. Loading never mutates the
+ * destination model until the whole file has been validated.
  */
 
 #include <istream>
@@ -49,12 +50,8 @@ constexpr int kMaxAccelQueues = 64;
  *  corrupt header and must not drive an allocation. */
 constexpr std::size_t kMaxBodyBytes = 16u << 20;
 
-Status
-sectionError(const char *section, const std::string &detail)
-{
-    return Status::corruptData(strf("%s section: %s", section,
-                                    detail.c_str()));
-}
+/** Execution patterns by name, indexed by ExecutionPattern. */
+constexpr const char *kPatternNames[] = {"pl", "rtc"};
 
 } // namespace
 
@@ -64,16 +61,20 @@ modelBodyChecksum(std::string_view body)
     return fnv1a64(body);
 }
 
-template <class Sink>
+template <class Self, class Sink>
 void
-MemoryModel::walkFields(Sink &s) const
+MemoryModel::walk(Self &self, Sink &s)
 {
     s.tag("memory_model");
-    s.integer(static_cast<std::int64_t>(models_.size()));
-    s.integer(opts_.trafficAware ? 1 : 0);
+    std::size_t n = s.count(self.models_, kMaxEnsembleModels);
+    s.check(n > 0, "empty ensemble");
+    s.flag(self.opts_.trafficAware);
     s.endLine();
-    for (const auto &m : models_)
-        m.walkFields(s);
+    s.elements(self.models_, n, [&](auto &m) {
+        ml::GradientBoostingRegressor::walk(m, s);
+    });
+    s.loaded(self.opts_.seeds, static_cast<int>(n));
+    s.loaded(self.fitted_, true);
 }
 
 Status
@@ -84,124 +85,59 @@ MemoryModel::save(std::ostream &out) const
             "MemoryModel::save before fit");
     }
     SerialWriter w(out);
-    walkFields(w);
+    walk(*this, w);
     return Status::ok();
 }
 
-Status
-MemoryModel::load(std::istream &in)
-{
-    if (!expectToken(in, "memory_model")) {
-        return sectionError("memory model",
-                            "missing 'memory_model' tag");
-    }
-    std::size_t count = 0;
-    int traffic_aware = 0;
-    in >> count >> traffic_aware;
-    if (!in)
-        return sectionError("memory model", "unreadable header");
-    if (count == 0 || count > kMaxEnsembleModels) {
-        return sectionError(
-            "memory model",
-            strf("ensemble size %zu outside [1, %zu]", count,
-                 kMaxEnsembleModels));
-    }
-    std::vector<ml::GradientBoostingRegressor> models(count);
-    for (std::size_t i = 0; i < count; ++i) {
-        if (!models[i].load(in)) {
-            return sectionError(
-                "memory model",
-                strf("sub-model %zu of %zu failed to parse", i + 1,
-                     count));
-        }
-    }
-    models_ = std::move(models);
-    opts_.seeds = static_cast<int>(count);
-    opts_.trafficAware = traffic_aware != 0;
-    fitted_ = true;
-    return Status::ok();
-}
-
-template <class Sink>
+template <class Self, class Sink>
 void
-AccelQueueModel::walkFields(Sink &s) const
+AccelQueueModel::walk(Self &self, Sink &s)
 {
     s.tag("accel_model");
-    s.integer(queues_);
-    s.real(t0_);
-    s.real(byteSlope_);
-    s.real(matchSlope_);
+    s.integer(self.queues_);
+    s.check(self.queues_ >= 1 && self.queues_ <= kMaxAccelQueues,
+            "queue count out of range");
+    s.real(self.t0_);
+    s.real(self.byteSlope_);
+    s.real(self.matchSlope_);
     s.endLine();
+    s.loaded(self.calibrated_, true);
 }
 
-Status
-AccelQueueModel::save(std::ostream &out) const
-{
-    if (!calibrated_) {
-        return Status::failedPrecondition(
-            "AccelQueueModel::save before calibrate");
-    }
-    SerialWriter w(out);
-    walkFields(w);
-    return Status::ok();
-}
-
-Status
-AccelQueueModel::load(std::istream &in)
-{
-    if (!expectToken(in, "accel_model")) {
-        return sectionError("accelerator model",
-                            "missing 'accel_model' tag");
-    }
-    int queues = 0;
-    double t0 = 0.0, bs = 0.0, ms = 0.0;
-    in >> queues >> t0 >> bs >> ms;
-    if (!in)
-        return sectionError("accelerator model", "unreadable fields");
-    if (queues < 1 || queues > kMaxAccelQueues) {
-        return sectionError(
-            "accelerator model",
-            strf("queue count %d outside [1, %d]", queues,
-                 kMaxAccelQueues));
-    }
-    queues_ = queues;
-    t0_ = t0;
-    byteSlope_ = bs;
-    matchSlope_ = ms;
-    calibrated_ = true;
-    return Status::ok();
-}
-
-template <class Sink>
+template <class Self, class Sink>
 void
-TomurModel::walkFields(Sink &s) const
+TomurModel::walk(Self &self, Sink &s)
 {
     s.tag("nf");
-    s.text(nfName_.empty() ? "-" : nfName_);
+    s.text(self.nfName_);
     s.endLine();
     s.tag("pattern");
-    s.text(pattern_ == framework::ExecutionPattern::Pipeline ? "pl"
-                                                             : "rtc");
+    s.keyword(self.pattern_, kPatternNames);
     s.endLine();
     s.tag("health");
-    s.integer(health_.soloDegraded ? 1 : 0);
-    s.integer(health_.memoryDegraded ? 1 : 0);
-    for (int k = 0; k < hw::numAccelKinds; ++k)
-        s.integer(health_.accelDegraded[k] ? 1 : 0);
+    s.flag(self.health_.soloDegraded);
+    s.flag(self.health_.memoryDegraded);
+    for (auto &degraded : self.health_.accelDegraded)
+        s.flag(degraded);
     s.endLine();
-    memory_.walkFields(s);
+    MemoryModel::walk(self.memory_, s);
     s.tag("solo_models");
-    s.integer(static_cast<std::int64_t>(soloModels_.size()));
+    std::size_t n = s.count(self.soloModels_, kMaxEnsembleModels);
+    s.check(n > 0, "empty ensemble");
     s.endLine();
-    for (const auto &m : soloModels_)
-        m.walkFields(s);
+    s.elements(self.soloModels_, n, [&](auto &m) {
+        ml::GradientBoostingRegressor::walk(m, s);
+    });
     for (int k = 0; k < hw::numAccelKinds; ++k) {
         s.tag("accel");
-        s.integer(k);
-        s.integer(accel_[k] ? 1 : 0);
+        int index = k;
+        s.integer(index);
+        s.check(index == k, "accelerator kinds out of order");
+        bool present = self.accel_[k].has_value();
+        s.flag(present);
         s.endLine();
-        if (accel_[k])
-            accel_[k]->walkFields(s);
+        if (present)
+            AccelQueueModel::walk(s.present(self.accel_[k]), s);
     }
 }
 
@@ -209,15 +145,15 @@ std::uint64_t
 TomurModel::contentDigest() const
 {
     SerialDigest d;
-    walkFields(d);
+    walk(*this, d);
     return d.value();
 }
 
 Status
 TomurModel::save(std::ostream &out) const
 {
-    // The sub-model save() preconditions, checked up front so the
-    // walk below only formats.
+    // The sub-model preconditions, checked up front so the walk
+    // below only formats.
     if (!memory_.fitted()) {
         return Status::failedPrecondition(
                    "MemoryModel::save before fit")
@@ -226,7 +162,7 @@ TomurModel::save(std::ostream &out) const
     for (const auto &a : accel_) {
         if (a && !a->calibrated()) {
             return Status::failedPrecondition(
-                       "AccelQueueModel::save before calibrate")
+                       "accelerator model saved before calibrate")
                 .withContext("TomurModel::save");
         }
     }
@@ -239,7 +175,7 @@ TomurModel::save(std::ostream &out) const
     // and checksum.
     std::ostringstream body;
     SerialWriter w(body);
-    walkFields(w);
+    walk(*this, w);
 
     std::string bytes = body.str();
     out << "tomur_model " << kFormatVersion << " " << bytes.size()
@@ -309,107 +245,14 @@ TomurModel::load(std::istream &in)
             static_cast<unsigned long long>(declared)));
     }
 
-    // ---- Body: parse into temporaries, commit only on success ----
-    std::istringstream body(bytes);
-    if (!expectToken(body, "nf"))
-        return Status::corruptData("nf section: missing 'nf' tag");
-    std::string name;
-    body >> name;
-    if (!body)
-        return Status::corruptData("nf section: missing NF name");
-    if (!expectToken(body, "pattern")) {
-        return Status::corruptData(
-            "pattern section: missing 'pattern' tag");
-    }
-    std::string pat;
-    body >> pat;
-    if (pat != "pl" && pat != "rtc") {
-        return Status::corruptData(strf(
-            "pattern section: unknown execution pattern '%s'",
-            pat.c_str()));
-    }
-
-    if (!expectToken(body, "health")) {
-        return Status::corruptData(
-            "health section: missing 'health' tag");
-    }
-    ModelHealth health;
-    int solo_deg = 0, mem_deg = 0;
-    body >> solo_deg >> mem_deg;
-    if (!body)
-        return Status::corruptData("health section: unreadable flags");
-    health.soloDegraded = solo_deg != 0;
-    health.memoryDegraded = mem_deg != 0;
-    for (int k = 0; k < hw::numAccelKinds; ++k) {
-        int deg = 0;
-        body >> deg;
-        if (!body) {
-            return Status::corruptData(
-                "health section: unreadable accelerator flags");
-        }
-        health.accelDegraded[k] = deg != 0;
-    }
-
-    MemoryModel memory;
-    if (auto s = memory.load(body); !s)
-        return s;
-
-    if (!expectToken(body, "solo_models")) {
-        return Status::corruptData(
-            "solo models section: missing 'solo_models' tag");
-    }
-    std::size_t n_solo = 0;
-    body >> n_solo;
-    if (!body) {
-        return Status::corruptData(
-            "solo models section: unreadable count");
-    }
-    if (n_solo == 0 || n_solo > kMaxEnsembleModels) {
-        return Status::corruptData(
-            strf("solo models section: ensemble size %zu outside "
-                 "[1, %zu]",
-                 n_solo, kMaxEnsembleModels));
-    }
-    std::vector<ml::GradientBoostingRegressor> solos(n_solo);
-    for (std::size_t i = 0; i < n_solo; ++i) {
-        if (!solos[i].load(body)) {
-            return Status::corruptData(
-                strf("solo models section: sub-model %zu of %zu "
-                     "failed to parse",
-                     i + 1, n_solo));
-        }
-    }
-
-    std::optional<AccelQueueModel> accel[hw::numAccelKinds];
-    for (int k = 0; k < hw::numAccelKinds; ++k) {
-        if (!expectToken(body, "accel")) {
-            return Status::corruptData(strf(
-                "accelerator section %d: missing 'accel' tag", k));
-        }
-        int idx = -1, present = 0;
-        body >> idx >> present;
-        if (!body || idx != k) {
-            return Status::corruptData(strf(
-                "accelerator section %d: bad kind index", k));
-        }
-        if (present) {
-            AccelQueueModel m;
-            if (auto s = m.load(body); !s)
-                return s.withContext(
-                    strf("accelerator section %d", k));
-            accel[k] = std::move(m);
-        }
-    }
-
-    nfName_ = name == "-" ? std::string() : name;
-    pattern_ = pat == "pl"
-        ? framework::ExecutionPattern::Pipeline
-        : framework::ExecutionPattern::RunToCompletion;
-    health_ = health;
-    memory_ = std::move(memory);
-    soloModels_ = std::move(solos);
-    for (int k = 0; k < hw::numAccelKinds; ++k)
-        accel_[k] = std::move(accel[k]);
+    // ---- Body: parse into a temporary, commit only on success ----
+    std::istringstream body(std::move(bytes));
+    TomurModel m;
+    SerialReader r(body);
+    walk(m, r);
+    if (!r.ok())
+        return r.status();
+    *this = std::move(m);
     return Status::ok();
 }
 

@@ -2,8 +2,10 @@
 
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <ostream>
 #include <sstream>
+#include <utility>
 
 #include "common/deadline.hh"
 #include "common/logging.hh"
@@ -352,98 +354,71 @@ Supervisor::exportJsonl(std::ostream &out) const
     out << summary().toJson() << "\n";
 }
 
+namespace {
+
+/** Version of the supervisor_state format. */
+constexpr int kStateVersion = 1;
+
+/** Bound on a restored event list (a run fires a handful per
+ *  recalibration). */
+constexpr std::size_t kMaxEvents = 1'000'000;
+
+} // namespace
+
+template <class Self, class Sink>
+void
+Supervisor::walk(Self &self, Sink &s)
+{
+    s.tag("supervisor_state");
+    int version = kStateVersion;
+    s.integer(version);
+    s.check(version == kStateVersion, "unsupported version");
+    s.endLine();
+    s.tag("breaker");
+    s.enumerated(self.state_, numBreakerStates);
+    s.integer(self.lastSample_);
+    s.integer(self.consecutiveFailures_);
+    s.integer(self.breakerTrips_);
+    s.integer(self.reopenAtSample_);
+    s.endLine();
+    s.tag("recal");
+    s.integer(self.recalibrationsAttempted_);
+    s.integer(self.recalibrationsSucceeded_);
+    s.integer(self.recalibrationsFailed_);
+    s.integer(self.deadlineMisses_);
+    s.flag(self.budgetExhaustedNoted_);
+    s.endLine();
+    s.tag("events");
+    std::size_t n = s.count(self.events_, kMaxEvents);
+    s.endLine();
+    s.elements(self.events_, n, [&](auto &ev) {
+        s.tag("event");
+        s.enumerated(ev.kind, numSupervisorEventKinds);
+        s.integer(ev.sample);
+        s.real(ev.value);
+        s.endLine();
+        s.tag("detail");
+        s.line(ev.detail);
+        s.endLine();
+    });
+}
+
 void
 Supervisor::serialize(std::ostream &out) const
 {
-    out << "supervisor_state 1\n";
-    out << "breaker " << static_cast<int>(state_) << ' '
-        << lastSample_ << ' ' << consecutiveFailures_ << ' '
-        << breakerTrips_ << ' ' << reopenAtSample_ << "\n";
-    out << "recal " << recalibrationsAttempted_ << ' '
-        << recalibrationsSucceeded_ << ' ' << recalibrationsFailed_
-        << ' ' << deadlineMisses_ << ' '
-        << (budgetExhaustedNoted_ ? 1 : 0) << "\n";
-    out << "events " << events_.size() << "\n";
-    for (const auto &ev : events_) {
-        out << "event " << static_cast<int>(ev.kind) << ' '
-            << ev.sample << ' ';
-        writeSerialDouble(out, ev.value);
-        out << "\n";
-        out << "detail " << ev.detail << "\n";
-    }
+    SerialWriter w(out);
+    walk(*this, w);
 }
 
 Status
 Supervisor::restore(std::istream &in)
 {
-    auto bad = [](const char *section) {
-        return Status::corruptData(strf(
-            "supervisor state: unreadable %s section", section));
-    };
-
-    if (!expectToken(in, "supervisor_state"))
-        return bad("magic");
-    int version = 0;
-    in >> version;
-    if (!in || version != 1) {
-        return Status::corruptData(strf(
-            "supervisor state: unsupported version %d", version));
-    }
-
-    int state = 0;
-    std::size_t lastSample = 0, consecutive = 0, trips = 0,
-                reopenAt = 0;
-    if (!expectToken(in, "breaker"))
-        return bad("breaker");
-    in >> state >> lastSample >> consecutive >> trips >> reopenAt;
-    if (!in || state < 0 || state > 2)
-        return bad("breaker");
-
-    std::size_t attempted = 0, succeeded = 0, failed = 0,
-                misses = 0;
-    int exhausted = 0;
-    if (!expectToken(in, "recal"))
-        return bad("recal");
-    in >> attempted >> succeeded >> failed >> misses >> exhausted;
-    if (!in)
-        return bad("recal");
-
-    std::size_t nEvents = 0;
-    if (!expectToken(in, "events"))
-        return bad("events");
-    in >> nEvents;
-    if (!in || nEvents > 1'000'000)
-        return bad("events");
-    std::vector<SupervisorEvent> events;
-    events.reserve(nEvents);
-    for (std::size_t i = 0; i < nEvents; ++i) {
-        SupervisorEvent ev;
-        int kind = -1;
-        if (!expectToken(in, "event"))
-            return bad("event");
-        in >> kind >> ev.sample >> ev.value;
-        if (!in || kind < 0 || kind >= numSupervisorEventKinds)
-            return bad("event");
-        ev.kind = static_cast<SupervisorEventKind>(kind);
-        if (!expectToken(in, "detail"))
-            return bad("event detail");
-        if (in.get() != ' ' || !std::getline(in, ev.detail))
-            return bad("event detail");
-        events.push_back(std::move(ev));
-    }
-
-    state_ = static_cast<BreakerState>(state);
-    lastSample_ = lastSample;
-    consecutiveFailures_ = consecutive;
-    breakerTrips_ = trips;
-    reopenAtSample_ = reopenAt;
-    recalibrationsAttempted_ = attempted;
-    recalibrationsSucceeded_ = succeeded;
-    recalibrationsFailed_ = failed;
-    deadlineMisses_ = misses;
-    budgetExhaustedNoted_ = exhausted != 0;
-    events_ = std::move(events);
-
+    Supervisor parsed = *this;
+    SerialReader r(in);
+    walk(parsed, r);
+    if (!r.ok())
+        return r.status().withContext("supervisor state");
+    *this = std::move(parsed);
     supMetrics().events.inc(events_.size());
     supMetrics().breakerState.set(
         static_cast<double>(static_cast<int>(state_)));
@@ -460,34 +435,62 @@ namespace {
  *  contentDigest() instead of embedding it. */
 constexpr int kAutopilotBodyVersion = 2;
 
-void
-writeRngState(std::ostream &out, const char *tag,
-              const RngState &st)
+/** The body's first lines: format version and sample cursor. A
+ *  body of another version stops after the version, which the reader
+ *  refuses with FailedPrecondition rather than as corrupt data. */
+struct BodyHeader
 {
-    out << tag;
-    for (std::uint64_t s : st.s)
-        out << ' ' << s;
-    out << ' ' << (st.hasSpare ? 1 : 0) << ' ';
-    writeSerialDouble(out, st.spare);
-    out << "\n";
+    int version = kAutopilotBodyVersion;
+    std::size_t samplesDone = 0;
+};
+
+template <class Self, class Sink>
+void
+walkBodyHeader(Self &h, Sink &s)
+{
+    s.tag("tomur_autopilot");
+    s.integer(h.version);
+    s.endLine();
+    if (h.version != kAutopilotBodyVersion)
+        return;
+    s.tag("sample");
+    s.integer(h.samplesDone);
+    s.endLine();
 }
 
-Status
-readRngState(std::istream &in, const char *tag, RngState *st)
+/** The testbeds' RNG streams; the fault stream exists only on a
+ *  fault-injecting measurement path. */
+struct RngStreams
 {
-    if (!expectToken(in, tag)) {
-        return Status::corruptData(
-            strf("autopilot checkpoint: missing %s section", tag));
-    }
-    int hasSpare = 0;
-    in >> st->s[0] >> st->s[1] >> st->s[2] >> st->s[3] >> hasSpare >>
-        st->spare;
-    if (!in) {
-        return Status::corruptData(
-            strf("autopilot checkpoint: unreadable %s state", tag));
-    }
-    st->hasSpare = hasSpare != 0;
-    return Status::ok();
+    RngState noise;
+    std::optional<RngState> fault;
+};
+
+template <class Self, class Sink>
+void
+walkRng(Self &st, Sink &s)
+{
+    for (auto &word : st.s)
+        s.integer(word);
+    s.flag(st.hasSpare);
+    s.real(st.spare);
+}
+
+constexpr const char *kFaultRngTags[] = {"fault_rng_absent",
+                                         "fault_rng"};
+
+template <class Self, class Sink>
+void
+walkRngStreams(Self &rng, Sink &s)
+{
+    s.tag("noise_rng");
+    walkRng(rng.noise, s);
+    s.endLine();
+    bool haveFault = rng.fault.has_value();
+    s.keyword(haveFault, kFaultRngTags);
+    if (haveFault)
+        walkRng(s.present(rng.fault), s);
+    s.endLine();
 }
 
 /** Serialize everything a resumed run needs into one body; the
@@ -499,19 +502,17 @@ buildCheckpointBody(ReplayContext &ctx,
                     std::size_t samplesDone, std::uint64_t modelDigest)
 {
     std::ostringstream body;
-    body << "tomur_autopilot " << kAutopilotBodyVersion << "\n";
-    body << "sample " << samplesDone << "\n";
+    SerialWriter w(body);
+    const BodyHeader header{kAutopilotBodyVersion, samplesDone};
+    walkBodyHeader(header, w);
     body << "model_blob "
          << strf("%016llx", (unsigned long long)modelDigest) << "\n";
     monitor.serialize(body);
     supervisor.serialize(body);
-    writeRngState(body, "noise_rng", ctx.soloBed->noiseState());
-    if (ctx.measureBed) {
-        writeRngState(body, "fault_rng",
-                      ctx.measureBed->faultRngState());
-    } else {
-        body << "fault_rng_absent\n";
-    }
+    RngStreams rng{ctx.soloBed->noiseState(), std::nullopt};
+    if (ctx.measureBed)
+        rng.fault = ctx.measureBed->faultRngState();
+    walkRngStreams(std::as_const(rng), w);
     return body.str();
 }
 
@@ -561,39 +562,32 @@ writeCheckpoint(ReplayContext &ctx, const PredictionMonitor &monitor,
     return Status::ok();
 }
 
-/** Read the body header: magic, version, sample cursor and the
- *  model blob digest. */
+/** Read the body header and the model blob digest it references. */
 Status
 readBodyHeader(std::istream &in, std::size_t *samplesDone,
                std::uint64_t *modelDigest)
 {
-    if (!expectToken(in, "tomur_autopilot")) {
-        return Status::corruptData(
-            "autopilot checkpoint: missing magic");
-    }
-    int version = 0;
-    in >> version;
-    if (!in || version != kAutopilotBodyVersion) {
+    BodyHeader header;
+    SerialReader r(in);
+    walkBodyHeader(header, r);
+    if (!r.ok())
+        return r.status().withContext("autopilot checkpoint");
+    if (header.version != kAutopilotBodyVersion) {
         return Status::failedPrecondition(strf(
             "autopilot checkpoint: unsupported body version %d (this "
             "build reads version %d, which keeps the model in a "
             "content-addressed blob); resume from an empty "
             "checkpoint directory",
-            version, kAutopilotBodyVersion));
+            header.version, kAutopilotBodyVersion));
     }
-    if (!expectToken(in, "sample"))
-        return Status::corruptData(
-            "autopilot checkpoint: missing sample cursor");
-    in >> *samplesDone;
-    if (!in)
-        return Status::corruptData(
-            "autopilot checkpoint: unreadable sample cursor");
+    *samplesDone = header.samplesDone;
     std::string hex;
     if (!expectToken(in, "model_blob") || !(in >> hex) ||
         hex.size() != 16 ||
         hex.find_first_not_of("0123456789abcdef") != std::string::npos)
-        return Status::corruptData(
-            "autopilot checkpoint: missing model_blob reference");
+        return Status::corruptData("autopilot checkpoint: model_blob "
+                                   "section: missing or malformed "
+                                   "reference");
     *modelDigest = std::stoull(hex, nullptr, 16);
     return Status::ok();
 }
@@ -606,8 +600,8 @@ resolveModelBlob(const CheckpointRecord &rec, std::uint64_t digest)
     auto blob = rec.blobs.find(digest);
     if (blob == rec.blobs.end()) {
         return Status::corruptData(strf(
-            "autopilot checkpoint: generation %llu does not carry "
-            "model blob %016llx",
+            "autopilot checkpoint: model_blob section: generation "
+            "%llu does not carry blob %016llx",
             (unsigned long long)rec.generation,
             (unsigned long long)digest));
     }
@@ -617,67 +611,11 @@ resolveModelBlob(const CheckpointRecord &rec, std::uint64_t digest)
         return s.withContext("autopilot checkpoint model blob");
     if (std::uint64_t got = model.contentDigest(); got != digest) {
         return Status::corruptData(strf(
-            "autopilot checkpoint: model blob %016llx holds a model "
-            "with digest %016llx",
+            "autopilot checkpoint: model_blob section: blob %016llx "
+            "holds a model with digest %016llx",
             (unsigned long long)digest, (unsigned long long)got));
     }
     return model;
-}
-
-/** Parse a checkpoint back into the live objects. The RNG streams
- *  are restored LAST, so any draws made while rebuilding state
- *  (there are none today, but the ordering makes that a
- *  non-assumption) are overwritten by the checkpointed cursor. */
-Result<std::size_t>
-restoreFromBody(ReplayContext &ctx, PredictionMonitor &monitor,
-                Supervisor &supervisor, const CheckpointRecord &rec)
-{
-    std::istringstream in(rec.body);
-    std::size_t samplesDone = 0;
-    std::uint64_t digest = 0;
-    if (auto s = readBodyHeader(in, &samplesDone, &digest); !s)
-        return s;
-    auto model = resolveModelBlob(rec, digest);
-    if (!model.isOk())
-        return model.status();
-    if (auto s = monitor.restore(in); !s)
-        return s.withContext("autopilot checkpoint");
-    if (auto s = supervisor.restore(in); !s)
-        return s.withContext("autopilot checkpoint");
-
-    RngState noise;
-    if (auto s = readRngState(in, "noise_rng", &noise); !s)
-        return s;
-    bool haveFault = false;
-    RngState fault;
-    {
-        std::streampos mark = in.tellg();
-        std::string tag;
-        in >> tag;
-        if (tag == "fault_rng_absent") {
-            haveFault = false;
-        } else if (tag == "fault_rng") {
-            in.seekg(mark);
-            if (auto s = readRngState(in, "fault_rng", &fault); !s)
-                return s;
-            haveFault = true;
-        } else {
-            return Status::corruptData(
-                "autopilot checkpoint: missing fault_rng section");
-        }
-    }
-    if (haveFault != (ctx.measureBed != nullptr)) {
-        return Status::failedPrecondition(
-            "autopilot checkpoint: measurement-path mismatch "
-            "(checkpoint and context disagree about fault "
-            "injection)");
-    }
-
-    *ctx.model = std::move(model.value());
-    ctx.soloBed->setNoiseState(noise);
-    if (ctx.measureBed)
-        ctx.measureBed->setFaultRngState(fault);
-    return samplesDone;
 }
 
 } // namespace
@@ -691,6 +629,49 @@ loadCheckpointModel(const CheckpointRecord &rec)
     if (auto s = readBodyHeader(in, &samplesDone, &digest); !s)
         return s;
     return resolveModelBlob(rec, digest);
+}
+
+Result<std::size_t>
+restoreCheckpoint(ReplayContext &ctx, PredictionMonitor &monitor,
+                  Supervisor &supervisor, const CheckpointRecord &rec)
+{
+    std::istringstream in(rec.body);
+    std::size_t samplesDone = 0;
+    std::uint64_t digest = 0;
+    if (auto s = readBodyHeader(in, &samplesDone, &digest); !s)
+        return s;
+    auto model = resolveModelBlob(rec, digest);
+    if (!model.isOk())
+        return model.status();
+    PredictionMonitor parsedMonitor = monitor;
+    if (auto s = parsedMonitor.restore(in); !s)
+        return s.withContext("autopilot checkpoint");
+    Supervisor parsedSupervisor = supervisor;
+    if (auto s = parsedSupervisor.restore(in); !s)
+        return s.withContext("autopilot checkpoint");
+    RngStreams rng;
+    SerialReader r(in);
+    walkRngStreams(rng, r);
+    if (!r.ok())
+        return r.status().withContext("autopilot checkpoint");
+    if (rng.fault.has_value() != (ctx.measureBed != nullptr)) {
+        return Status::failedPrecondition(
+            "autopilot checkpoint: measurement-path mismatch "
+            "(checkpoint and context disagree about fault "
+            "injection)");
+    }
+
+    // Commit. The RNG streams go last, so any draws made while
+    // rebuilding state (there are none today, but the ordering makes
+    // that a non-assumption) are overwritten by the checkpointed
+    // cursor.
+    monitor = std::move(parsedMonitor);
+    supervisor = std::move(parsedSupervisor);
+    *ctx.model = std::move(model.value());
+    ctx.soloBed->setNoiseState(rng.noise);
+    if (ctx.measureBed)
+        ctx.measureBed->setFaultRngState(*rng.fault);
+    return samplesDone;
 }
 
 Result<AutopilotResult>
@@ -739,8 +720,8 @@ runAutopilot(ReplayContext &ctx,
     if (opts.resume && store != nullptr) {
         auto rec = store->loadLatestValid();
         if (rec.isOk()) {
-            auto cursor =
-                restoreFromBody(ctx, monitor, supervisor, rec.value());
+            auto cursor = restoreCheckpoint(ctx, monitor, supervisor,
+                                            rec.value());
             if (!cursor.isOk())
                 return cursor.status();
             startSample = cursor.value();

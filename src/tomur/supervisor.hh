@@ -57,6 +57,8 @@ enum class BreakerState
     HalfOpen, ///< transient: one probe decides re-open vs close
 };
 
+constexpr int numBreakerStates = 3;
+
 /** Wire name ("closed", "open", "half-open"). */
 const char *breakerStateName(BreakerState s);
 
@@ -191,6 +193,11 @@ class Supervisor
                                 std::vector<SupervisorEvent> &out);
     std::size_t backoffSamples() const;
 
+    /** The state format serialize() writes and restore() reads
+     *  (common/serial.hh). */
+    template <class Self, class Sink>
+    static void walk(Self &self, Sink &s);
+
     SupervisorOptions opts_;
     RecalibrateFn recalibrate_;
     std::vector<SupervisorEvent> events_;
@@ -296,6 +303,17 @@ runAutopilot(ReplayContext &ctx,
  * version with FailedPrecondition.
  */
 Result<TomurModel> loadCheckpointModel(const CheckpointRecord &rec);
+
+/**
+ * Resume from checkpoint `rec`: the model its blob holds, the monitor
+ * and supervisor state, and the testbeds' RNG streams. All or
+ * nothing: on error the live objects are unchanged. Returns the
+ * number of samples the checkpoint had completed.
+ */
+Result<std::size_t> restoreCheckpoint(ReplayContext &ctx,
+                                      PredictionMonitor &monitor,
+                                      Supervisor &supervisor,
+                                      const CheckpointRecord &rec);
 
 } // namespace tomur::core
 

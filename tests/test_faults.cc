@@ -2,25 +2,30 @@
  * @file
  * Robustness tests: Status/Result plumbing, the fault-injection
  * harness, the corrupted-model corpus (clean failures, no crashes,
- * no mutation of the destination model), the prediction fallback
- * chain, and end-to-end training against a faulty testbed.
+ * no mutation of the destination model), the same corpus over the
+ * monitor, supervisor and autopilot checkpoint state, the
+ * prediction fallback chain, and end-to-end training against a
+ * faulty testbed.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
 #include <sstream>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/status.hh"
+#include "common/strutil.hh"
 #include "nfs/bench_nfs.hh"
 #include "nfs/registry.hh"
 #include "regex/ruleset.hh"
 #include "sim/faults.hh"
 #include "tomur/profiler.hh"
+#include "tomur/supervisor.hh"
 
 namespace tomur {
 namespace {
@@ -443,6 +448,240 @@ TEST(CorruptModelCorpus, HealthFlagsRoundTrip)
     EXPECT_FALSE(reloaded.health().memoryDegraded);
     EXPECT_TRUE(reloaded.health().accelDegraded[static_cast<int>(
         hw::AccelKind::Regex)]);
+}
+
+// ---------------------------------------------------------------
+// Corrupt state corpus: monitor, supervisor, autopilot checkpoint
+// ---------------------------------------------------------------
+
+/** A short supervised FlowStats replay that checkpoints: a traffic
+ *  shift and a late bias make the monitor fire, and a recalibration
+ *  hook that always fails makes the supervisor fire. */
+struct ReplayRig
+{
+    ReplayRig()
+    {
+        dev.regex = std::make_shared<fw::RegexDevice>(rules);
+        dev.compression = std::make_shared<fw::CompressionDevice>();
+        dev.crypto = std::make_shared<fw::CryptoDevice>();
+        lib = std::make_unique<core::BenchLibrary>(faulty, dev, rules);
+        trainer = std::make_unique<core::TomurTrainer>(*lib);
+        nf = nfs::makeByName("FlowStats", dev);
+        core::TrainOptions topts;
+        topts.adaptive.quota = 20;
+        model = trainer->train(*nf, defaults(), topts);
+    }
+
+    static traffic::TrafficProfile
+    defaults()
+    {
+        return traffic::TrafficProfile::defaults();
+    }
+
+    core::ReplayContext
+    ctx(core::TomurModel *m)
+    {
+        core::ReplayContext c;
+        c.trainer = trainer.get();
+        c.model = m;
+        c.nf = nf.get();
+        c.soloBed = &bed;
+        c.measureBed = &faulty;
+        c.label = "FlowStats x2";
+        return c;
+    }
+
+    /** Run the replay; `monitor` and `supervisor` end holding its
+     *  final state, and the newest checkpoint is returned. */
+    CheckpointRecord
+    run(core::PredictionMonitor &monitor, core::Supervisor &supervisor)
+    {
+        auto dir = std::filesystem::path(::testing::TempDir()) /
+                   "state_corpus";
+        std::filesystem::remove_all(dir);
+        CheckpointOptions copts;
+        copts.fsync = false;
+        CheckpointStore store(dir.string(), copts);
+        auto shifted = defaults().withAttribute(
+            traffic::Attribute::FlowCount,
+            4.0 * static_cast<double>(defaults().flowCount));
+        core::AutopilotOptions aopts;
+        aopts.replay.biasAtSample = 6;
+        aopts.checkpointEverySamples = 5;
+        auto c = ctx(&model);
+        auto res =
+            core::runAutopilot(c, {{defaults(), 8}, {shifted, 8}},
+                               monitor, supervisor, &store, aopts);
+        EXPECT_TRUE(res) << res.status().toString();
+        auto rec = store.loadLatestValid();
+        EXPECT_TRUE(rec) << rec.status().toString();
+        return rec.isOk() ? rec.value() : CheckpointRecord{};
+    }
+
+    static core::PredictionMonitor
+    makeMonitor()
+    {
+        core::MonitorOptions mopts;
+        mopts.cooldown = 4;
+        return core::PredictionMonitor(mopts);
+    }
+
+    static core::Supervisor
+    makeSupervisor()
+    {
+        return core::Supervisor({}, [](std::size_t, std::string *) {
+            return Status::unavailable("scripted failure");
+        });
+    }
+
+    regex::RuleSet rules = regex::defaultRuleSet();
+    fw::DeviceSet dev;
+    sim::Testbed bed{hw::blueField2()};
+    sim::FaultInjectingTestbed faulty{bed, {}};
+    std::unique_ptr<core::BenchLibrary> lib;
+    std::unique_ptr<core::TomurTrainer> trainer;
+    std::unique_ptr<fw::NetworkFunction> nf;
+    core::TomurModel model;
+};
+
+/** Damaged copies of `valid`: prefixes at every stride through it,
+ *  then 200 seeded single-byte replacements. */
+std::vector<std::string>
+damagedCopies(const std::string &valid, std::uint64_t seed)
+{
+    std::vector<std::string> out;
+    for (std::size_t cut = 0; cut < valid.size();
+         cut += std::max<std::size_t>(1, valid.size() / 97))
+        out.push_back(valid.substr(0, cut));
+    Rng rng(seed);
+    for (int i = 0; i < 200; ++i) {
+        std::string damaged = valid;
+        damaged[rng.uniformInt(damaged.size())] =
+            static_cast<char>(rng.uniformInt(std::uint64_t{256}));
+        out.push_back(std::move(damaged));
+    }
+    return out;
+}
+
+/** The corpus rule: a damaged input either loads, or fails as
+ *  CorruptData naming a section and leaves the destination (its
+ *  state bytes `before` / `after`) unchanged. */
+void
+expectLoadOrCleanRejection(const Status &st, const std::string &before,
+                           const std::string &after, std::size_t i)
+{
+    if (st.isOk())
+        return;
+    EXPECT_EQ(st.code(), StatusCode::CorruptData)
+        << "input " << i << ": " << st.toString();
+    EXPECT_NE(st.message().find(" section"), std::string::npos)
+        << "input " << i << ": " << st.toString();
+    EXPECT_EQ(after, before)
+        << "input " << i << ": a failed load changed the destination";
+}
+
+template <class T>
+std::string
+stateBytes(const T &state)
+{
+    std::ostringstream out;
+    state.serialize(out);
+    return out.str();
+}
+
+TEST(CorruptStateCorpus, MonitorAndSupervisorState)
+{
+    ReplayRig rig;
+    auto monitor = ReplayRig::makeMonitor();
+    auto supervisor = ReplayRig::makeSupervisor();
+    rig.run(monitor, supervisor);
+    ASSERT_FALSE(monitor.events().empty());
+    ASSERT_FALSE(supervisor.events().empty());
+
+    const std::string monitorState = stateBytes(monitor);
+    auto inputs = damagedCopies(monitorState, 41);
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+        auto dest = ReplayRig::makeMonitor();
+        std::string before = stateBytes(dest);
+        std::istringstream in(inputs[i]);
+        Status st = dest.restore(in);
+        expectLoadOrCleanRejection(st, before, stateBytes(dest), i);
+    }
+
+    const std::string supervisorState = stateBytes(supervisor);
+    inputs = damagedCopies(supervisorState, 43);
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+        auto dest = ReplayRig::makeSupervisor();
+        std::string before = stateBytes(dest);
+        std::istringstream in(inputs[i]);
+        Status st = dest.restore(in);
+        expectLoadOrCleanRejection(st, before, stateBytes(dest), i);
+    }
+}
+
+TEST(CorruptStateCorpus, AutopilotCheckpointBody)
+{
+    ReplayRig rig;
+    auto monitor = ReplayRig::makeMonitor();
+    auto supervisor = ReplayRig::makeSupervisor();
+    const CheckpointRecord valid = rig.run(monitor, supervisor);
+    ASSERT_FALSE(valid.body.empty());
+
+    // Everything a restore may touch, as one string.
+    auto rngBytes = [](const RngState &st) {
+        return strf("%llx %llx %llx %llx %d %a",
+                    (unsigned long long)st.s[0],
+                    (unsigned long long)st.s[1],
+                    (unsigned long long)st.s[2],
+                    (unsigned long long)st.s[3], st.hasSpare ? 1 : 0,
+                    st.spare);
+    };
+    auto destination = [&](const core::PredictionMonitor &m,
+                           const core::Supervisor &s,
+                           const core::TomurModel &model) {
+        return stateBytes(m) + stateBytes(s) +
+               strf("%llx ",
+                    (unsigned long long)model.contentDigest()) +
+               rngBytes(rig.bed.noiseState()) +
+               rngBytes(rig.faulty.faultRngState());
+    };
+
+    auto inputs = damagedCopies(valid.body, 47);
+    std::size_t loaded = 0;
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+        auto m = ReplayRig::makeMonitor();
+        auto s = ReplayRig::makeSupervisor();
+        core::TomurModel model;
+        auto ctx = rig.ctx(&model);
+        std::string before = destination(m, s, model);
+        CheckpointRecord rec = valid;
+        rec.body = inputs[i];
+        auto cursor = core::restoreCheckpoint(ctx, m, s, rec);
+        Status st = cursor.isOk() ? Status::ok() : cursor.status();
+        std::string after = destination(m, s, model);
+        if (st.code() == StatusCode::FailedPrecondition) {
+            // A damaged version digit is refused as a format upgrade.
+            EXPECT_NE(st.message().find("unsupported body version"),
+                      std::string::npos)
+                << "input " << i << ": " << st.toString();
+            EXPECT_EQ(after, before) << "input " << i;
+        } else {
+            expectLoadOrCleanRejection(st, before, after, i);
+        }
+        loaded += st.isOk();
+    }
+    // The undamaged body restores (the prefix loop starts at 0, so
+    // the whole body is not among the truncations).
+    core::TomurModel model;
+    auto ctx = rig.ctx(&model);
+    auto m = ReplayRig::makeMonitor();
+    auto s = ReplayRig::makeSupervisor();
+    auto cursor = core::restoreCheckpoint(ctx, m, s, valid);
+    ASSERT_TRUE(cursor) << cursor.status().toString();
+    EXPECT_EQ(cursor.value(), 15u);
+    EXPECT_NE(valid.body.find(stateBytes(m) + stateBytes(s)),
+              std::string::npos);
+    RecordProperty("damaged_inputs_loaded", std::to_string(loaded));
 }
 
 // ---------------------------------------------------------------

@@ -718,6 +718,37 @@ TEST(Recovery, OpenWindowSurvivesSerializeRestore)
     EXPECT_EQ(a.str(), b.str());
 }
 
+TEST(MonitorState, HostileEventCountIsCorruptData)
+{
+    // A checksummed checkpoint can carry any body. A huge declared
+    // event count (under the samples * kinds bound) must come back
+    // as CorruptData, not as an exception out of a Status API.
+    PredictionMonitor fresh;
+    std::ostringstream saved;
+    fresh.serialize(saved);
+    std::string body = saved.str();
+    const std::string huge = "100000000000000000";
+    auto swap = [&](const std::string &from, const std::string &to) {
+        auto at = body.find(from);
+        ASSERT_NE(at, std::string::npos) << from;
+        body.replace(at, from.size(), to);
+    };
+    swap("counts 0 ", "counts " + huge + " ");
+    swap("events 0", "events " + huge);
+
+    PredictionMonitor m;
+    std::istringstream in(body);
+    Status st;
+    EXPECT_NO_THROW(st = m.restore(in));
+    EXPECT_EQ(st.code(), StatusCode::CorruptData) << st.toString();
+    EXPECT_NE(st.message().find("event section"), std::string::npos)
+        << st.toString();
+    std::ostringstream after;
+    m.serialize(after);
+    EXPECT_EQ(after.str(), saved.str()) << "a failed restore changed "
+                                           "the monitor";
+}
+
 // ---------------------------------------------------------------
 // Report renderer
 // ---------------------------------------------------------------

@@ -6,14 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <fstream>
 #include <sstream>
 
 #include "common/rng.hh"
 #include "ml/gbr.hh"
-#include "ml/linreg.hh"
 #include "nfs/registry.hh"
 #include "regex/ruleset.hh"
 #include "tomur/profiler.hh"
+#include "tomur/supervisor.hh"
 
 namespace tomur {
 namespace {
@@ -51,18 +53,6 @@ TEST(Serialize, GbrRoundTripBitIdentical)
     }
 }
 
-TEST(Serialize, LinRegRoundTrip)
-{
-    ml::LinearRegression lr;
-    lr.fit1d({0, 1, 2, 3}, {5, 7, 9, 11});
-    std::stringstream ss;
-    lr.save(ss);
-    ml::LinearRegression loaded;
-    ASSERT_TRUE(loaded.load(ss));
-    EXPECT_EQ(lr.predict1d(42.0), loaded.predict1d(42.0));
-    EXPECT_EQ(lr.intercept(), loaded.intercept());
-}
-
 TEST(Serialize, MalformedInputsRejected)
 {
     ml::GradientBoostingRegressor gbr;
@@ -74,9 +64,57 @@ TEST(Serialize, MalformedInputsRejected)
     std::stringstream truncated("gbr 2 0.5 0.1\ntree 1\n");
     EXPECT_FALSE(gbr.load(truncated));
 
-    ml::LinearRegression lr;
-    std::stringstream bad3("linreg 3 1.0 2.0");
-    EXPECT_FALSE(lr.load(bad3)); // missing coefficients
+    // Trees no prediction could walk: none at all (predict would
+    // panic), a split that is its own child (it would loop forever)
+    // and a split with absent children (it would index node -1).
+    for (const char *shape : {"tree 0\n", "tree 1\n0 0.5 1 0 0\n",
+                              "tree 1\n0 0.5 1 -1 -1\n"}) {
+        std::stringstream in(std::string("gbr 1 0.5 0.1\n") + shape);
+        EXPECT_FALSE(gbr.load(in)) << shape;
+    }
+}
+
+/** This process's peak resident set in KiB (VmHWM), 0 off Linux. */
+long
+peakRssKb()
+{
+    std::ifstream in("/proc/self/status");
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("VmHWM:", 0) == 0)
+            return std::strtol(line.c_str() + 6, nullptr, 10);
+    }
+    return 0;
+}
+
+TEST(Serialize, HostileCountsAllocateWithTheInput)
+{
+    // Declared counts under their bounds but with nothing behind
+    // them. Sized from the count, the tree alone would be 10M nodes
+    // (about 300 MiB); read element by element, every load fails at
+    // the first missing element having allocated next to nothing.
+    const char *gbrs[] = {
+        "gbr 1 0.5 0.1\ntree 10000000\n",
+        "gbr 1000000 0.5 0.1\n",
+    };
+    const std::string supervisor =
+        "supervisor_state 1\nbreaker 0 0 0 0 0\nrecal 0 0 0 0 0\n"
+        "events 1000000\n";
+
+    long before = peakRssKb();
+    for (const char *text : gbrs) {
+        ml::GradientBoostingRegressor gbr;
+        std::istringstream in(text);
+        EXPECT_FALSE(gbr.load(in)) << text;
+    }
+    core::Supervisor sup;
+    std::istringstream in(supervisor);
+    auto st = sup.restore(in);
+    EXPECT_EQ(st.code(), StatusCode::CorruptData) << st.toString();
+    long grownKb = peakRssKb() - before;
+    RecordProperty("peak_rss_growth_kb", std::to_string(grownKb));
+    EXPECT_LT(grownKb, 16 * 1024) << "peak RSS grew by " << grownKb
+                                  << " KiB";
 }
 
 TEST(Serialize, SaveBeforeFitPanics)

@@ -28,6 +28,7 @@
 #include "common/checkpoint.hh"
 #include "common/deadline.hh"
 #include "common/logging.hh"
+#include "common/serial.hh"
 #include "common/telemetry.hh"
 #include "common/threadpool.hh"
 #include "nfs/registry.hh"
@@ -1150,6 +1151,88 @@ TEST(CheckpointBlob, VersionOneRecordsAreRefusedWithAClearStatus)
                   "unsupported body version 1"),
               std::string::npos)
         << model.status().toString();
+}
+
+
+// ---------------------------------------------------------------
+// Byte pins: the persisted formats, byte for byte
+// ---------------------------------------------------------------
+
+/** FNV-1a 64 of `bytes`, for pinning a format in one constant. */
+std::uint64_t
+pin(const std::string &bytes)
+{
+    return fnv1a64(bytes);
+}
+
+std::string
+monitorBytes(const core::PredictionMonitor &m)
+{
+    std::ostringstream out;
+    m.serialize(out);
+    return out.str();
+}
+
+std::string
+supervisorBytes(const Supervisor &s)
+{
+    std::ostringstream out;
+    s.serialize(out);
+    return out.str();
+}
+
+TEST(BytePins, CatalogModelSaveBytesAndDigests)
+{
+    // FNV-1a 64 of TomurModel::save() bytes and the contentDigest()
+    // of two catalog models: FlowStats (no accelerators) and
+    // IPsecGateway (a crypto accelerator model). A reload saves the
+    // same bytes.
+    PoolWidth width(1);
+    auto stats = trainCatalogModel("FlowStats");
+    auto ipsec = trainCatalogModel("IPsecGateway");
+    ASSERT_TRUE(ipsec.accelModel(hw::AccelKind::Crypto).has_value());
+
+    EXPECT_EQ(pin(saveBytes(stats)), 0xeff6ffb70e7e52e0ULL);
+    EXPECT_EQ(stats.contentDigest(), 0x154f6d7d23605614ULL);
+    EXPECT_EQ(pin(saveBytes(ipsec)), 0xa12d0b89a101d3a9ULL);
+    EXPECT_EQ(ipsec.contentDigest(), 0xf2499971563d2bcaULL);
+    for (const auto *m : {&stats, &ipsec}) {
+        auto reloaded = loadBytes(saveBytes(*m));
+        EXPECT_EQ(saveBytes(reloaded), saveBytes(*m));
+        EXPECT_EQ(reloaded.contentDigest(), m->contentDigest());
+    }
+}
+
+TEST(BytePins, AutopilotStateAndCheckpointBody)
+{
+    // After the golden autopilot schedule: the monitor and supervisor
+    // state bytes, and the newest checkpoint body. Restored state
+    // serializes back to the same bytes.
+    PoolWidth width(1);
+    auto dir = freshDir("byte_pins");
+    AutoEnv env(/*trainInitial=*/true);
+    auto ctx = env.ctx();
+    auto monitor = makeGoldenMonitor();
+    Supervisor sup(fastBreaker(), env.recalibrate());
+    auto store = makeStore(dir);
+    auto res = core::runAutopilot(ctx, goldenSchedule(), monitor, sup,
+                                  &store, goldenOptions());
+    ASSERT_TRUE(res) << res.status().toString();
+    auto rec = store.loadLatestValid();
+    ASSERT_TRUE(rec) << rec.status().toString();
+
+    EXPECT_EQ(pin(monitorBytes(monitor)), 0x53888e85582462e8ULL);
+    EXPECT_EQ(pin(supervisorBytes(sup)), 0x91c5b75e1625faaaULL);
+    EXPECT_EQ(pin(rec.value().body), 0x20d0a132538aae16ULL);
+
+    auto restoredMonitor = makeGoldenMonitor();
+    std::istringstream monitorIn(monitorBytes(monitor));
+    ASSERT_TRUE(restoredMonitor.restore(monitorIn));
+    EXPECT_EQ(monitorBytes(restoredMonitor), monitorBytes(monitor));
+    Supervisor restoredSup(fastBreaker(), nullptr);
+    std::istringstream supIn(supervisorBytes(sup));
+    ASSERT_TRUE(restoredSup.restore(supIn));
+    EXPECT_EQ(supervisorBytes(restoredSup), supervisorBytes(sup));
 }
 
 } // namespace

@@ -13,7 +13,10 @@
 #   3. Replay smoke: compile a small scenario script through
 #      `tomur_cli replay --scenario` and assert the run recovers
 #      from its regime change (the CLI + DSL + autopilot wiring,
-#      end-to-end, without the minutes-long bench stage).
+#      end-to-end, without the minutes-long bench stage). Then a
+#      persistence smoke through real files: train -> model file ->
+#      predict, and an autopilot killed by --crash-after whose
+#      --resume run exports the uninterrupted run's events (cmp).
 #   4. Chaos smoke: a small seeded campaign through `tomur_cli
 #      chaos` must pass with zero violations, and a planted
 #      regression (--plant registry-no-commit) must be caught,
@@ -150,9 +153,52 @@ grep -q "sampling profiler:" "$replay_dir/profile.txt" || {
     exit 1
 }
 sed -n 's/^/  /p' "$replay_dir/replay.log"
+echo "replay smoke: scenario ran through the autopilot"
+
+# Persistence smoke, through real files: a trained model file loads
+# for predict, and an autopilot killed mid-run resumes from its
+# checkpoint directory to the event stream of an uninterrupted run.
+cli="$build_dir/tools/tomur_cli"
+"$cli" train FlowStats --out "$replay_dir/m.tomur" \
+    > "$replay_dir/train.log" 2>&1 &&
+    "$cli" predict FlowStats --with FlowMonitor \
+        --model "$replay_dir/m.tomur" \
+        > "$replay_dir/predict.log" 2>&1 || {
+    echo "persistence smoke: train/predict round trip failed" >&2
+    cat "$replay_dir/train.log" "$replay_dir/predict.log" >&2
+    exit 1
+}
+"$cli" autopilot FlowStats --model "$replay_dir/m.tomur" \
+    --checkpoint-dir "$replay_dir/ref" --checkpoint-every 8 \
+    --events-out "$replay_dir/ref.jsonl" \
+    > "$replay_dir/ref.log" 2>&1 || {
+    echo "persistence smoke: uninterrupted autopilot failed" >&2
+    cat "$replay_dir/ref.log" >&2
+    exit 1
+}
+if "$cli" autopilot FlowStats --model "$replay_dir/m.tomur" \
+    --checkpoint-dir "$replay_dir/ckpt" --checkpoint-every 8 \
+    --crash-after 20 > "$replay_dir/crash.log" 2>&1; then
+    echo "persistence smoke: --crash-after run exited 0" >&2
+    exit 1
+fi
+"$cli" autopilot FlowStats --checkpoint-dir "$replay_dir/ckpt" \
+    --checkpoint-every 8 --resume \
+    --events-out "$replay_dir/resumed.jsonl" \
+    > "$replay_dir/resume.log" 2>&1 || {
+    echo "persistence smoke: --resume run failed" >&2
+    cat "$replay_dir/resume.log" >&2
+    exit 1
+}
+cmp "$replay_dir/ref.jsonl" "$replay_dir/resumed.jsonl" || {
+    echo "persistence smoke: resumed events differ from the" \
+        "uninterrupted run" >&2
+    exit 1
+}
 trap - EXIT
 rm -rf "$replay_dir"
-echo "replay smoke: scenario ran through the autopilot"
+echo "persistence smoke: model file loaded; crashed autopilot" \
+    "resumed byte-identically"
 
 echo ""
 echo "=== Tier 4: chaos smoke (campaign + planted regression) ==="
