@@ -48,19 +48,10 @@ ChaosWorld::ChaosWorld(const std::string &nf_name)
             pristineBytes = body.str();
     }
 
-    // Reference contention: the heaviest large-WSS memory bench,
-    // the same choice the supervisor tests use.
-    const core::BenchLibrary::MemBenchEntry *mem =
-        &lib->memBenches().front();
-    for (const auto &e : lib->memBenches()) {
-        if (e.config.wssBytes >= 12.0 * 1024 * 1024 &&
-            e.level.counters.cacheAccessRate() >
-                mem->level.counters.cacheAccessRate()) {
-            mem = &e;
-        }
-    }
-    levels = {mem->level};
-    competitors = {mem->workload};
+    auto ref = lib->referenceContention(
+        trainer->workloadOf(*nf, traffic::TrafficProfile::defaults()));
+    levels = std::move(ref.levels);
+    competitors = std::move(ref.workloads);
 }
 
 // ---------------------------------------------------------------

@@ -74,15 +74,19 @@ class GradientBoostingRegressor
     /** Serialize the fitted ensemble to a text stream. */
     void save(std::ostream &out) const;
 
-    /** Load from save() output. @return false on malformed input. */
+    /** Load from save() output. A bare ensemble does not know its
+     *  feature width, so split indices are not bounded here; a model
+     *  file's walk supplies the width. @return false on malformed
+     *  input. */
     bool load(std::istream &in);
 
     /** The one definition of the format save() writes, load()
      *  reads and digests hash (common/serial.hh); instantiated for
      *  SerialWriter and SerialDigest over a const model and for
-     *  SerialReader. */
+     *  SerialReader. `numFeatures` is the width of the vectors the
+     *  model predicts on (the reader's split-index bound). */
     template <class Self, class Sink>
-    static void walk(Self &self, Sink &sink);
+    static void walk(Self &self, Sink &sink, std::size_t numFeatures);
 
   private:
     GbrParams params_;

@@ -7,6 +7,7 @@
  */
 
 #include <istream>
+#include <limits>
 #include <ostream>
 
 #include "common/logging.hh"
@@ -27,7 +28,7 @@ constexpr std::size_t kMaxTrees = 1'000'000;
 
 template <class Self, class Sink>
 void
-RegressionTree::walk(Self &self, Sink &s)
+RegressionTree::walk(Self &self, Sink &s, std::size_t numFeatures)
 {
     s.tag("tree");
     std::size_t n = s.count(self.nodes_, kMaxTreeNodes);
@@ -51,13 +52,18 @@ RegressionTree::walk(Self &self, Sink &s)
         s.check(node.feature < 0 ||
                     (node.left > index && node.right > index),
                 "split child does not follow the split");
+        s.check(node.feature < 0 ||
+                    static_cast<std::size_t>(node.feature) <
+                        numFeatures,
+                "split feature index out of range");
         s.endLine();
     });
 }
 
 template <class Self, class Sink>
 void
-GradientBoostingRegressor::walk(Self &self, Sink &s)
+GradientBoostingRegressor::walk(Self &self, Sink &s,
+                                std::size_t numFeatures)
 {
     s.tag("gbr");
     std::size_t n = s.count(self.trees_, kMaxTrees);
@@ -67,7 +73,7 @@ GradientBoostingRegressor::walk(Self &self, Sink &s)
             "learning rate must be positive");
     s.endLine();
     s.elements(self.trees_, n,
-               [&](auto &t) { RegressionTree::walk(t, s); });
+               [&](auto &t) { RegressionTree::walk(t, s, numFeatures); });
     // A loaded ensemble is fitted, with the trees it read.
     s.loaded(self.params_.numTrees, static_cast<int>(n));
     s.loaded(self.fitted_, true);
@@ -75,13 +81,13 @@ GradientBoostingRegressor::walk(Self &self, Sink &s)
 
 template void
 GradientBoostingRegressor::walk(const GradientBoostingRegressor &,
-                                SerialWriter &);
+                                SerialWriter &, std::size_t);
 template void
 GradientBoostingRegressor::walk(const GradientBoostingRegressor &,
-                                SerialDigest &);
+                                SerialDigest &, std::size_t);
 template void
 GradientBoostingRegressor::walk(GradientBoostingRegressor &,
-                                SerialReader &);
+                                SerialReader &, std::size_t);
 
 void
 GradientBoostingRegressor::save(std::ostream &out) const
@@ -89,7 +95,8 @@ GradientBoostingRegressor::save(std::ostream &out) const
     if (!fitted_)
         panic("GradientBoostingRegressor::save before fit");
     SerialWriter w(out);
-    walk(*this, w);
+    // The writer checks nothing, so any width will do.
+    walk(*this, w, 0);
 }
 
 bool
@@ -99,7 +106,7 @@ GradientBoostingRegressor::load(std::istream &in)
     // warm-start caches: a loaded model matches no in-memory dataset.
     GradientBoostingRegressor m(params_);
     SerialReader r(in);
-    walk(m, r);
+    walk(m, r, std::numeric_limits<std::size_t>::max());
     if (!r.ok())
         return false;
     *this = std::move(m);

@@ -96,9 +96,11 @@ class RegressionTree
     int depth() const;
 
     /** The tree's field walk, run by its ensemble's
-     *  (common/serial.hh). */
+     *  (common/serial.hh). A load rejects a split on a feature index
+     *  at or above `numFeatures`, so predict() needs no bounds
+     *  check. */
     template <class Self, class Sink>
-    static void walk(Self &self, Sink &sink);
+    static void walk(Self &self, Sink &sink, std::size_t numFeatures);
 
   private:
     struct Node

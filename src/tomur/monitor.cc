@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <istream>
-#include <limits>
 #include <ostream>
-#include <sstream>
 
 #include "common/logging.hh"
 #include "common/serial.hh"
@@ -576,108 +573,8 @@ PredictionMonitor::restore(std::istream &in)
 }
 
 // ---------------------------------------------------------------
-// Schedule replay
+// Replay inputs
 // ---------------------------------------------------------------
-
-namespace {
-
-/** Sanity bounds on schedule values. Generous — they exist to reject
- *  garbage that happens to lex as a number, not to police realistic
- *  traffic, so a fuzzer can never smuggle an absurd profile (or a
- *  repeat count that melts the replay) through the parser. */
-constexpr double kMaxScheduleFlows = 1e9;
-constexpr double kMaxSchedulePacketSize = 1e6;
-constexpr double kMaxScheduleMtbr = 1e12;
-constexpr double kMaxScheduleRepeats = 1e6;
-
-/** Strict full-token numeric parse: the whole token must be one
- *  finite number (no trailing junk, no partial reads). */
-bool
-parseScheduleNumber(const std::string &token, double *out)
-{
-    const char *begin = token.c_str();
-    char *end = nullptr;
-    double v = std::strtod(begin, &end);
-    if (end == begin || *end != '\0' || !std::isfinite(v))
-        return false;
-    *out = v;
-    return true;
-}
-
-} // namespace
-
-Result<std::vector<ScheduleStep>>
-parseSchedule(std::istream &in)
-{
-    std::vector<ScheduleStep> steps;
-    std::string line;
-    int lineno = 0;
-    while (std::getline(in, line)) {
-        ++lineno;
-        auto hash = line.find('#');
-        if (hash != std::string::npos)
-            line.resize(hash);
-        std::istringstream ss(line);
-        std::vector<std::string> tokens;
-        std::string tok;
-        while (ss >> tok)
-            tokens.push_back(tok);
-        if (tokens.empty())
-            continue; // blank / comment-only line
-        if (tokens.size() < 3 || tokens.size() > 4) {
-            return Status::invalidArgument(strf(
-                "schedule line %d: expected "
-                "\"flows size mtbr [repeats]\", found %zu field(s)",
-                lineno, tokens.size()));
-        }
-        double fields[4] = {0.0, 0.0, 0.0, 1.0};
-        static const char *const names[4] = {"flows", "size", "mtbr",
-                                             "repeats"};
-        for (std::size_t i = 0; i < tokens.size(); ++i) {
-            if (!parseScheduleNumber(tokens[i], &fields[i])) {
-                return Status::invalidArgument(strf(
-                    "schedule line %d: %s field '%s' is not a "
-                    "finite number",
-                    lineno, names[i], tokens[i].c_str()));
-            }
-        }
-        double flows = fields[0], size = fields[1],
-               mtbr = fields[2], repeats = fields[3];
-        auto rangeError = [&](const char *what, double lo,
-                              double hi) {
-            return Status::invalidArgument(
-                strf("schedule line %d: %s out of range [%g, %g]",
-                     lineno, what, lo, hi));
-        };
-        if (flows < 1.0 || flows > kMaxScheduleFlows)
-            return rangeError("flows", 1.0, kMaxScheduleFlows);
-        if (size < 1.0 || size > kMaxSchedulePacketSize)
-            return rangeError("size", 1.0, kMaxSchedulePacketSize);
-        if (mtbr < 0.0 || mtbr > kMaxScheduleMtbr)
-            return rangeError("mtbr", 0.0, kMaxScheduleMtbr);
-        if (repeats < 1.0 || repeats > kMaxScheduleRepeats)
-            return rangeError("repeats", 1.0, kMaxScheduleRepeats);
-        if (repeats != std::floor(repeats)) {
-            return Status::invalidArgument(
-                strf("schedule line %d: repeats must be an integer, "
-                     "got '%s'",
-                     lineno, tokens[3].c_str()));
-        }
-        ScheduleStep step;
-        step.profile = traffic::TrafficProfile::defaults()
-                           .withAttribute(
-                               traffic::Attribute::FlowCount, flows)
-                           .withAttribute(
-                               traffic::Attribute::PacketSize, size)
-                           .withAttribute(traffic::Attribute::Mtbr,
-                                          mtbr);
-        step.repeats = static_cast<int>(repeats);
-        steps.push_back(step);
-    }
-    if (steps.empty())
-        return Status::invalidArgument("schedule file has no steps");
-    return steps;
-}
 
 std::vector<ScheduleStep>
 defaultSchedule(const traffic::TrafficProfile &base)
@@ -696,78 +593,6 @@ toSchedule(const std::vector<traffic::SynthStep> &steps)
     for (const auto &s : steps)
         out.push_back({s.profile, s.repeats});
     return out;
-}
-
-ReplayResult
-replaySchedule(ReplayContext &ctx,
-               const std::vector<ScheduleStep> &schedule,
-               PredictionMonitor &monitor, const ReplayOptions &opts)
-{
-    if (!ctx.trainer || !ctx.model || !ctx.nf || !ctx.soloBed)
-        panic("replaySchedule: incomplete context");
-    TraceSpan span("monitor.replay");
-    span.field("label", ctx.label);
-    span.field("steps", static_cast<std::uint64_t>(schedule.size()));
-
-    // Resolve every step's workload up front (the trainer caches by
-    // profile) and prewarm the equilibrium solves across the pool;
-    // measurement and ingest then run serially in schedule order, so
-    // the sample stream — and with it the event stream — is
-    // width-invariant.
-    std::vector<std::vector<framework::WorkloadProfile>> deployments;
-    std::vector<std::vector<framework::WorkloadProfile>> solos;
-    for (const auto &step : schedule) {
-        const auto &w = ctx.trainer->workloadOf(*ctx.nf,
-                                                step.profile);
-        std::vector<framework::WorkloadProfile> deploy = {w};
-        deploy.insert(deploy.end(), ctx.competitors.begin(),
-                      ctx.competitors.end());
-        deployments.push_back(deploy);
-        solos.push_back({w});
-    }
-    ctx.soloBed->prewarm(solos);
-    sim::Testbed &measure =
-        ctx.measureBed ? static_cast<sim::Testbed &>(*ctx.measureBed)
-                       : *ctx.soloBed;
-    measure.prewarm(deployments);
-
-    ReplayResult res;
-    long sample = 0;
-    for (std::size_t i = 0; i < schedule.size(); ++i) {
-        const auto &step = schedule[i];
-        const auto &w = deployments[i][0];
-        double solo =
-            ctx.soloBed->runSolo(w).truthThroughput;
-        auto breakdown = ctx.model->predictDetailed(
-            ctx.levels, step.profile, solo);
-        for (int r = 0; r < step.repeats; ++r) {
-            if (opts.biasAtSample >= 0 &&
-                sample == opts.biasAtSample && ctx.measureBed) {
-                auto cfg = ctx.measureBed->faultConfig();
-                cfg.biasFactor = opts.biasFactor;
-                ctx.measureBed->setConfig(cfg);
-            }
-            auto ms = measure.run(deployments[i]);
-            // A faulted batch may come back short or reordered;
-            // find the target by name and let a lost reading take
-            // the monitor's invalid-sample path.
-            double measured =
-                std::numeric_limits<double>::quiet_NaN();
-            for (const auto &m : ms) {
-                if (m.nfName == w.nfName) {
-                    measured = m.throughput;
-                    break;
-                }
-            }
-            monitor.ingest(makeMonitorSample(
-                ctx.label, step.profile, breakdown, measured));
-            ++sample;
-        }
-    }
-    res.samples = static_cast<std::size_t>(sample);
-    res.events = monitor.events().size();
-    res.summary = monitor.summary();
-    return res;
 }
 
 } // namespace tomur::core

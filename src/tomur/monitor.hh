@@ -289,7 +289,7 @@ class PredictionMonitor
 };
 
 // ---------------------------------------------------------------
-// Schedule replay (the CLI `monitor` command and the golden tests)
+// Replay inputs (runAutopilot in tomur/supervisor.hh is the loop)
 // ---------------------------------------------------------------
 
 /** One step of a replayed traffic schedule. */
@@ -299,19 +299,13 @@ struct ScheduleStep
     int repeats = 1;
 };
 
-/**
- * Parse a schedule file: one "flows size mtbr repeats" line per
- * step, '#' comments and blank lines ignored.
- */
-Result<std::vector<ScheduleStep>> parseSchedule(std::istream &in);
-
 /** Built-in demo schedule: a stationary phase at `base`, then a
  *  flow-count shift, then back — enough to exercise every event. */
 std::vector<ScheduleStep>
 defaultSchedule(const traffic::TrafficProfile &base);
 
-/** Lower a synthesized scenario (traffic/synth) onto the replayable
- *  schedule machinery. */
+/** Lower a synthesized scenario (traffic/synth: a `--scenario`
+ *  script or a generator) onto the replayable schedule. */
 std::vector<ScheduleStep>
 toSchedule(const std::vector<traffic::SynthStep> &steps);
 
@@ -343,26 +337,6 @@ struct ReplayOptions
     long biasAtSample = -1;
     double biasFactor = 0.7;
 };
-
-/** Replay outcome. */
-struct ReplayResult
-{
-    std::size_t samples = 0;
-    std::size_t events = 0;
-    MonitorSummary summary;
-};
-
-/**
- * Replay a traffic schedule through the monitor: per step, deploy
- * the target (at the step's traffic) with the fixed competitors,
- * measure, predict, and ingest. Solves are prewarmed across the
- * pool; measurement and ingest stay in schedule order, so the event
- * stream is deterministic at any TOMUR_THREADS width.
- */
-ReplayResult replaySchedule(ReplayContext &ctx,
-                            const std::vector<ScheduleStep> &schedule,
-                            PredictionMonitor &monitor,
-                            const ReplayOptions &opts = {});
 
 } // namespace tomur::core
 

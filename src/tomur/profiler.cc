@@ -161,6 +161,41 @@ BenchLibrary::randomMemBench(Rng &rng) const
     return memBenches_[rng.uniformInt(memBenches_.size())];
 }
 
+BenchLibrary::Reference
+BenchLibrary::referenceContention(const framework::WorkloadProfile &w)
+{
+    const MemBenchEntry *mem = &memBenches_.front();
+    for (const auto &e : memBenches_) {
+        if (e.config.wssBytes >= 12.0 * 1024 * 1024 &&
+            e.level.counters.cacheAccessRate() >
+                mem->level.counters.cacheAccessRate()) {
+            mem = &e;
+        }
+    }
+    Reference ref;
+    ref.levels.push_back(mem->level);
+    ref.workloads.push_back(mem->workload);
+    // Bench knob per accelerator: regex MTBR, compression and crypto
+    // bytes per request.
+    static constexpr struct
+    {
+        hw::AccelKind kind;
+        double knob;
+    } kAccel[] = {
+        {hw::AccelKind::Regex, 800.0},
+        {hw::AccelKind::Compression, 8000.0},
+        {hw::AccelKind::Crypto, 16000.0},
+    };
+    for (const auto &a : kAccel) {
+        if (!w.usesAccel(a.kind))
+            continue;
+        const auto &entry = accelBench(a.kind, 150e3, a.knob);
+        ref.levels.push_back(entry.level);
+        ref.workloads.push_back(entry.workload);
+    }
+    return ref;
+}
+
 const BenchLibrary::AccelBenchEntry &
 BenchLibrary::accelBench(hw::AccelKind kind, double rate, double knob)
 {

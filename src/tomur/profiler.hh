@@ -70,6 +70,23 @@ class BenchLibrary
     const AccelBenchEntry &accelBench(hw::AccelKind kind, double rate,
                                       double mtbr);
 
+    /** Competitors a deployment is watched against, with the
+     *  contention levels the model reads for them. */
+    struct Reference
+    {
+        std::vector<ContentionLevel> levels;
+        std::vector<framework::WorkloadProfile> workloads;
+    };
+
+    /**
+     * Reference contention for workload `w`: the heaviest large-WSS
+     * mem-bench (highest cache access rate at >= 12 MiB WSS), then,
+     * in AccelKind order, a moderate open-loop bench (150k req/s) on
+     * each accelerator `w` uses. The diagnose, monitor, autopilot,
+     * serve and chaos paths all place their target against it.
+     */
+    Reference referenceContention(const framework::WorkloadProfile &w);
+
     sim::Testbed &testbed() { return testbed_; }
     const regex::RuleSet &rules() const { return rules_; }
     const framework::DeviceSet &devices() const { return devices_; }

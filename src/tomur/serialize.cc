@@ -70,8 +70,10 @@ MemoryModel::walk(Self &self, Sink &s)
     s.check(n > 0, "empty ensemble");
     s.flag(self.opts_.trafficAware);
     s.endLine();
+    // The width follows the trafficAware flag just read.
+    const std::size_t width = self.featureNames().size();
     s.elements(self.models_, n, [&](auto &m) {
-        ml::GradientBoostingRegressor::walk(m, s);
+        ml::GradientBoostingRegressor::walk(m, s, width);
     });
     s.loaded(self.opts_.seeds, static_cast<int>(n));
     s.loaded(self.fitted_, true);
@@ -125,8 +127,10 @@ TomurModel::walk(Self &self, Sink &s)
     std::size_t n = s.count(self.soloModels_, kMaxEnsembleModels);
     s.check(n > 0, "empty ensemble");
     s.endLine();
+    // Solo models predict on the traffic attributes alone.
     s.elements(self.soloModels_, n, [&](auto &m) {
-        ml::GradientBoostingRegressor::walk(m, s);
+        ml::GradientBoostingRegressor::walk(m, s,
+                                            traffic::numAttributes);
     });
     for (int k = 0; k < hw::numAccelKinds; ++k) {
         s.tag("accel");

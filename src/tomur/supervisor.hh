@@ -285,6 +285,11 @@ struct AutopilotResult
  * the model itself is a store blob, serialized only when the store
  * lacks that digest, i.e. once per model version.
  *
+ * This is the only replay loop. With maxRecalibrations = 0 and a
+ * null store it is a plain monitored replay: the supervisor never
+ * calls its hook and never opens the breaker, so the model is never
+ * touched (the CLI `monitor` preset).
+ *
  * `store` may be null (no checkpointing). Corrupt checkpoints, and
  * those whose model blob is missing or corrupt, fall back
  * generation-by-generation inside the store; an empty store with

@@ -14,10 +14,10 @@ namespace tomur::traffic {
 
 namespace {
 
-/** Same sanity bounds as the schedule parser (tomur/monitor.cc):
- *  generous, meant to reject garbage that lexes as a number — and to
- *  stop a fuzzer from smuggling in a profile or repeat count that
- *  melts the replay — not to police realistic traffic. */
+/** Sanity bounds on profile values and repeats: generous, meant to
+ *  reject garbage that lexes as a number — and to stop a fuzzer from
+ *  smuggling in a profile or repeat count that melts the replay —
+ *  not to police realistic traffic. */
 constexpr double kMaxFlows = 1e9;
 constexpr double kMaxPacketSize = 1e6;
 constexpr double kMaxMtbr = 1e12;

@@ -12,9 +12,12 @@
  * layers above (tomur/monitor, tomur/supervisor) keep their
  * width-invariant event-stream contract.
  *
+ * The DSL is the one text format for a replay schedule: a literal
+ * schedule is a list of `step flows= size= mtbr= repeats=` lines.
+ *
  * Layering: traffic/ sits below tomur/, so steps are expressed as
  * SynthStep (profile + repeats); tomur::core::toSchedule() lowers
- * them onto the ScheduleStep/replaySchedule machinery.
+ * them onto the ScheduleStep list that core::runAutopilot replays.
  */
 
 #ifndef TOMUR_TRAFFIC_SYNTH_HH
@@ -28,8 +31,9 @@
 
 namespace tomur::traffic {
 
-/** One synthesized schedule step: hold `profile` for `repeats`
- *  samples. Mirrors core::ScheduleStep without the layering cycle. */
+/** One schedule step: hold `profile` for `repeats` samples (one
+ *  `step` line of a scenario script). Mirrors core::ScheduleStep
+ *  without the layering cycle. */
 struct SynthStep
 {
     TrafficProfile profile;

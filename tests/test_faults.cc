@@ -431,6 +431,34 @@ TEST(CorruptModelCorpus, ChecksummedButPoisonedBodies)
     }
 }
 
+TEST(CorruptModelCorpus, SplitFeatureIndexOutOfRangeIsCorruptData)
+{
+    // A checksummed body whose root split reads feature 99: past the
+    // vector predict() would index, in either ensemble section.
+    std::string base = craftValidBody();
+    for (const char *section : {"memory_model ", "solo_models "}) {
+        auto poisoned = base;
+        auto tree = poisoned.find("tree ", poisoned.find(section));
+        ASSERT_NE(tree, std::string::npos) << section;
+        auto root = poisoned.find('\n', tree) + 1;
+        auto feature = poisoned.find(' ', root);
+        ASSERT_NE(poisoned.substr(root, feature - root), "-1")
+            << section << "root is a leaf";
+        poisoned.replace(root, feature - root, "99");
+
+        core::TomurModel m;
+        std::istringstream in(wrapV2(poisoned));
+        auto st = m.load(in);
+        EXPECT_EQ(st.code(), StatusCode::CorruptData)
+            << section << st.toString();
+        EXPECT_NE(st.message().find(
+                      "tree section: split feature index out of range"),
+                  std::string::npos)
+            << st.toString();
+        expectCleanRejection(wrapV2(poisoned), section);
+    }
+}
+
 TEST(CorruptModelCorpus, HealthFlagsRoundTrip)
 {
     core::TomurModel m;

@@ -390,146 +390,8 @@ TEST(Monitor, EventSinkSeesEventsAsTheyFire)
 }
 
 // ---------------------------------------------------------------
-// Schedule parsing
+// Built-in schedule
 // ---------------------------------------------------------------
-
-TEST(Schedule, ParsesLinesWithCommentsAndRepeats)
-{
-    std::istringstream in("# demo schedule\n"
-                          "16000 1500 600 30\n"
-                          "\n"
-                          "64000 1500 600  # shifted phase\n");
-    auto parsed = core::parseSchedule(in);
-    ASSERT_TRUE(parsed);
-    const auto &steps = parsed.value();
-    ASSERT_EQ(steps.size(), 2u);
-    EXPECT_EQ(steps[0].repeats, 30);
-    EXPECT_EQ(steps[0].profile.flowCount, 16000u);
-    EXPECT_EQ(steps[1].repeats, 1);
-    EXPECT_EQ(steps[1].profile.flowCount, 64000u);
-}
-
-TEST(Schedule, RejectsMalformedAndEmptyInput)
-{
-    std::istringstream bad("16000 1500\n");
-    EXPECT_FALSE(core::parseSchedule(bad));
-    std::istringstream empty("# nothing here\n");
-    EXPECT_FALSE(core::parseSchedule(empty));
-    std::istringstream negative("-5 1500 600\n");
-    EXPECT_FALSE(core::parseSchedule(negative));
-}
-
-/** Invariants every accepted schedule must satisfy (the documented
- *  field ranges): a fuzz input may be rejected, but anything that
- *  parses must be safe to replay. */
-void
-expectScheduleInvariants(const std::vector<core::ScheduleStep> &steps,
-                         const std::string &input)
-{
-    for (const auto &s : steps) {
-        EXPECT_GE(s.repeats, 1) << input;
-        EXPECT_LE(s.repeats, 1000000) << input;
-        EXPECT_GE(s.profile.flowCount, 1u) << input;
-        EXPECT_LE(s.profile.flowCount, 1000000000u) << input;
-        EXPECT_GE(s.profile.packetSize, 1u) << input;
-        EXPECT_LE(s.profile.packetSize, 1000000u) << input;
-        EXPECT_TRUE(std::isfinite(s.profile.mtbr)) << input;
-        EXPECT_GE(s.profile.mtbr, 0.0) << input;
-    }
-}
-
-TEST(ScheduleFuzz, RandomByteSoupNeverCrashesOrLeaksGarbage)
-{
-    // Seeded and deterministic: the same 500 hostile inputs on every
-    // run. The property is "no crash, and whatever parses satisfies
-    // the range invariants" — not that any particular input parses.
-    Rng rng(20260807);
-    const std::string alphabet =
-        "0123456789.-+eE \t#\nxyz\\\"\0\x01\x7f"s;
-    for (int iter = 0; iter < 500; ++iter) {
-        std::string input;
-        std::size_t len = rng.uniformInt(std::uint64_t(120));
-        for (std::size_t i = 0; i < len; ++i)
-            input.push_back(
-                alphabet[rng.uniformInt(alphabet.size())]);
-        std::istringstream in(input);
-        auto parsed = core::parseSchedule(in);
-        if (parsed)
-            expectScheduleInvariants(parsed.value(), input);
-    }
-}
-
-TEST(ScheduleFuzz, HostileTokensAreRejectedNotAccepted)
-{
-    // Structured fuzz: lines of 3-4 tokens drawn from a pool that is
-    // mostly poison. Any line containing a poison token must fail the
-    // whole parse (parseSchedule is all-or-nothing per stream).
-    static const char *const poison[] = {
-        "nan", "inf", "-inf", "1e999",   "1.5.2", "12ab",
-        "--5", "+",   ".",    "1e",      "-0.5",  "\x7f7",
-        "2,5",
-    };
-    static const char *const valid[] = {"16000", "1500", "600", "4"};
-    Rng rng(777);
-    for (int iter = 0; iter < 500; ++iter) {
-        bool poisoned = false;
-        std::string input;
-        std::size_t tokens = 3 + rng.uniformInt(std::uint64_t(2));
-        for (std::size_t i = 0; i < tokens; ++i) {
-            if (rng.uniform() < 0.3) {
-                input += poison[rng.uniformInt(
-                    std::uint64_t(sizeof(poison) /
-                                  sizeof(poison[0])))];
-                poisoned = true;
-            } else {
-                input += valid[i < 4 ? i : 3];
-            }
-            input += ' ';
-        }
-        input += '\n';
-        std::istringstream in(input);
-        auto parsed = core::parseSchedule(in);
-        if (poisoned) {
-            EXPECT_FALSE(parsed) << "accepted poison: " << input;
-        }
-        if (parsed)
-            expectScheduleInvariants(parsed.value(), input);
-    }
-}
-
-TEST(ScheduleFuzz, InRangeSchedulesRoundTrip)
-{
-    // The positive property: any schedule rendered from in-range
-    // values parses back to exactly those values.
-    Rng rng(4242);
-    for (int iter = 0; iter < 200; ++iter) {
-        std::uint64_t flows =
-            1 + rng.uniformInt(std::uint64_t(999999999));
-        std::uint64_t size =
-            1 + rng.uniformInt(std::uint64_t(999999));
-        std::uint64_t mtbr =
-            rng.uniformInt(std::uint64_t(1000000));
-        int repeats =
-            1 + static_cast<int>(
-                    rng.uniformInt(std::uint64_t(999999)));
-        std::string input = strf("%llu %llu %llu %d # fuzz\n",
-                                 (unsigned long long)flows,
-                                 (unsigned long long)size,
-                                 (unsigned long long)mtbr, repeats);
-        std::istringstream in(input);
-        auto parsed = core::parseSchedule(in);
-        ASSERT_TRUE(parsed) << input << ": "
-                            << parsed.status().toString();
-        ASSERT_EQ(parsed.value().size(), 1u);
-        const auto &s = parsed.value()[0];
-        EXPECT_EQ(s.profile.flowCount, flows) << input;
-        EXPECT_EQ(s.profile.packetSize, size) << input;
-        EXPECT_DOUBLE_EQ(s.profile.mtbr,
-                         static_cast<double>(mtbr))
-            << input;
-        EXPECT_EQ(s.repeats, repeats) << input;
-    }
-}
 
 TEST(Schedule, DefaultScheduleShiftsAndReturns)
 {
@@ -934,24 +796,15 @@ runGoldenReplay()
 
     // Reference contention: the heaviest large-WSS mem-bench plus a
     // moderate regex bench (FlowMonitor's accelerator).
-    const core::BenchLibrary::MemBenchEntry *mem =
-        &lib.memBenches().front();
-    for (const auto &e : lib.memBenches()) {
-        if (e.config.wssBytes >= 12.0 * 1024 * 1024 &&
-            e.level.counters.cacheAccessRate() >
-                mem->level.counters.cacheAccessRate()) {
-            mem = &e;
-        }
-    }
-    const auto &rx =
-        lib.accelBench(hw::AccelKind::Regex, 150e3, 800.0);
+    auto ref =
+        lib.referenceContention(trainer.workloadOf(*nf, defaults));
 
     core::ReplayContext ctx;
     ctx.trainer = &trainer;
     ctx.model = &model;
     ctx.nf = nf.get();
-    ctx.levels = {mem->level, rx.level};
-    ctx.competitors = {mem->workload, rx.workload};
+    ctx.levels = ref.levels;
+    ctx.competitors = ref.workloads;
     ctx.soloBed = &bed;
     ctx.measureBed = &faulty;
     ctx.label = "FlowMonitor";
@@ -965,8 +818,18 @@ runGoldenReplay()
     ropts.biasAtSample = 45;
     ropts.biasFactor = 0.75;
 
+    // A plain monitored replay is the autopilot with a retry budget
+    // of 0 and no checkpoint store: the supervisor never acts.
     core::PredictionMonitor monitor;
-    core::replaySchedule(ctx, schedule, monitor, ropts);
+    core::SupervisorOptions sopts;
+    sopts.maxRecalibrations = 0;
+    core::Supervisor supervisor(sopts);
+    core::AutopilotOptions aopts;
+    aopts.replay = ropts;
+    auto res = core::runAutopilot(ctx, schedule, monitor, supervisor,
+                                  nullptr, aopts);
+    EXPECT_TRUE(res) << res.status().toString();
+    EXPECT_TRUE(supervisor.events().empty());
 
     std::ostringstream out;
     monitor.exportJsonl(out);
@@ -1363,24 +1226,15 @@ runGoldenScenarioReplay()
     topts.adaptive.quota = 60;
     auto model = trainer.train(*nf, defaults, topts);
 
-    const core::BenchLibrary::MemBenchEntry *mem =
-        &lib.memBenches().front();
-    for (const auto &e : lib.memBenches()) {
-        if (e.config.wssBytes >= 12.0 * 1024 * 1024 &&
-            e.level.counters.cacheAccessRate() >
-                mem->level.counters.cacheAccessRate()) {
-            mem = &e;
-        }
-    }
-    const auto &rx =
-        lib.accelBench(hw::AccelKind::Regex, 150e3, 800.0);
+    auto ref =
+        lib.referenceContention(trainer.workloadOf(*nf, defaults));
 
     core::ReplayContext ctx;
     ctx.trainer = &trainer;
     ctx.model = &model;
     ctx.nf = nf.get();
-    ctx.levels = {mem->level, rx.level};
-    ctx.competitors = {mem->workload, rx.workload};
+    ctx.levels = ref.levels;
+    ctx.competitors = ref.workloads;
     ctx.soloBed = &bed;
     ctx.measureBed = &faulty;
     ctx.label = "FlowMonitor";

@@ -918,18 +918,9 @@ struct ModelWorld
                                traffic::TrafficProfile::defaults(),
                                topts);
 
-        const core::BenchLibrary::MemBenchEntry *mem =
-            &lib->memBenches().front();
-        for (const auto &e : lib->memBenches()) {
-            if (e.config.wssBytes >= 12.0 * 1024 * 1024 &&
-                e.level.counters.cacheAccessRate() >
-                    mem->level.counters.cacheAccessRate())
-                mem = &e;
-        }
-        levels.push_back(mem->level);
-        levels.push_back(
-            lib->accelBench(hw::AccelKind::Regex, 150e3, 800.0)
-                .level);
+        const auto &target = trainer->workloadOf(
+            *nf, traffic::TrafficProfile::defaults());
+        levels = lib->referenceContention(target).levels;
 
         // One file per process: ctest -j runs every test of this
         // binary as its own process, each building this fixture.

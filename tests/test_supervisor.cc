@@ -607,17 +607,10 @@ struct AutoEnv
         if (trainInitial)
             model = trainer->train(*nf, defaults(), trainOptions());
 
-        const core::BenchLibrary::MemBenchEntry *mem =
-            &lib->memBenches().front();
-        for (const auto &e : lib->memBenches()) {
-            if (e.config.wssBytes >= 12.0 * 1024 * 1024 &&
-                e.level.counters.cacheAccessRate() >
-                    mem->level.counters.cacheAccessRate()) {
-                mem = &e;
-            }
-        }
-        levels = {mem->level};
-        competitors = {mem->workload};
+        auto ref = lib->referenceContention(
+            trainer->workloadOf(*nf, defaults()));
+        levels = std::move(ref.levels);
+        competitors = std::move(ref.workloads);
     }
 
     static traffic::TrafficProfile

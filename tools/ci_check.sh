@@ -17,6 +17,9 @@
 #      persistence smoke through real files: train -> model file ->
 #      predict, and an autopilot killed by --crash-after whose
 #      --resume run exports the uninterrupted run's events (cmp).
+#      Last, `monitor` and `autopilot --max-recalibrations 0` on the
+#      same model and `step` scenario must export equal events (cmp):
+#      the two commands are one replay loop.
 #   4. Chaos smoke: a small seeded campaign through `tomur_cli
 #      chaos` must pass with zero violations, and a planted
 #      regression (--plant registry-no-commit) must be caught,
@@ -195,10 +198,36 @@ cmp "$replay_dir/ref.jsonl" "$replay_dir/resumed.jsonl" || {
         "uninterrupted run" >&2
     exit 1
 }
-trap - EXIT
-rm -rf "$replay_dir"
 echo "persistence smoke: model file loaded; crashed autopilot" \
     "resumed byte-identically"
+
+# One replay loop: `monitor` is the autopilot with a retry budget of
+# 0, so both commands must export the same event stream.
+cat > "$replay_dir/s.scn" <<'EOF'
+step flows=16000 size=1500 mtbr=600 repeats=12
+step flows=64000 size=1500 mtbr=600 repeats=12
+step flows=16000 size=1500 mtbr=600 repeats=8
+EOF
+"$cli" monitor FlowStats --model "$replay_dir/m.tomur" \
+    --scenario "$replay_dir/s.scn" \
+    --events-out "$replay_dir/mon.jsonl" \
+    > "$replay_dir/mon.log" 2>&1 &&
+    "$cli" autopilot FlowStats --model "$replay_dir/m.tomur" \
+        --max-recalibrations 0 --scenario "$replay_dir/s.scn" \
+        --events-out "$replay_dir/ap.jsonl" \
+        > "$replay_dir/ap.log" 2>&1 || {
+    echo "one-loop smoke: monitor/autopilot run failed" >&2
+    cat "$replay_dir/mon.log" "$replay_dir/ap.log" >&2
+    exit 1
+}
+cmp "$replay_dir/mon.jsonl" "$replay_dir/ap.jsonl" || {
+    echo "one-loop smoke: monitor and autopilot" \
+        "--max-recalibrations 0 exported different events" >&2
+    exit 1
+}
+trap - EXIT
+rm -rf "$replay_dir"
+echo "one-loop smoke: monitor equals autopilot with a budget of 0"
 
 echo ""
 echo "=== Tier 4: chaos smoke (campaign + planted regression) ==="

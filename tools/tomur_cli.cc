@@ -9,23 +9,26 @@
  *   predict <NF> --with A,B,...     predict under co-location and
  *                                   compare against a deployment
  *   diagnose <NF> [traffic opts]    per-resource breakdown
- *   monitor <NF> [--schedule FILE]  replay a traffic schedule through
- *                                   the prediction-quality monitor
  *   autopilot <NF> [--checkpoint-dir D] [--resume]
  *                                   self-healing monitored replay:
  *                                   crash-safe checkpoints, circuit-
  *                                   breaker recalibration, deadlines
- *   replay <NF> [--scenario FILE]   nonstationary stress harness:
- *                                   synthesized regime-change scenario
- *                                   through the autopilot, with time-
- *                                   to-recovery and a sampling profile
- *                                   of the replay loop
+ *   monitor <NF>                    the autopilot with a retry budget
+ *                                   of 0: watch the model, never
+ *                                   touch it
+ *   replay <NF>                     the autopilot on the synthesized
+ *                                   regime-change composite
  *   report [--metrics FILE] ...     render collected observability
  *                                   artifacts as a text/HTML dashboard
  *   serve <NF> [--port P] ...       prediction daemon: HTTP/JSON over
  *                                   epoll with load shedding, request
  *                                   deadlines, model hot-swap, and
  *                                   graceful SIGTERM drain
+ *
+ * The three replay commands run one driver (core::runAutopilot) and
+ * differ only in their default schedule and retry budget. A schedule
+ * is a `--scenario` script (traffic/synth.hh); a literal step is
+ * `step flows=F size=S mtbr=M repeats=R`.
  *
  * Traffic options: --flows N --size B --mtbr M (defaults 16000 /
  * 1500 / 600). All runs happen on the built-in BlueField-2 testbed;
@@ -104,22 +107,19 @@ struct Cli
     std::string metricsOut; ///< --metrics-out: metrics text dump
     double faultRate = 0.0;
 
-    // monitor
-    std::string schedulePath; ///< --schedule: replay script
+    // monitor / autopilot / replay
     std::string scenarioPath; ///< --scenario: synthesizer script
-    std::string eventsOut;    ///< --events-out: monitor JSONL
+    std::string eventsOut;    ///< --events-out: event JSONL
     double biasFactor = 0.7;  ///< --bias: drift magnitude
     long biasAt = -1;         ///< --bias-at: sample index (off < 0)
 
-    // autopilot
     std::string checkpointDir;       ///< --checkpoint-dir
     bool resume = false;             ///< --resume
     std::size_t checkpointEvery = 8; ///< --checkpoint-every
     double deadlineMs = 0.0;         ///< --deadline-ms (0 = off)
-    std::size_t maxRecalibrations = 8; ///< --max-recalibrations
+    /** --max-recalibrations: the retry budget (`monitor`: 0). */
+    std::size_t maxRecalibrations = 8;
     long crashAfter = -1; ///< --crash-after: chaos kill switch
-
-    // replay
     std::string profileOut; ///< --profile-out: sampling profile dump
 
     // serve
@@ -165,18 +165,16 @@ usage()
         "          [--faults P]\n"
         "  diagnose <NF> [--flows N] [--size B] [--mtbr M]\n"
         "          [--model FILE] [--faults P]\n"
-        "  monitor <NF> [--schedule FILE] [--scenario FILE]\n"
-        "          [--events-out FILE] [--bias F] [--bias-at K]\n"
-        "          [--quota Q] [--model FILE] [--faults P]\n"
-        "          [traffic opts]\n"
         "  autopilot <NF> [--checkpoint-dir DIR] [--resume]\n"
         "          [--checkpoint-every N] [--deadline-ms MS]\n"
         "          [--max-recalibrations N] [--crash-after N]\n"
-        "          [--schedule FILE] [--scenario FILE]\n"
+        "          [--scenario FILE] [--profile-out FILE]\n"
         "          [--events-out FILE] [--bias F] [--bias-at K]\n"
-        "          [--quota Q] [--faults P] [traffic opts]\n"
-        "  replay <NF> [--scenario FILE] [--profile-out FILE]\n"
-        "          [autopilot opts] [traffic opts]\n"
+        "          [--quota Q] [--model FILE] [--faults P]\n"
+        "          [traffic opts]\n"
+        "  monitor <NF> [autopilot opts]   (retry budget 0)\n"
+        "  replay <NF> [autopilot opts]    (default scenario: the\n"
+        "          regime-change composite)\n"
         "  report [--metrics FILE] [--trace FILE]\n"
         "          [--monitor FILE] [--slo FILE] [--access FILE]\n"
         "          [--chaos FILE] [--out FILE] [--html]\n"
@@ -265,6 +263,8 @@ parse(int argc, char **argv)
         }
         cli.nf = argv[i++];
     }
+    if (cli.command == "monitor")
+        cli.maxRecalibrations = 0;
     for (; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg == "--flows") {
@@ -290,8 +290,6 @@ parse(int argc, char **argv)
             cli.traceOut = strArg(argc, argv, i);
         } else if (arg == "--metrics-out") {
             cli.metricsOut = strArg(argc, argv, i);
-        } else if (arg == "--schedule") {
-            cli.schedulePath = strArg(argc, argv, i);
         } else if (arg == "--scenario") {
             cli.scenarioPath = strArg(argc, argv, i);
         } else if (arg == "--profile-out") {
@@ -615,50 +613,6 @@ cmdPredict(const Cli &cli)
     return kExitOk;
 }
 
-/** Reference contention: the heaviest large-WSS mem-bench plus a
- *  moderate bench on each accelerator the NF uses (shared by the
- *  diagnose and monitor commands). */
-struct ReferenceContention
-{
-    std::vector<core::ContentionLevel> levels;
-    std::vector<framework::WorkloadProfile> workloads;
-};
-
-ReferenceContention
-referenceContention(Env &env, const framework::WorkloadProfile &w)
-{
-    const core::BenchLibrary::MemBenchEntry *mem =
-        &env.lib->memBenches().front();
-    for (const auto &e : env.lib->memBenches()) {
-        if (e.config.wssBytes >= 12.0 * 1024 * 1024 &&
-            e.level.counters.cacheAccessRate() >
-                mem->level.counters.cacheAccessRate()) {
-            mem = &e;
-        }
-    }
-    ReferenceContention ref;
-    ref.levels.push_back(mem->level);
-    ref.workloads.push_back(mem->workload);
-    struct
-    {
-        hw::AccelKind kind;
-        double bytesPerSec;
-    } accel[] = {
-        {hw::AccelKind::Regex, 800.0},
-        {hw::AccelKind::Compression, 8000.0},
-        {hw::AccelKind::Crypto, 16000.0},
-    };
-    for (const auto &a : accel) {
-        if (!w.usesAccel(a.kind))
-            continue;
-        const auto &entry =
-            env.lib->accelBench(a.kind, 150e3, a.bytesPerSec);
-        ref.levels.push_back(entry.level);
-        ref.workloads.push_back(entry.workload);
-    }
-    return ref;
-}
-
 int
 cmdDiagnose(const Cli &cli)
 {
@@ -667,7 +621,7 @@ cmdDiagnose(const Cli &cli)
     auto model = obtainModel(env, cli, *nf);
 
     const auto &w = env.trainer->workloadOf(*nf, cli.profile);
-    auto levels = referenceContention(env, w).levels;
+    auto levels = env.lib->referenceContention(w).levels;
 
     double solo = env.bed.runSolo(w).truthThroughput;
     auto b = model.predictDetailed(levels, cli.profile, solo);
@@ -697,127 +651,38 @@ cmdDiagnose(const Cli &cli)
     return kExitOk;
 }
 
-/** Load --schedule / --scenario (or the built-in default), mapping
- *  failures to exit codes. --scenario goes through the nonstationary
- *  synthesizer DSL and is lowered onto the same ScheduleStep replay
- *  machinery. The `replay` command defaults to the composite stress
- *  scenario instead of the plain monitor schedule. */
+/** Load --scenario (or the built-in default), mapping failures to
+ *  exit codes. The `replay` command defaults to the composite stress
+ *  scenario, `monitor` and `autopilot` to the plain shift-and-return
+ *  schedule. */
 std::vector<core::ScheduleStep>
 loadScheduleOrExit(const Cli &cli)
 {
-    if (!cli.schedulePath.empty() && !cli.scenarioPath.empty()) {
-        std::fprintf(stderr, "error: --schedule and --scenario are "
-                             "mutually exclusive\n");
-        std::exit(kExitUsage);
-    }
-    if (!cli.scenarioPath.empty()) {
-        std::ifstream in(cli.scenarioPath);
-        if (!in) {
-            std::fprintf(stderr, "error: cannot open '%s': %s\n",
-                         cli.scenarioPath.c_str(),
-                         std::strerror(errno));
-            std::exit(kExitIo);
-        }
-        auto parsed = traffic::parseScenario(in);
-        if (!parsed) {
-            std::fprintf(stderr, "error: %s\n",
-                         parsed.status().toString().c_str());
-            std::exit(kExitUsage);
-        }
-        return core::toSchedule(parsed.value());
-    }
-    if (cli.schedulePath.empty()) {
+    if (cli.scenarioPath.empty()) {
         if (cli.command == "replay") {
             return core::toSchedule(
                 traffic::defaultComposite(cli.profile));
         }
         return core::defaultSchedule(cli.profile);
     }
-    std::ifstream in(cli.schedulePath);
+    std::ifstream in(cli.scenarioPath);
     if (!in) {
         std::fprintf(stderr, "error: cannot open '%s': %s\n",
-                     cli.schedulePath.c_str(), std::strerror(errno));
+                     cli.scenarioPath.c_str(), std::strerror(errno));
         std::exit(kExitIo);
     }
-    auto parsed = core::parseSchedule(in);
+    auto parsed = traffic::parseScenario(in);
     if (!parsed) {
         std::fprintf(stderr, "error: %s\n",
                      parsed.status().toString().c_str());
         std::exit(kExitUsage);
     }
-    return parsed.value();
+    return core::toSchedule(parsed.value());
 }
 
+/** The one driver behind `monitor`, `autopilot` and `replay`. */
 int
-cmdMonitor(const Cli &cli)
-{
-    Env env(cli.faultRate);
-    auto nf = nfs::makeByName(cli.nf, env.dev);
-    auto model = obtainModel(env, cli, *nf);
-
-    std::vector<core::ScheduleStep> schedule =
-        loadScheduleOrExit(cli);
-
-    const auto &w = env.trainer->workloadOf(*nf, cli.profile);
-    auto ref = referenceContention(env, w);
-
-    core::PredictionMonitor monitor;
-    core::ReplayContext ctx;
-    ctx.trainer = env.trainer.get();
-    ctx.model = &model;
-    ctx.nf = nf.get();
-    ctx.levels = ref.levels;
-    ctx.competitors = ref.workloads;
-    ctx.soloBed = &env.bed;
-    ctx.measureBed = &env.faulty;
-    ctx.label = cli.nf;
-
-    core::ReplayOptions ropts;
-    ropts.biasAtSample = cli.biasAt;
-    ropts.biasFactor = cli.biasFactor;
-
-    auto res = core::replaySchedule(ctx, schedule, monitor, ropts);
-
-    if (!cli.eventsOut.empty()) {
-        std::ofstream out(cli.eventsOut);
-        if (out)
-            monitor.exportJsonl(out);
-        if (!out) {
-            std::fprintf(stderr,
-                         "error: cannot write events to '%s': %s\n",
-                         cli.eventsOut.c_str(),
-                         std::strerror(errno));
-            return kExitIo;
-        }
-    }
-
-    const auto &sum = res.summary;
-    std::printf("%s: %zu samples replayed (%zu invalid, "
-                "%.1f%% degraded)\n",
-                cli.nf.c_str(), sum.samples, sum.invalidSamples,
-                100.0 * sum.degradedRate);
-    std::printf("  |rel error|: ewma %.4f, mean %.4f, "
-                "p50/p90/p99 %.4f/%.4f/%.4f\n",
-                sum.ewmaAbsError, sum.meanAbsError, sum.p50,
-                sum.p90, sum.p99);
-    std::printf("  events: %zu total\n", res.events);
-    for (int k = 0; k < core::numMonitorEventKinds; ++k) {
-        if (sum.eventCounts[k] == 0)
-            continue;
-        std::printf("    %-26s %zu\n",
-                    core::monitorEventName(
-                        static_cast<core::MonitorEventKind>(k)),
-                    sum.eventCounts[k]);
-    }
-    for (const auto &ev : monitor.events())
-        std::printf("  %s\n", ev.toJson().c_str());
-    return kExitOk;
-}
-
-/** Shared driver for `autopilot` and `replay`. Replay mode attaches
- *  the sampling profiler and reports the time-to-recovery rollup. */
-int
-runSupervisedReplay(const Cli &cli, bool replayMode)
+runSupervisedReplay(const Cli &cli)
 {
     // Install SIGTERM/SIGINT -> flag handlers before any heavy work:
     // a signal during initial training is remembered and honoured at
@@ -843,7 +708,7 @@ runSupervisedReplay(const Cli &cli, bool replayMode)
         loadScheduleOrExit(cli);
 
     const auto &w = env.trainer->workloadOf(*nf, cli.profile);
-    auto ref = referenceContention(env, w);
+    auto ref = env.lib->referenceContention(w);
 
     core::PredictionMonitor monitor;
     core::ReplayContext ctx;
@@ -917,8 +782,7 @@ runSupervisedReplay(const Cli &cli, bool replayMode)
     // checkpoint and returns, instead of dying mid-generation.
     aopts.stopRequested = serve::shutdownRequested;
     SamplingProfiler profiler;
-    if (replayMode)
-        aopts.profiler = &profiler;
+    aopts.profiler = &profiler;
 
     auto res = core::runAutopilot(ctx, schedule, monitor,
                                   supervisor, store.get(), aopts);
@@ -981,24 +845,18 @@ runSupervisedReplay(const Cli &cli, bool replayMode)
                     sup.eventCounts[k]);
     }
     const auto &mon = r.monitorSummary;
-    if (replayMode || mon.recoveries > 0 || mon.recoveryOpen) {
-        std::printf("  recovery: %zu regime changes recovered "
-                    "(mean %.1f samples, max %zu)%s\n",
-                    mon.recoveries, mon.meanRecoverySamples,
-                    mon.maxRecoverySamples,
-                    mon.recoveryOpen ? "; one regime still open"
-                                     : "");
-    }
-    if (replayMode) {
-        std::printf("  profiler: %llu tokens, %llu sampled "
-                    "(%llu dropped from ring)\n",
-                    static_cast<unsigned long long>(
-                        profiler.tokens()),
-                    static_cast<unsigned long long>(
-                        profiler.sampledTokens()),
-                    static_cast<unsigned long long>(
-                        profiler.droppedTokens()));
-    }
+    std::printf("  recovery: %zu regime changes recovered "
+                "(mean %.1f samples, max %zu)%s\n",
+                mon.recoveries, mon.meanRecoverySamples,
+                mon.maxRecoverySamples,
+                mon.recoveryOpen ? "; one regime still open" : "");
+    std::printf("  profiler: %llu tokens, %llu sampled "
+                "(%llu dropped from ring)\n",
+                static_cast<unsigned long long>(profiler.tokens()),
+                static_cast<unsigned long long>(
+                    profiler.sampledTokens()),
+                static_cast<unsigned long long>(
+                    profiler.droppedTokens()));
     if (!cli.profileOut.empty()) {
         std::ofstream out(cli.profileOut);
         if (out)
@@ -1015,18 +873,6 @@ runSupervisedReplay(const Cli &cli, bool replayMode)
 }
 
 int
-cmdAutopilot(const Cli &cli)
-{
-    return runSupervisedReplay(cli, /*replayMode=*/false);
-}
-
-int
-cmdReplay(const Cli &cli)
-{
-    return runSupervisedReplay(cli, /*replayMode=*/true);
-}
-
-int
 cmdServe(const Cli &cli)
 {
     Env env(cli.faultRate);
@@ -1037,7 +883,7 @@ cmdServe(const Cli &cli)
     // hot path predicts against these levels and never touches a
     // testbed, so a /predict costs microseconds.
     const auto &w = env.trainer->workloadOf(*nf, cli.profile);
-    auto ref = referenceContention(env, w);
+    auto ref = env.lib->referenceContention(w);
 
     serve::ModelRegistry registry;
     registry.install(std::move(model), cli.modelPath.empty()
@@ -1342,12 +1188,9 @@ runCommand(const Cli &cli)
         return cmdPredict(cli);
     if (cli.command == "diagnose")
         return cmdDiagnose(cli);
-    if (cli.command == "monitor")
-        return cmdMonitor(cli);
-    if (cli.command == "autopilot")
-        return cmdAutopilot(cli);
-    if (cli.command == "replay")
-        return cmdReplay(cli);
+    if (cli.command == "monitor" || cli.command == "autopilot" ||
+        cli.command == "replay")
+        return runSupervisedReplay(cli);
     if (cli.command == "chaos")
         return cmdChaos(cli);
     if (cli.command == "report")
