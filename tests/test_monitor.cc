@@ -390,8 +390,162 @@ TEST(Monitor, EventSinkSeesEventsAsTheyFire)
 }
 
 // ---------------------------------------------------------------
-// Built-in schedule
+// Schedule parsing
 // ---------------------------------------------------------------
+
+/** A schedule file is a scenario script whose literal steps are
+ *  `step flows= size= mtbr= [repeats=]` lines; this is the path the
+ *  CLI's `--scenario` option takes to the replayable schedule. */
+Result<std::vector<core::ScheduleStep>>
+parseScheduleText(const std::string &text)
+{
+    std::istringstream in(text);
+    auto parsed = traffic::parseScenario(in);
+    if (!parsed)
+        return parsed.status();
+    return core::toSchedule(parsed.value());
+}
+
+TEST(Schedule, ParsesLinesWithCommentsAndRepeats)
+{
+    auto parsed = parseScheduleText(
+        "# demo schedule\n"
+        "step flows=16000 size=1500 mtbr=600 repeats=30\n"
+        "\n"
+        "step flows=64000 size=1500 mtbr=600  # shifted phase\n");
+    ASSERT_TRUE(parsed) << parsed.status().toString();
+    const auto &steps = parsed.value();
+    ASSERT_EQ(steps.size(), 2u);
+    EXPECT_EQ(steps[0].repeats, 30);
+    EXPECT_EQ(steps[0].profile.flowCount, 16000u);
+    EXPECT_EQ(steps[1].repeats, 1);
+    EXPECT_EQ(steps[1].profile.flowCount, 64000u);
+}
+
+TEST(Schedule, RejectsMalformedAndEmptyInput)
+{
+    EXPECT_FALSE(parseScheduleText("step flows=16000 size\n"));
+    EXPECT_FALSE(parseScheduleText("16000 1500 600\n"));
+    EXPECT_FALSE(parseScheduleText("# nothing here\n"));
+    EXPECT_FALSE(parseScheduleText(""));
+    EXPECT_FALSE(
+        parseScheduleText("step flows=-5 size=1500 mtbr=600\n"));
+}
+
+/** Invariants every accepted schedule must satisfy (the documented
+ *  field ranges): a fuzz input may be rejected, but anything that
+ *  parses must be safe to replay. */
+void
+expectScheduleInvariants(const std::vector<core::ScheduleStep> &steps,
+                         const std::string &input)
+{
+    for (const auto &s : steps) {
+        EXPECT_GE(s.repeats, 1) << input;
+        EXPECT_LE(s.repeats, 1000000) << input;
+        EXPECT_GE(s.profile.flowCount, 1u) << input;
+        EXPECT_LE(s.profile.flowCount, 1000000000u) << input;
+        EXPECT_GE(s.profile.packetSize, 1u) << input;
+        EXPECT_LE(s.profile.packetSize, 1000000u) << input;
+        EXPECT_TRUE(std::isfinite(s.profile.mtbr)) << input;
+        EXPECT_GE(s.profile.mtbr, 0.0) << input;
+    }
+}
+
+TEST(ScheduleFuzz, RandomByteSoupNeverCrashesOrLeaksGarbage)
+{
+    // Seeded and deterministic: the same 500 hostile inputs on every
+    // run. The property is "no crash, and whatever parses satisfies
+    // the range invariants" — not that any particular input parses.
+    Rng rng(20260807);
+    const std::string alphabet =
+        "0123456789.-+eE= \t#\nstepflowsizemtbrrepeats"
+        "xyz\\\"\0\x01\x7f"s;
+    for (int iter = 0; iter < 500; ++iter) {
+        std::string input;
+        std::size_t len = rng.uniformInt(std::uint64_t(120));
+        for (std::size_t i = 0; i < len; ++i)
+            input.push_back(
+                alphabet[rng.uniformInt(alphabet.size())]);
+        auto parsed = parseScheduleText(input);
+        if (parsed)
+            expectScheduleInvariants(parsed.value(), input);
+    }
+}
+
+TEST(ScheduleFuzz, HostileTokensAreRejectedNotAccepted)
+{
+    // Structured fuzz: `step` lines of 3-4 fields whose values are
+    // drawn from a pool that is mostly poison. Any line containing a
+    // poison value must fail the whole parse (the schedule is
+    // all-or-nothing per stream).
+    static const char *const poison[] = {
+        "nan", "inf", "-inf", "1e999",   "1.5.2", "12ab",
+        "--5", "+",   ".",    "1e",      "-0.5",  "\x7f7",
+        "2,5",
+    };
+    static const char *const keys[] = {"flows", "size", "mtbr",
+                                       "repeats"};
+    static const char *const valid[] = {"16000", "1500", "600", "4"};
+    Rng rng(777);
+    for (int iter = 0; iter < 500; ++iter) {
+        bool poisoned = false;
+        std::string input = "step";
+        std::size_t fields = 3 + rng.uniformInt(std::uint64_t(2));
+        for (std::size_t i = 0; i < fields; ++i) {
+            input += ' ';
+            input += keys[i];
+            input += '=';
+            if (rng.uniform() < 0.3) {
+                input += poison[rng.uniformInt(
+                    std::uint64_t(sizeof(poison) /
+                                  sizeof(poison[0])))];
+                poisoned = true;
+            } else {
+                input += valid[i];
+            }
+        }
+        input += '\n';
+        auto parsed = parseScheduleText(input);
+        if (poisoned) {
+            EXPECT_FALSE(parsed) << "accepted poison: " << input;
+        }
+        if (parsed)
+            expectScheduleInvariants(parsed.value(), input);
+    }
+}
+
+TEST(ScheduleFuzz, InRangeSchedulesRoundTrip)
+{
+    // The positive property: any schedule rendered from in-range
+    // values parses back to exactly those values.
+    Rng rng(4242);
+    for (int iter = 0; iter < 200; ++iter) {
+        std::uint64_t flows =
+            1 + rng.uniformInt(std::uint64_t(999999999));
+        std::uint64_t size =
+            64 + rng.uniformInt(std::uint64_t(999936));
+        std::uint64_t mtbr =
+            rng.uniformInt(std::uint64_t(1000000));
+        int repeats =
+            1 + static_cast<int>(
+                    rng.uniformInt(std::uint64_t(999999)));
+        std::string input = strf(
+            "step flows=%llu size=%llu mtbr=%llu repeats=%d # fuzz\n",
+            (unsigned long long)flows, (unsigned long long)size,
+            (unsigned long long)mtbr, repeats);
+        auto parsed = parseScheduleText(input);
+        ASSERT_TRUE(parsed) << input << ": "
+                            << parsed.status().toString();
+        ASSERT_EQ(parsed.value().size(), 1u);
+        const auto &s = parsed.value()[0];
+        EXPECT_EQ(s.profile.flowCount, flows) << input;
+        EXPECT_EQ(s.profile.packetSize, size) << input;
+        EXPECT_DOUBLE_EQ(s.profile.mtbr,
+                         static_cast<double>(mtbr))
+            << input;
+        EXPECT_EQ(s.repeats, repeats) << input;
+    }
+}
 
 TEST(Schedule, DefaultScheduleShiftsAndReturns)
 {
