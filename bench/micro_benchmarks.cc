@@ -1,12 +1,13 @@
 /**
  * @file
  * Micro-benchmarks (google-benchmark) of the library's hot paths:
- * regex scanning (DFA and NFA), payload synthesis, gradient-boosting
- * training and inference, cache fixed point, round-robin solver,
- * full testbed equilibrium solves, monitor ingest, checkpoint
- * framing and workload profiling. A plain google-benchmark binary:
- * every --benchmark_* flag applies. End-to-end performance is
- * measured by perfbench (python3 perfbench/run.py).
+ * regex scanning (DFA and NFA), LZ compression, payload synthesis,
+ * gradient-boosting training and inference, cache fixed point,
+ * round-robin solver, full testbed equilibrium solves, monitor
+ * ingest, checkpoint framing and workload profiling. A plain
+ * google-benchmark binary: every --benchmark_* flag applies.
+ * End-to-end performance is measured by perfbench
+ * (python3 perfbench/run.py).
  */
 
 #include <benchmark/benchmark.h>
@@ -16,6 +17,7 @@
 #include "common.hh"
 #include "common/checkpoint.hh"
 #include "common/logging.hh"
+#include "framework/accel_dev.hh"
 #include "hw/accel_des.hh"
 #include "hw/cache.hh"
 #include "regex/generator.hh"
@@ -42,12 +44,26 @@ BM_RegexDfaScan(benchmark::State &state)
     regex::MultiMatcher matcher(regex::defaultRuleSet());
     auto payload = samplePayload(1434, 600);
     for (auto _ : state)
-        benchmark::DoNotOptimize(matcher.countMatches(payload));
+        benchmark::DoNotOptimize(matcher.scan(payload));
     state.SetBytesProcessed(
         static_cast<std::int64_t>(state.iterations()) *
         static_cast<std::int64_t>(payload.size()));
 }
 BENCHMARK(BM_RegexDfaScan);
+
+void
+BM_LzCompress(benchmark::State &state)
+{
+    auto payload = samplePayload(1434, 600);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            framework::CompressionDevice::lzCompress(payload));
+    }
+    state.SetBytesProcessed(
+        static_cast<std::int64_t>(state.iterations()) *
+        static_cast<std::int64_t>(payload.size()));
+}
+BENCHMARK(BM_LzCompress);
 
 void
 BM_RegexNfaScan(benchmark::State &state)

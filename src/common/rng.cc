@@ -15,35 +15,11 @@ splitmix64(std::uint64_t &state)
     return z ^ (z >> 31);
 }
 
-namespace {
-
-inline std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
-} // namespace
-
 Rng::Rng(std::uint64_t seed)
 {
     std::uint64_t sm = seed;
     for (auto &s : s_)
         s = splitmix64(sm);
-}
-
-Rng::result_type
-Rng::operator()()
-{
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-    return result;
 }
 
 double
@@ -59,30 +35,10 @@ Rng::uniform(double lo, double hi)
     return lo + (hi - lo) * uniform();
 }
 
-std::uint64_t
-Rng::uniformInt(std::uint64_t n)
+void
+Rng::badRange(const char *msg)
 {
-    if (n == 0)
-        panic("Rng::uniformInt(0)");
-    // Rejection-free multiply-shift (Lemire); tiny bias acceptable for
-    // simulation purposes but we keep the rejection loop for exactness.
-    std::uint64_t threshold = (-n) % n;
-    for (;;) {
-        std::uint64_t r = (*this)();
-        __uint128_t m = static_cast<__uint128_t>(r) * n;
-        std::uint64_t lo = static_cast<std::uint64_t>(m);
-        if (lo >= threshold)
-            return static_cast<std::uint64_t>(m >> 64);
-    }
-}
-
-std::int64_t
-Rng::uniformInt(std::int64_t lo, std::int64_t hi)
-{
-    if (hi < lo)
-        panic("Rng::uniformInt: hi < lo");
-    return lo + static_cast<std::int64_t>(
-        uniformInt(static_cast<std::uint64_t>(hi - lo) + 1));
+    panic(msg);
 }
 
 double

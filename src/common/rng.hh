@@ -10,6 +10,7 @@
 #ifndef TOMUR_COMMON_RNG_HH
 #define TOMUR_COMMON_RNG_HH
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -49,7 +50,19 @@ class Rng
     static constexpr result_type max() { return ~result_type(0); }
 
     /** Next raw 64-bit value. */
-    result_type operator()();
+    result_type
+    operator()()
+    {
+        const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+        const std::uint64_t t = s_[1] << 17;
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = std::rotl(s_[3], 45);
+        return result;
+    }
 
     /** Uniform double in [0, 1). */
     double uniform();
@@ -58,10 +71,31 @@ class Rng
     double uniform(double lo, double hi);
 
     /** Uniform integer in [0, n), n > 0. */
-    std::uint64_t uniformInt(std::uint64_t n);
+    std::uint64_t
+    uniformInt(std::uint64_t n)
+    {
+        if (n == 0) [[unlikely]]
+            badRange("Rng::uniformInt(0)");
+        // Lemire multiply-shift with the rejection loop kept for
+        // exactness. A power-of-two n never rejects ((-n) % n == 0),
+        // so it skips the divide and draws exactly one word.
+        const std::uint64_t threshold = (n & (n - 1)) ? (-n) % n : 0;
+        for (;;) {
+            __uint128_t m = static_cast<__uint128_t>((*this)()) * n;
+            if (static_cast<std::uint64_t>(m) >= threshold)
+                return static_cast<std::uint64_t>(m >> 64);
+        }
+    }
 
     /** Uniform integer in [lo, hi] inclusive. */
-    std::int64_t uniformInt(std::int64_t lo, std::int64_t hi);
+    std::int64_t
+    uniformInt(std::int64_t lo, std::int64_t hi)
+    {
+        if (hi < lo) [[unlikely]]
+            badRange("Rng::uniformInt: hi < lo");
+        return lo + static_cast<std::int64_t>(
+            uniformInt(static_cast<std::uint64_t>(hi - lo) + 1));
+    }
 
     /** Standard normal via Box-Muller. */
     double normal();
@@ -108,6 +142,9 @@ class Rng
     void setState(const RngState &st);
 
   private:
+    /** panic() with msg; out of line to keep the draws small. */
+    [[noreturn]] static void badRange(const char *msg);
+
     std::uint64_t s_[4];
     bool hasSpare_ = false;
     double spare_ = 0.0;

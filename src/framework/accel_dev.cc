@@ -1,7 +1,7 @@
 #include "framework/accel_dev.hh"
 
 #include <algorithm>
-#include <unordered_map>
+#include <bit>
 
 #include "common/logging.hh"
 #include "net/headers.hh"
@@ -20,8 +20,9 @@ RegexDevice::scan(std::span<const std::uint8_t> payload,
     RegexScanResult res;
     if (!ctx.accelFunctional())
         return res;
-    res.matchCount = matcher_.countMatches(payload);
-    res.matchedRules = matcher_.matchedRules(payload);
+    const auto found = matcher_.scan(payload);
+    res.matchCount = found.count;
+    res.matchedRules = found.rules;
     AccelRequest req;
     req.kind = hw::AccelKind::Regex;
     req.bytes = static_cast<double>(payload.size());
@@ -50,7 +51,18 @@ CompressionDevice::lzCompress(std::span<const std::uint8_t> input)
 {
     std::vector<std::uint8_t> out;
     out.reserve(input.size() + input.size() / 64 + 16);
-    std::unordered_map<std::uint32_t, std::size_t> table;
+    // The last position of each exact 24-bit hash3 key, in a linear
+    // probing table at most half full: a lookup finds what a hash map
+    // would, without a heap node per byte. A tag is key + 1; 0 is empty.
+    struct Slot
+    {
+        std::size_t pos;
+        std::uint32_t tag;
+    };
+    const std::size_t slots = std::bit_ceil(std::max<std::size_t>(
+        16, 2 * std::min<std::size_t>(input.size(), 1u << 24)));
+    const int shift = 64 - std::countr_zero(slots);
+    std::vector<Slot> table(slots);
 
     std::size_t lit_start = 0;
     auto flushLiterals = [&](std::size_t end) {
@@ -67,12 +79,14 @@ CompressionDevice::lzCompress(std::span<const std::uint8_t> input)
 
     std::size_t i = 0;
     while (i + minMatchLen <= input.size()) {
-        std::uint32_t h = hash3(input.data() + i);
-        auto it = table.find(h);
+        const std::uint32_t tag = hash3(input.data() + i) + 1;
+        std::size_t s = (tag * 0x9e3779b97f4a7c15ULL) >> shift;
+        while (table[s].tag && table[s].tag != tag)
+            s = (s + 1) & (slots - 1);
         std::size_t match_len = 0;
         std::size_t match_pos = 0;
-        if (it != table.end()) {
-            std::size_t cand = it->second;
+        if (table[s].tag) {
+            std::size_t cand = table[s].pos;
             std::size_t dist = i - cand;
             if (dist >= 1 && dist <= 0xffff) {
                 std::size_t len = 0;
@@ -88,7 +102,7 @@ CompressionDevice::lzCompress(std::span<const std::uint8_t> input)
                 }
             }
         }
-        table[h] = i;
+        table[s] = {i, tag};
         if (match_len) {
             flushLiterals(i);
             out.push_back(static_cast<std::uint8_t>(

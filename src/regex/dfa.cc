@@ -126,9 +126,8 @@ Dfa::countMatches(const std::uint8_t *data, std::size_t len) const
 {
     std::uint64_t count = 0;
     std::uint32_t state = start_;
-    const int nc = numClasses_;
     for (std::size_t i = 0; i < len; ++i) {
-        state = trans_[state * nc + byteClass_[data[i]]];
+        state = next(state, data[i]);
         count += acceptCount_[state];
     }
     if (len)
@@ -141,9 +140,8 @@ Dfa::matchedRules(const std::uint8_t *data, std::size_t len) const
 {
     std::uint64_t rules = 0;
     std::uint32_t state = start_;
-    const int nc = numClasses_;
     for (std::size_t i = 0; i < len; ++i) {
-        state = trans_[state * nc + byteClass_[data[i]]];
+        state = next(state, data[i]);
         rules |= accept_[state];
     }
     if (len)

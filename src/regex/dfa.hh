@@ -51,6 +51,22 @@ class Dfa
     std::uint64_t matchedRules(const std::uint8_t *data,
                                std::size_t len) const;
 
+    /** Start state; with next() and the accept views below, one step
+     *  of the scan loops (MultiMatcher::scan runs many at once). */
+    std::uint32_t start() const { return start_; }
+
+    std::uint32_t
+    next(std::uint32_t state, std::uint8_t byte) const
+    {
+        return trans_[state * numClasses_ + byteClass_[byte]];
+    }
+
+    /** Unanchored-end match events on entering state. */
+    unsigned acceptCount(std::uint32_t s) const { return acceptCount_[s]; }
+
+    /** '$'-anchored rules accepting when the input ends in state s. */
+    std::uint64_t acceptAtEnd(std::uint32_t s) const { return acceptAtEnd_[s]; }
+
   private:
     Dfa() = default;
 

@@ -1,5 +1,8 @@
 #include "regex/matcher.hh"
 
+#include <array>
+#include <bit>
+
 #include "common/logging.hh"
 #include "common/strutil.hh"
 
@@ -30,6 +33,11 @@ MultiMatcher::MultiMatcher(const RuleSet &rules,
 {
     if (patterns_.empty())
         fatal(strf("ruleset '%s' is empty", rules.name.c_str()));
+    if (patterns_.size() > maxRules) {
+        fatal(strf("ruleset '%s' has %zu rules; a matcher takes at "
+                   "most %zu",
+                   rules.name.c_str(), patterns_.size(), maxRules));
+    }
     names_.reserve(rules.rules.size());
     for (const Rule &r : rules.rules)
         names_.push_back(r.name);
@@ -46,7 +54,9 @@ MultiMatcher::MultiMatcher(const RuleSet &rules,
                               patterns_[i].source});
         e.nfa = std::make_unique<Nfa>(one);
         e.dfa = Dfa::build(*e.nfa, dfa_state_budget);
-        if (!e.dfa) {
+        if (e.dfa) {
+            lanes_.push_back({e.dfa.get(), i});
+        } else {
             warn(strf("rule '%s': DFA budget exceeded, using NFA path",
                       names_[i].c_str()));
         }
@@ -57,49 +67,42 @@ MultiMatcher::MultiMatcher(const RuleSet &rules,
 bool
 MultiMatcher::usesDfa() const
 {
-    for (const auto &e : engines_)
-        if (!e.dfa)
-            return false;
-    return true;
+    return lanes_.size() == engines_.size();
 }
 
-std::uint64_t
-MultiMatcher::countMatches(std::span<const std::uint8_t> data) const
+MultiMatcher::ScanResult
+MultiMatcher::scan(std::span<const std::uint8_t> data) const
 {
-    std::uint64_t total = 0;
-    for (const auto &e : engines_) {
-        total += e.dfa ? e.dfa->countMatches(data.data(), data.size())
-                       : e.nfa->countMatches(data.data(), data.size());
+    ScanResult res;
+    const std::size_t n = lanes_.size();
+    std::array<std::uint32_t, maxRules> state{};
+    std::array<std::uint64_t, maxRules> count{};
+    for (std::size_t l = 0; l < n; ++l)
+        state[l] = lanes_[l].dfa->start();
+    for (std::uint8_t byte : data) {
+        for (std::size_t l = 0; l < n; ++l) {
+            state[l] = lanes_[l].dfa->next(state[l], byte);
+            count[l] += lanes_[l].dfa->acceptCount(state[l]);
+        }
     }
-    return total;
-}
-
-std::uint64_t
-MultiMatcher::matchedRules(std::span<const std::uint8_t> data) const
-{
-    std::uint64_t rules = 0;
+    for (std::size_t l = 0; l < n; ++l) {
+        if (!data.empty())
+            count[l] +=
+                std::popcount(lanes_[l].dfa->acceptAtEnd(state[l]));
+        res.count += count[l];
+        if (count[l])
+            res.rules |= std::uint64_t(1) << lanes_[l].rule;
+    }
     for (std::size_t i = 0; i < engines_.size(); ++i) {
-        const auto &e = engines_[i];
-        std::uint64_t m =
-            e.dfa ? e.dfa->matchedRules(data.data(), data.size())
-                  : e.nfa->matchedRules(data.data(), data.size());
-        if (m)
-            rules |= std::uint64_t(1) << i;
+        if (engines_[i].dfa)
+            continue;
+        std::uint64_t c = 0, r = 0;
+        engines_[i].nfa->simulate(data.data(), data.size(), &c, &r);
+        res.count += c;
+        if (r)
+            res.rules |= std::uint64_t(1) << i;
     }
-    return rules;
-}
-
-bool
-MultiMatcher::anyMatch(std::span<const std::uint8_t> data) const
-{
-    for (const auto &e : engines_) {
-        std::uint64_t m =
-            e.dfa ? e.dfa->matchedRules(data.data(), data.size())
-                  : e.nfa->matchedRules(data.data(), data.size());
-        if (m)
-            return true;
-    }
-    return false;
+    return res;
 }
 
 } // namespace tomur::regex

@@ -54,17 +54,25 @@ class MultiMatcher
     /** Number of rules compiled. */
     int numRules() const { return static_cast<int>(engines_.size()); }
 
+    /** Most rules a matcher takes: one bit each in a rule mask. */
+    static constexpr std::size_t maxRules = 64;
+
     /** True when every rule uses the DFA fast path. */
     bool usesDfa() const;
 
-    /** Count match events over a payload. */
-    std::uint64_t countMatches(std::span<const std::uint8_t> data) const;
+    /** What one scan of a payload finds. */
+    struct ScanResult
+    {
+        std::uint64_t count = 0; ///< match events
+        std::uint64_t rules = 0; ///< bitmask of rules that matched
+    };
 
-    /** Bitmask of rules that matched at least once. */
-    std::uint64_t matchedRules(std::span<const std::uint8_t> data) const;
-
-    /** Convenience: does any rule match? */
-    bool anyMatch(std::span<const std::uint8_t> data) const;
+    /**
+     * Scan a payload once. Every DFA rule is a lane stepped on each
+     * byte, so the lanes' table walks overlap instead of running one
+     * after another; rules on the NFA fallback are simulated after.
+     */
+    ScanResult scan(std::span<const std::uint8_t> data) const;
 
     /** Access the parsed patterns (e.g. for payload generation). */
     const std::vector<Pattern> &patterns() const { return patterns_; }
@@ -82,9 +90,17 @@ class MultiMatcher
         std::unique_ptr<Dfa> dfa; ///< null if over budget
     };
 
+    /** A DFA engine's slot in the scan loop. */
+    struct Lane
+    {
+        const Dfa *dfa;
+        std::size_t rule;
+    };
+
     std::vector<Pattern> patterns_;
     std::vector<std::string> names_;
     std::vector<Engine> engines_;
+    std::vector<Lane> lanes_;
 };
 
 } // namespace tomur::regex

@@ -74,6 +74,11 @@ class Nfa
     std::uint64_t matchedRules(const std::uint8_t *data,
                                std::size_t len) const;
 
+    /** Both of the above in one pass; either output may be null. */
+    void simulate(const std::uint8_t *data, std::size_t len,
+                  std::uint64_t *match_count,
+                  std::uint64_t *matched_rules) const;
+
   private:
     /** Fragment under construction: entry state + dangling outs. */
     struct Frag
@@ -86,10 +91,6 @@ class Nfa
     int addState(NfaState s);
     void patch(const Frag &f, int target);
     Frag build(const Node &n);
-
-    void simulate(const std::uint8_t *data, std::size_t len,
-                  std::uint64_t *match_count,
-                  std::uint64_t *matched_rules) const;
 
     std::vector<NfaState> states_;
     int start_ = -1;

@@ -51,8 +51,12 @@ TrafficGen::makePayload()
     std::vector<std::uint8_t> payload(payloadLen_);
     // Background filler: high bytes that protocol signatures never
     // match (validated by RegexRuleset.RandomBinaryRarelyMatches).
+    // Drawn from a local copy: a byte store may alias a member, so
+    // drawing from rng_ would reload and store its state per byte.
+    Rng filler = rng_;
     for (auto &b : payload)
-        b = static_cast<std::uint8_t>(rng_.uniformInt(0x80, 0xff));
+        b = static_cast<std::uint8_t>(filler.uniformInt(0x80, 0xff));
+    rng_ = filler;
 
     if (profile_.mtbr <= 0.0 || patterns_.empty() || payload.empty())
         return payload;

@@ -64,6 +64,48 @@ TEST(Rng, UniformIntCoversAll)
     EXPECT_EQ(seen.size(), 5u);
 }
 
+TEST(Rng, UniformIntDrawsArePinned)
+{
+    // The draw sequence is part of the determinism contract (goldens,
+    // model bytes). Each digest covers 64 draws of uniformInt(n) from
+    // a fresh Rng(2026) plus the next raw word, which also pins how
+    // many words the draws consumed; 2^63 + 1 rejects about half.
+    struct Pin
+    {
+        std::uint64_t n;
+        std::uint64_t digest;
+    };
+    const std::uint64_t half = std::uint64_t(1) << 63;
+    const Pin pins[] = {
+        {1, 0x6bb61284f18e72e1},    {2, 0x0b3264e8f4e58c29},
+        {3, 0xf3a4bfbee3355d49},    {128, 0x77d5484b7399732c},
+        {1000, 0xd87ce2958a179f72}, {half, 0xeb117cfe4bd7cf7e},
+        {half + 1, 0x41d14bd430344061},
+        {~std::uint64_t(0), 0xcb18dc50e94995f3},
+    };
+    for (const Pin &p : pins) {
+        Rng r(2026);
+        std::string draws;
+        for (int i = 0; i < 64; ++i)
+            draws += std::to_string(r.uniformInt(p.n)) + ' ';
+        draws += std::to_string(r());
+        EXPECT_EQ(fnv1a64(draws), p.digest) << "n = " << p.n;
+    }
+
+    // The payload filler draw, value by value.
+    const std::int64_t filler[64] = {
+        201, 164, 232, 242, 231, 228, 234, 234, 238, 158, 251,
+        168, 239, 221, 188, 223, 155, 151, 222, 179, 138, 161,
+        213, 155, 243, 144, 245, 182, 233, 159, 212, 195, 166,
+        154, 158, 137, 206, 130, 184, 199, 169, 212, 193, 231,
+        224, 152, 174, 146, 240, 203, 231, 147, 242, 234, 243,
+        219, 163, 150, 254, 215, 137, 180, 169, 129,
+    };
+    Rng r(2026);
+    for (int i = 0; i < 64; ++i)
+        EXPECT_EQ(r.uniformInt(0x80, 0xff), filler[i]) << "draw " << i;
+}
+
 TEST(Rng, NormalMoments)
 {
     Rng r(11);

@@ -6,10 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+
 #include "framework/accel_dev.hh"
 #include "framework/flow_table.hh"
 #include "framework/nf.hh"
 #include "framework/profile.hh"
+#include "net/headers.hh"
 #include "regex/ruleset.hh"
 #include "traffic/generator.hh"
 
@@ -140,6 +143,115 @@ TEST(CompressionDevice, EmptyInput)
 {
     auto c = CompressionDevice::lzCompress({});
     EXPECT_TRUE(CompressionDevice::lzDecompress(c).empty());
+}
+
+/** lzCompress as first written, over a std::unordered_map: the bytes
+ *  the table-based version must reproduce exactly. */
+std::vector<std::uint8_t>
+referenceLzCompress(std::span<const std::uint8_t> input)
+{
+    std::vector<std::uint8_t> out;
+    std::unordered_map<std::uint32_t, std::size_t> table;
+    std::size_t lit_start = 0;
+    auto flushLiterals = [&](std::size_t end) {
+        std::size_t pos = lit_start;
+        while (pos < end) {
+            std::size_t run = std::min<std::size_t>(128, end - pos);
+            out.push_back(static_cast<std::uint8_t>(run - 1));
+            out.insert(out.end(), input.begin() + pos,
+                       input.begin() + pos + run);
+            pos += run;
+        }
+        lit_start = end;
+    };
+    std::size_t i = 0;
+    while (i + 4 <= input.size()) {
+        std::uint32_t h = (std::uint32_t(input[i]) << 16) ^
+                          (std::uint32_t(input[i + 1]) << 8) ^
+                          input[i + 2];
+        auto it = table.find(h);
+        std::size_t match_len = 0;
+        std::size_t match_pos = 0;
+        if (it != table.end()) {
+            std::size_t cand = it->second;
+            std::size_t dist = i - cand;
+            if (dist >= 1 && dist <= 0xffff) {
+                std::size_t len = 0;
+                std::size_t max_len =
+                    std::min<std::size_t>(131, input.size() - i);
+                while (len < max_len &&
+                       input[cand + len] == input[i + len]) {
+                    ++len;
+                }
+                if (len >= 4) {
+                    match_len = len;
+                    match_pos = cand;
+                }
+            }
+        }
+        table[h] = i;
+        if (match_len) {
+            flushLiterals(i);
+            out.push_back(static_cast<std::uint8_t>(0x80 | (match_len - 4)));
+            out.resize(out.size() + 2);
+            net::storeBe16(out.data() + out.size() - 2,
+                           static_cast<std::uint16_t>(i - match_pos));
+            i += match_len;
+            lit_start = i;
+        } else {
+            ++i;
+        }
+    }
+    flushLiterals(input.size());
+    return out;
+}
+
+TEST(CompressionDevice, BytesEqualHashMapReference)
+{
+    Rng rng(21);
+    std::vector<std::vector<std::uint8_t>> inputs = {{}, {7}};
+    for (std::size_t n = 2; n <= 4; ++n) {
+        inputs.emplace_back(n, 'a');
+        inputs.emplace_back();
+        for (std::size_t k = 0; k < n; ++k)
+            inputs.back().push_back(static_cast<std::uint8_t>(k));
+    }
+    inputs.emplace_back(3000, 0);
+    std::string text;
+    while (text.size() < 5000)
+        text += "GET /index.html HTTP/1.1 host: a.example ";
+    inputs.emplace_back(text.begin(), text.end());
+    for (std::size_t n : {100u, 1500u, 9000u}) {
+        inputs.emplace_back(n);
+        for (auto &b : inputs.back())
+            b = static_cast<std::uint8_t>(rng.uniformInt(256u));
+    }
+    auto rules = regex::defaultRuleSet();
+    traffic::TrafficProfile p;
+    p.mtbr = 3000;
+    p.packetSize = 1542;
+    traffic::TrafficGen gen(p, &rules, 4);
+    for (int k = 0; k < 20; ++k)
+        inputs.push_back(gen.makePayload());
+    // Past 0xffff the distance check decides: a random block repeated
+    // twice and a small-alphabet run, both longer than a match can
+    // reach back.
+    std::vector<std::uint8_t> block(70000);
+    for (auto &b : block)
+        b = static_cast<std::uint8_t>(rng.uniformInt(256u));
+    inputs.push_back(block);
+    inputs.back().insert(inputs.back().end(), block.begin(), block.end());
+    inputs.emplace_back(200000);
+    for (auto &b : inputs.back())
+        b = static_cast<std::uint8_t>('a' + rng.uniformInt(3u));
+
+    for (std::size_t k = 0; k < inputs.size(); ++k) {
+        auto got = CompressionDevice::lzCompress(inputs[k]);
+        EXPECT_EQ(got, referenceLzCompress(inputs[k]))
+            << "input " << k << " (" << inputs[k].size() << " bytes)";
+        EXPECT_EQ(CompressionDevice::lzDecompress(got), inputs[k])
+            << "input " << k;
+    }
 }
 
 TEST(Nf, ChainStopsOnDrop)

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 
 #include "common/rng.hh"
@@ -14,6 +15,7 @@
 #include "regex/matcher.hh"
 #include "regex/parser.hh"
 #include "regex/ruleset.hh"
+#include "traffic/generator.hh"
 
 namespace tomur::regex {
 namespace {
@@ -33,7 +35,7 @@ countIn(const std::string &pattern, const std::string &text,
     rs.rules = {{"r", pattern, ci}};
     MultiMatcher m(rs);
     auto b = bytes(text);
-    return m.countMatches(b);
+    return m.scan(b).count;
 }
 
 TEST(RegexParser, RejectsBadSyntax)
@@ -140,8 +142,8 @@ TEST(RegexMatch, MultiRuleCounts)
     auto b = bytes("abcd x12y foobaz zzz end");
     // alpha: abcd (1), beta: x12y (1), gamma: foobaz (1),
     // delta: 'end' at end (1)
-    EXPECT_EQ(m.countMatches(b), 4u);
-    EXPECT_EQ(m.matchedRules(b), 0xfu);
+    EXPECT_EQ(m.scan(b).count, 4u);
+    EXPECT_EQ(m.scan(b).rules, 0xfu);
 }
 
 TEST(RegexMatch, EmptyPatternRejected)
@@ -150,6 +152,20 @@ TEST(RegexMatch, EmptyPatternRejected)
     rs.name = "bad";
     rs.rules = {{"empty", "a*", false}};
     EXPECT_DEATH({ MultiMatcher m(rs); }, "empty string");
+}
+
+TEST(RegexMatch, MoreThan64RulesFatal)
+{
+    // A rule's bit in the 64-bit mask is its index, so rule 64 would
+    // have none. (Death tests run threadsafe-style; see CMakeLists.)
+    RuleSet rs;
+    rs.name = "wide";
+    for (int i = 0; i < 64; ++i)
+        rs.rules.push_back({"r" + std::to_string(i), "abc", false});
+    EXPECT_EQ(MultiMatcher(rs).numRules(), 64);
+    rs.rules.push_back({"r64", "abc", false});
+    EXPECT_DEATH({ MultiMatcher m(rs); },
+                 "has 65 rules; a matcher takes at most 64");
 }
 
 TEST(RegexDfa, AgreesWithNfa)
@@ -198,6 +214,111 @@ TEST(RegexDfa, AgreesWithNfa)
     }
 }
 
+/** Every rule's own automaton run alone, as the matcher compiles it
+ *  (the DFA within budget, else the NFA): the reference for scan. */
+class PerEngineReference
+{
+  public:
+    PerEngineReference(const RuleSet &rs, std::size_t budget)
+    {
+        for (const auto &rule : rs.rules) {
+            ParseOptions o;
+            o.caseInsensitive = rule.caseInsensitive;
+            std::vector<Pattern> pats;
+            pats.push_back(parseOrDie(rule.pattern, o));
+            nfas_.push_back(std::make_unique<Nfa>(pats));
+            dfas_.push_back(Dfa::build(*nfas_.back(), budget));
+        }
+    }
+
+    /** Rules that fell back to the NFA. */
+    std::size_t
+    nfaRules() const
+    {
+        return std::count(dfas_.begin(), dfas_.end(), nullptr);
+    }
+
+    MultiMatcher::ScanResult
+    scan(const std::vector<std::uint8_t> &d) const
+    {
+        MultiMatcher::ScanResult res;
+        for (std::size_t i = 0; i < nfas_.size(); ++i) {
+            const Dfa *dfa = dfas_[i].get();
+            res.count += dfa ? dfa->countMatches(d.data(), d.size())
+                             : nfas_[i]->countMatches(d.data(), d.size());
+            if (dfa ? dfa->matchedRules(d.data(), d.size())
+                    : nfas_[i]->matchedRules(d.data(), d.size()))
+                res.rules |= std::uint64_t(1) << i;
+        }
+        return res;
+    }
+
+  private:
+    std::vector<std::unique_ptr<Nfa>> nfas_;
+    std::vector<std::unique_ptr<Dfa>> dfas_;
+};
+
+TEST(RegexScan, EqualsPerEngineReference)
+{
+    // The interleaved pass must report what each rule's automaton
+    // reports alone. The small budgets mix NFA fallback engines in
+    // among the DFA lanes.
+    struct Case
+    {
+        RuleSet rules;
+        std::size_t budget;
+        std::size_t nfaRules;
+    };
+    const Case cases[] = {
+        {defaultRuleSet(), 4096, 0},
+        {tinyRuleSet(), 4096, 0},
+        {defaultRuleSet(), 100, 7},
+        {tinyRuleSet(), 5, 1},
+    };
+    for (const Case &c : cases) {
+        MultiMatcher m(c.rules, c.budget);
+        PerEngineReference ref(c.rules, c.budget);
+        ASSERT_EQ(ref.nfaRules(), c.nfaRules)
+            << c.rules.name << " budget " << c.budget;
+        EXPECT_EQ(m.usesDfa(), c.nfaRules == 0);
+
+        std::vector<std::vector<std::uint8_t>> inputs = {
+            {}, bytes("end"), bytes("abcd end"), bytes("x12y endend"),
+            bytes("get /a http/1.1"), bytes("end\n")};
+        Rng rng(c.budget);
+        for (int i = 0; i < 500; ++i) {
+            // Mixed text and binary, sometimes ending in a '$' match.
+            std::vector<std::uint8_t> d(rng.uniformInt(1500u));
+            for (auto &b : d) {
+                b = rng.chance(0.7)
+                    ? static_cast<std::uint8_t>(
+                          rng.uniformInt(0x20, 0x7e))
+                    : static_cast<std::uint8_t>(
+                          rng.uniformInt(std::int64_t(0), 255));
+            }
+            if (rng.chance(0.3))
+                d.insert(d.end(), {'e', 'n', 'd'});
+            inputs.push_back(std::move(d));
+        }
+        for (int i = 0; i < 500; ++i) {
+            traffic::TrafficProfile p;
+            p.mtbr = rng.uniform(0.0, 20000.0);
+            p.packetSize = 64 + rng.uniformInt(1437u);
+            traffic::TrafficGen gen(p, &c.rules, i);
+            inputs.push_back(gen.makePayload());
+        }
+
+        for (std::size_t k = 0; k < inputs.size(); ++k) {
+            auto want = ref.scan(inputs[k]);
+            auto got = m.scan(inputs[k]);
+            EXPECT_EQ(got.count, want.count)
+                << c.rules.name << " budget " << c.budget << " input " << k;
+            EXPECT_EQ(got.rules, want.rules)
+                << c.rules.name << " budget " << c.budget << " input " << k;
+        }
+    }
+}
+
 TEST(RegexGenerator, OutputAlwaysMatches)
 {
     // Property: a string generated from pattern P matches P.
@@ -218,7 +339,7 @@ TEST(RegexGenerator, OutputAlwaysMatches)
         for (int i = 0; i < 40; ++i) {
             auto s = generateMatch(p, rng);
             ASSERT_FALSE(s.empty());
-            EXPECT_GE(m.countMatches(s), 1u)
+            EXPECT_GE(m.scan(s).count, 1u)
                 << ps << " generated non-matching string";
         }
     }
@@ -235,7 +356,7 @@ TEST(RegexGenerator, DefaultRulesGenerate)
         const auto &pat = m.patterns()[r];
         for (int i = 0; i < 10; ++i) {
             auto s = generateMatch(pat, rng);
-            std::uint64_t rules = m.matchedRules(s);
+            std::uint64_t rules = m.scan(s).rules;
             EXPECT_TRUE(rules & (std::uint64_t(1) << r))
                 << "rule " << rs.rules[r].name << " iteration " << i;
         }
@@ -281,7 +402,7 @@ TEST(RegexRuleset, RandomBinaryRarelyMatches)
         std::vector<std::uint8_t> data(1400);
         for (auto &b : data)
             b = static_cast<std::uint8_t>(rng.uniformInt(0x80, 0xff));
-        total += m.countMatches(data);
+        total += m.scan(data).count;
     }
     EXPECT_EQ(total, 0u);
 }

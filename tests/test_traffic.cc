@@ -108,7 +108,7 @@ TEST(Generator, MtbrTargetingProperty)
             auto payload = gen.makePayload();
             bytes += static_cast<double>(payload.size());
             matches +=
-                static_cast<double>(matcher.countMatches(payload));
+                static_cast<double>(matcher.scan(payload).count);
         }
         double measured = matches / bytes * 1e6;
         EXPECT_GT(measured, 0.8 * target) << "target " << target;
@@ -128,7 +128,7 @@ TEST(Generator, MtbrMonotone)
         double matches = 0.0;
         for (int i = 0; i < 100; ++i)
             matches += static_cast<double>(
-                matcher.countMatches(gen.makePayload()));
+                matcher.scan(gen.makePayload()).count);
         EXPECT_GT(matches, prev);
         prev = matches;
     }
@@ -143,7 +143,7 @@ TEST(Generator, ZeroMtbrHasNoMatches)
     TrafficGen gen(p, &rules, 9);
     std::uint64_t total = 0;
     for (int i = 0; i < 50; ++i)
-        total += matcher.countMatches(gen.makePayload());
+        total += matcher.scan(gen.makePayload()).count;
     EXPECT_EQ(total, 0u);
 }
 
