@@ -27,8 +27,6 @@ main()
     // Full-profiling reference.
     core::TrainOptions full;
     full.sampling = core::SamplingStrategy::Full;
-    full.fullGridPerAttribute = 7;
-    full.contentionSamplesPerProfile = 3;
     auto full_model = env.trainer->train(env.nf(name), defaults, full);
 
     // Shared test set.

@@ -7,8 +7,8 @@
  * up to 35.5% MAPE reduction (FlowTracker) and +72% ±10% accuracy
  * (FlowClassifier).
  *
- * Scale substitution: "full" here is a dense 5x5x5 attribute grid
- * with several contention samples per point (~20x the quota), not
+ * Scale substitution: "full" here is a dense 7x7x7 attribute grid
+ * with three contention samples per point (~16x the quota), not
  * the paper's 3200x — the ordering full >= adaptive >> random is
  * what this regenerates.
  */
@@ -40,8 +40,6 @@ main()
             core::TrainOptions topts;
             topts.sampling = strat;
             topts.adaptive.quota = 80;
-            topts.fullGridPerAttribute = 7;
-            topts.contentionSamplesPerProfile = 3;
             core::TrainReport report;
             models.emplace(strat,
                            env.trainer->train(env.nf(name), defaults,

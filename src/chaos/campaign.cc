@@ -2,12 +2,16 @@
 
 #include <sstream>
 
+#include "chaos/shrink.hh"
 #include "common/strutil.hh"
 #include "common/telemetry.hh"
 
 namespace tomur::chaos {
 
 namespace {
+
+/** Every Nth random plan drives the serve stack. */
+constexpr std::size_t kServeEveryN = 3;
 
 Counter &
 violationCounter()
@@ -55,10 +59,9 @@ runCampaign(ChaosWorld &world, const CampaignOptions &opts)
             plans.push_back(std::move(p));
     }
     for (std::size_t i = 0; i < opts.runs; ++i) {
-        PlanTarget target =
-            opts.serveEveryN > 0 && (i + 1) % opts.serveEveryN == 0
-                ? PlanTarget::Serve
-                : PlanTarget::Autopilot;
+        PlanTarget target = (i + 1) % kServeEveryN == 0
+                                ? PlanTarget::Serve
+                                : PlanTarget::Autopilot;
         plans.push_back(randomPlan(opts.seed, i, target));
     }
 
@@ -70,8 +73,7 @@ runCampaign(ChaosWorld &world, const CampaignOptions &opts)
         report.outcome =
             runPlan(world, report.plan, opts.runner);
         report.verdicts =
-            checkInvariants(report.plan, report.outcome,
-                            opts.runner.invariants);
+            checkInvariants(report.plan, report.outcome);
 
         // Determinism sampling: re-run and compare fingerprints.
         InvariantVerdict det;
@@ -127,8 +129,7 @@ runCampaign(ChaosWorld &world, const CampaignOptions &opts)
                 InvariantKind::Determinism) {
                 ShrinkResult shrunk = shrinkPlan(
                     world, report.plan,
-                    result.firstViolationKind, opts.runner,
-                    opts.shrinkOpts);
+                    result.firstViolationKind, opts.runner);
                 result.shrunkPlan = shrunk.plan;
                 result.shrinkIterations += shrunk.iterations;
                 if (!shrunk.detail.empty())

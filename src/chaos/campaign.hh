@@ -9,7 +9,7 @@
  *  - combinatorial: one plan per unordered pair of sim::FaultModes
  *    (21 plans) — the cheap exhaustive floor over mode interactions;
  *  - random: `runs` seeded plans from the quantized generators,
- *    every `serveEveryN`-th targeting the serve stack instead of the
+ *    every third targeting the serve stack instead of the
  *    autopilot.
  *
  * Everything is serial and seeded; the JSONL output is byte-stable
@@ -26,7 +26,6 @@
 #include "chaos/invariants.hh"
 #include "chaos/plan.hh"
 #include "chaos/runner.hh"
-#include "chaos/shrink.hh"
 
 namespace tomur::chaos {
 
@@ -34,18 +33,14 @@ namespace tomur::chaos {
 struct CampaignOptions
 {
     std::uint64_t seed = 7;
-    /** Random-tier plan count (the combinatorial tier's 21 plans
-     *  are added on top unless disabled). */
+    /** Random-tier plan count, every third a serve plan (the
+     *  combinatorial tier's 21 plans are added on top unless
+     *  disabled). */
     std::size_t runs = 50;
     bool combinatorial = true;
-    /** Every Nth random plan drives the serve stack (0 = never). */
-    std::size_t serveEveryN = 3;
     /** Every Nth plan is re-run and its event-stream fingerprint
      *  compared (the determinism invariant); 0 = never. */
     std::size_t determinismEveryN = 8;
-    /** How the first violating plan is shrunk (always, unless its
-     *  invariant is determinism). */
-    ShrinkOptions shrinkOpts;
     RunnerOptions runner; ///< workDir is required
 };
 

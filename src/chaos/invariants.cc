@@ -1,10 +1,15 @@
 #include "chaos/invariants.hh"
 
+#include "chaos/runner.hh"
 #include "common/strutil.hh"
 
 namespace tomur::chaos {
 
 namespace {
+
+/** Clean samples after the last disturbance within which the
+ *  monitor's recovery window must close. */
+constexpr std::size_t kRecoveryBoundSamples = 40;
 
 const char *const kInvariantNames[numInvariants] = {
     "no_hang",
@@ -49,8 +54,7 @@ checkNoCorruptState(const RunOutcome &o)
 }
 
 InvariantVerdict
-checkBoundedRecovery(const RunOutcome &o,
-                     const InvariantOptions &opts)
+checkBoundedRecovery(const RunOutcome &o)
 {
     if (o.serveTarget || !o.completed)
         return verdict(InvariantKind::BoundedRecovery, true);
@@ -59,7 +63,7 @@ checkBoundedRecovery(const RunOutcome &o,
     // A window still open at the end is only a violation when a
     // clean tail long enough to recover in has actually elapsed.
     std::size_t quietSince =
-        o.lastDisturbanceSample + opts.recoveryBoundSamples;
+        o.lastDisturbanceSample + kRecoveryBoundSamples;
     if (o.samples >= quietSince) {
         return verdict(
             InvariantKind::BoundedRecovery, false,
@@ -72,8 +76,7 @@ checkBoundedRecovery(const RunOutcome &o,
 }
 
 InvariantVerdict
-checkGracefulDegradation(const RunOutcome &o,
-                         const InvariantOptions &opts)
+checkGracefulDegradation(const RunOutcome &o)
 {
     const auto kind = InvariantKind::GracefulDegradation;
     if (!o.completed) {
@@ -112,13 +115,15 @@ checkGracefulDegradation(const RunOutcome &o,
     // The breaker must open when failures pile up: walk the event
     // stream and require a BreakerOpened immediately after every
     // run of `failureThreshold` consecutive failures.
+    const std::size_t failureThreshold =
+        chaosSupervisorOptions().failureThreshold;
     std::size_t consecutive = 0;
     for (std::size_t i = 0; i < o.supervisorEvents.size(); ++i) {
         const auto &ev = o.supervisorEvents[i];
         switch (ev.kind) {
         case core::SupervisorEventKind::RecalibrationFailed:
             ++consecutive;
-            if (consecutive >= opts.failureThreshold) {
+            if (consecutive >= failureThreshold) {
                 bool opened =
                     i + 1 < o.supervisorEvents.size() &&
                     o.supervisorEvents[i + 1].kind ==
@@ -161,15 +166,14 @@ invariantName(InvariantKind kind)
 }
 
 std::vector<InvariantVerdict>
-checkInvariants(const FaultPlan &plan, const RunOutcome &outcome,
-                const InvariantOptions &opts)
+checkInvariants(const FaultPlan &plan, const RunOutcome &outcome)
 {
     (void)plan;
     std::vector<InvariantVerdict> out;
     out.push_back(checkNoHang(outcome));
     out.push_back(checkNoCorruptState(outcome));
-    out.push_back(checkBoundedRecovery(outcome, opts));
-    out.push_back(checkGracefulDegradation(outcome, opts));
+    out.push_back(checkBoundedRecovery(outcome));
+    out.push_back(checkGracefulDegradation(outcome));
     return out;
 }
 

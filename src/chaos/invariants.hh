@@ -14,8 +14,8 @@
  *    save/load/save round trip is byte-identical — injected crashes
  *    may lose progress, never integrity.
  *  - bounded_recovery: once the last disturbance has lifted and a
- *    clean steady tail of `recoveryBoundSamples` has elapsed, the
- *    monitor's recovery window must be closed.
+ *    clean steady tail of 40 samples has elapsed, the monitor's
+ *    recovery window must be closed.
  *  - graceful_degradation: the run completed (crash-resume loops
  *    converge, errors surface as Status not stream corruption);
  *    the breaker opens when consecutive recalibrations fail; the
@@ -111,24 +111,14 @@ struct RunOutcome
     bool drainConverged = true;
 };
 
-/** Checker tuning. */
-struct InvariantOptions
-{
-    /** Clean samples after the last disturbance within which the
-     *  monitor's recovery window must close. */
-    std::size_t recoveryBoundSamples = 40;
-    /** The breaker options the runner used (the graceful-degradation
-     *  checker re-derives the expected trip points from them). */
-    std::size_t failureThreshold = 2;
-};
-
 /**
  * Evaluate every invariant except Determinism (which needs a second
  * run; the campaign appends it). Returns verdicts in enum order.
+ * The graceful-degradation checker re-derives the expected breaker
+ * trips from chaosSupervisorOptions(), the options the runner uses.
  */
 std::vector<InvariantVerdict>
-checkInvariants(const FaultPlan &plan, const RunOutcome &outcome,
-                const InvariantOptions &opts);
+checkInvariants(const FaultPlan &plan, const RunOutcome &outcome);
 
 } // namespace tomur::chaos
 

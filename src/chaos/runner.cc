@@ -60,6 +60,11 @@ ChaosWorld::ChaosWorld(const std::string &nf_name)
 
 namespace {
 
+/** Autopilot checkpoint cadence, in samples. */
+constexpr std::size_t kCheckpointEverySamples = 6;
+/** Crash-resume attempts before the run is declared failed. */
+constexpr std::size_t kMaxResumes = 8;
+
 Counter &
 plansCounter()
 {
@@ -207,18 +212,6 @@ chaosMonitorOptions()
     return mopts;
 }
 
-core::SupervisorOptions
-chaosSupervisorOptions()
-{
-    core::SupervisorOptions sopts;
-    sopts.failureThreshold = 2;
-    sopts.baseBackoffSamples = 4;
-    sopts.backoffFactor = 2.0;
-    sopts.maxBackoffSamples = 16;
-    sopts.maxRecalibrations = 16;
-    return sopts;
-}
-
 // ---------------------------------------------------------------
 // Autopilot plans
 // ---------------------------------------------------------------
@@ -292,7 +285,7 @@ runAutopilotPlan(ChaosWorld &world, const FaultPlan &plan,
     EffectiveFaults lastSig;
 
     core::AutopilotOptions aopts;
-    aopts.checkpointEverySamples = opts.checkpointEverySamples;
+    aopts.checkpointEverySamples = kCheckpointEverySamples;
     aopts.beforeSample = [&](std::size_t sample) {
         EffectiveFaults e = effectiveAt(plan, sample, stickyBias);
         pressureActive = e.pressure;
@@ -318,14 +311,13 @@ runAutopilotPlan(ChaosWorld &world, const FaultPlan &plan,
         }
     };
 
-    std::uint64_t budget =
-        opts.planDeadlineGranules > 0
-            ? opts.planDeadlineGranules
-            : 50000 + static_cast<std::uint64_t>(samples) * 2000;
-    Deadline planDeadline = Deadline::afterGranules(budget);
+    // Cooperative granule budget, scaled from the plan length; a
+    // trip is a no_hang violation.
+    Deadline planDeadline = Deadline::afterGranules(
+        50000 + static_cast<std::uint64_t>(samples) * 2000);
     ScopedDeadline planScope(planDeadline);
 
-    for (std::size_t attempt = 0; attempt <= opts.maxResumes;
+    for (std::size_t attempt = 0; attempt <= kMaxResumes;
          ++attempt) {
         sigKnown = false;
         aopts.resume = attempt > 0;
@@ -345,7 +337,7 @@ runAutopilotPlan(ChaosWorld &world, const FaultPlan &plan,
             crashCounter().inc();
             store.setCrashPoint(CheckpointCrashPoint::None);
             harvestFaultStats();
-            if (attempt == opts.maxResumes) {
+            if (attempt == kMaxResumes) {
                 out.error = "crash-resume budget exhausted";
                 break;
             }
@@ -727,6 +719,18 @@ runServePlan(ChaosWorld &world, const FaultPlan &plan,
 }
 
 } // namespace
+
+core::SupervisorOptions
+chaosSupervisorOptions()
+{
+    core::SupervisorOptions sopts;
+    sopts.failureThreshold = 2;
+    sopts.baseBackoffSamples = 4;
+    sopts.backoffFactor = 2.0;
+    sopts.maxBackoffSamples = 16;
+    sopts.maxRecalibrations = 16;
+    return sopts;
+}
 
 RunOutcome
 runPlan(ChaosWorld &world, const FaultPlan &plan,

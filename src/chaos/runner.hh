@@ -70,16 +70,14 @@ struct RunnerOptions
     /** Scratch directory (checkpoint store + model corpus files);
      *  runPlan manages its own subdirectories. Required. */
     std::string workDir;
-    std::size_t checkpointEverySamples = 6;
-    /** Crash-resume attempts before the run is declared failed. */
-    std::size_t maxResumes = 8;
-    /** Cooperative granule budget per plan; 0 = auto-scaled from
-     *  the plan length. A trip is a no_hang violation. */
-    std::uint64_t planDeadlineGranules = 0;
     /** Planted regression ("" = none). */
     std::string plant;
-    InvariantOptions invariants;
 };
+
+/** The supervisor options every autopilot plan runs under (the
+ *  invariant checkers re-derive the expected breaker trips from
+ *  them). */
+core::SupervisorOptions chaosSupervisorOptions();
 
 /** Execute one plan. Never throws for in-plan faults (crashes,
  *  deadline trips, corrupt state all land in the outcome). */

@@ -6,6 +6,10 @@ namespace tomur::chaos {
 
 namespace {
 
+/** Probe-run budget: the shrinker stops refining (keeping its
+ *  best-so-far plan) once this many candidate runs executed. */
+constexpr std::size_t kMaxRuns = 64;
+
 Counter &
 shrinkIterCounter()
 {
@@ -18,8 +22,7 @@ shrinkIterCounter()
 
 ShrinkResult
 shrinkPlan(ChaosWorld &world, const FaultPlan &failing,
-           InvariantKind kind, const RunnerOptions &run_opts,
-           const ShrinkOptions &shrink_opts)
+           InvariantKind kind, const RunnerOptions &run_opts)
 {
     ShrinkResult result;
     result.plan = failing;
@@ -31,8 +34,7 @@ shrinkPlan(ChaosWorld &world, const FaultPlan &failing,
         ++result.iterations;
         shrinkIterCounter().inc();
         RunOutcome outcome = runPlan(world, candidate, run_opts);
-        auto verdicts = checkInvariants(candidate, outcome,
-                                        run_opts.invariants);
+        auto verdicts = checkInvariants(candidate, outcome);
         for (const auto &v : verdicts) {
             if (v.kind == kind && !v.passed) {
                 if (detail)
@@ -51,11 +53,11 @@ shrinkPlan(ChaosWorld &world, const FaultPlan &failing,
     std::vector<FaultAction> actions = failing.actions;
     std::size_t n = 2;
     while (actions.size() >= 2 && n <= actions.size() &&
-           result.iterations < shrink_opts.maxRuns) {
+           result.iterations < kMaxRuns) {
         std::size_t chunk = (actions.size() + n - 1) / n;
         bool reduced = false;
         for (std::size_t i = 0;
-             i < n && result.iterations < shrink_opts.maxRuns;
+             i < n && result.iterations < kMaxRuns;
              ++i) {
             std::size_t lo = i * chunk;
             if (lo >= actions.size())
@@ -96,11 +98,11 @@ shrinkPlan(ChaosWorld &world, const FaultPlan &failing,
     // for the small lists we end with).
     bool improved = true;
     while (improved && result.plan.actions.size() > 1 &&
-           result.iterations < shrink_opts.maxRuns) {
+           result.iterations < kMaxRuns) {
         improved = false;
         for (std::size_t i = 0;
              i < result.plan.actions.size() &&
-             result.iterations < shrink_opts.maxRuns;
+             result.iterations < kMaxRuns;
              ++i) {
             FaultPlan candidate = result.plan;
             candidate.actions.erase(

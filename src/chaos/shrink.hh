@@ -25,14 +25,6 @@
 
 namespace tomur::chaos {
 
-/** Shrink tuning. */
-struct ShrinkOptions
-{
-    /** Probe-run budget: the shrinker stops refining (keeping its
-     *  best-so-far plan) once this many candidate runs executed. */
-    std::size_t maxRuns = 64;
-};
-
 /** A finished shrink. */
 struct ShrinkResult
 {
@@ -44,15 +36,14 @@ struct ShrinkResult
 };
 
 /**
- * Minimize `failing` (which violated `kind` when run under `opts`).
+ * Minimize `failing` (which violated `kind` when run under `run_opts`).
  * Returns the smallest plan found that still violates `kind`; if no
  * strict subset reproduces it, the result is the original plan with
  * zero removals (iterations still counts the probes spent).
  */
 ShrinkResult shrinkPlan(ChaosWorld &world, const FaultPlan &failing,
                         InvariantKind kind,
-                        const RunnerOptions &run_opts,
-                        const ShrinkOptions &shrink_opts = {});
+                        const RunnerOptions &run_opts);
 
 } // namespace tomur::chaos
 

@@ -2,13 +2,20 @@
 
 #include <algorithm>
 
-#include "common/logging.hh"
 #include "common/telemetry.hh"
 #include "common/trace.hh"
 
 namespace tomur::framework {
 
 namespace {
+
+/** Fully-functional packets each profile is measured over. */
+constexpr std::size_t kSamplePackets = 384;
+/** Cap on warm-up packets. Before measuring, one (payload-free,
+ *  accelerator-non-functional) packet per distinct flow, up to this
+ *  cap, warms per-flow state so table footprints reflect the
+ *  profile's flow count. */
+constexpr std::uint64_t kMaxWarmupPackets = 600000;
 
 /** Process-wide profiling metrics (tomur_profile_*). */
 struct ProfileMetrics
@@ -44,9 +51,6 @@ WorkloadProfile
 WorkloadProfiler::profile(
     const traffic::TrafficProfile &traffic_profile)
 {
-    if (opts_.samplePackets == 0)
-        fatal("profileWorkload: zero sample packets");
-
     TraceSpan span("profile.workload");
     span.field("nf", nf_.name());
     span.field("flows",
@@ -60,7 +64,7 @@ WorkloadProfiler::profile(
     // function of the flow index, so warm sets nest by flow count)
     // and the new profile wants at least as many.
     std::uint64_t want = std::min<std::uint64_t>(
-        traffic_profile.flowCount, opts_.maxWarmupPackets);
+        traffic_profile.flowCount, kMaxWarmupPackets);
     bool incremental = warmed_ &&
                        nf_.packetsProcessed() == expectedPackets_ &&
                        want >= warmedFlows_;
@@ -97,14 +101,14 @@ WorkloadProfiler::profile(
     CostContext ctx;
     double frame_bytes = 0.0;
     std::size_t drops = 0;
-    for (std::size_t i = 0; i < opts_.samplePackets; ++i) {
+    for (std::size_t i = 0; i < kSamplePackets; ++i) {
         net::Packet pkt = gen.next();
         frame_bytes += static_cast<double>(pkt.size());
         if (nf_.processPacket(pkt, ctx) == Verdict::Drop)
             ++drops;
     }
 
-    const double n = static_cast<double>(opts_.samplePackets);
+    const double n = static_cast<double>(kSamplePackets);
     WorkloadProfile w;
     w.nfName = nf_.name();
     w.pattern = nf_.pattern();
@@ -167,7 +171,7 @@ WorkloadProfiler::profile(
     }
 
     profileMetrics().workloads.inc();
-    profileMetrics().packets.inc(opts_.samplePackets);
+    profileMetrics().packets.inc(kSamplePackets);
     profileMetrics().instrPerPacket.observe(w.instrPerPacket);
     span.field("instr_per_pkt", traceFormat(w.instrPerPacket));
     span.field("wss_bytes", traceFormat(w.wssBytes));

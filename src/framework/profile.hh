@@ -69,15 +69,8 @@ struct WorkloadProfile
 /** Profiling options. */
 struct ProfileOptions
 {
-    std::size_t samplePackets = 384;
+    /** Seed of the synthesized traffic. */
     std::uint64_t seed = 12345;
-    /**
-     * Cap on warm-up packets. Before measuring, one (payload-free,
-     * accelerator-non-functional) packet per distinct flow, up to
-     * this cap, warms per-flow state so table footprints reflect the
-     * profile's flow count.
-     */
-    std::size_t maxWarmupPackets = 600000;
 };
 
 /**
@@ -127,8 +120,8 @@ class WorkloadProfiler
  * Profile one NF under one traffic profile (one-shot).
  *
  * The NF is reset, warmed across the profile's flows, then measured
- * over opts.samplePackets fully-functional packets. Equivalent to a
- * fresh WorkloadProfiler's first profile() call.
+ * over a fixed sample of fully-functional packets (profile.cc).
+ * Equivalent to a fresh WorkloadProfiler's first profile() call.
  *
  * @param ruleset ruleset for MTBR payload synthesis (may be null for
  *        mtbr == 0 profiles)

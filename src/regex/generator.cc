@@ -6,11 +6,17 @@ namespace tomur::regex {
 
 namespace {
 
+/** Extra repeats drawn beyond repeatMin for unbounded repeats. */
+constexpr std::uint64_t kMaxExtraRepeats = 4;
+/** Length at which generation stops adding pieces. */
+constexpr std::size_t kMaxLen = 256;
+
 /** Pick a byte from a set, preferring printable members. */
 std::uint8_t
 pickByte(const ByteSet &set, Rng &rng)
 {
-    ByteSet printable = set & printableSet();
+    static const ByteSet kPrintable = printableSet();
+    ByteSet printable = set & kPrintable;
     const ByteSet &pool = printable.any() ? printable : set;
     std::size_t n = pool.count();
     if (n == 0)
@@ -27,10 +33,9 @@ pickByte(const ByteSet &set, Rng &rng)
 }
 
 void
-gen(const Node &n, Rng &rng, const GenerateOptions &opts,
-    std::vector<std::uint8_t> &out)
+gen(const Node &n, Rng &rng, std::vector<std::uint8_t> &out)
 {
-    if (out.size() >= opts.maxLen)
+    if (out.size() >= kMaxLen)
         return;
     switch (n.kind) {
       case NodeKind::Empty:
@@ -40,25 +45,25 @@ gen(const Node &n, Rng &rng, const GenerateOptions &opts,
         return;
       case NodeKind::Concat:
         for (const auto &c : n.children)
-            gen(*c, rng, opts, out);
+            gen(*c, rng, out);
         return;
       case NodeKind::Alternate: {
         std::size_t i = rng.uniformInt(
             static_cast<std::uint64_t>(n.children.size()));
-        gen(*n.children[i], rng, opts, out);
+        gen(*n.children[i], rng, out);
         return;
       }
       case NodeKind::Repeat: {
         int count;
         if (n.repeatMax < 0) {
-            count = n.repeatMin + static_cast<int>(rng.uniformInt(
-                static_cast<std::uint64_t>(opts.maxExtraRepeats + 1)));
+            count = n.repeatMin +
+                    static_cast<int>(rng.uniformInt(kMaxExtraRepeats + 1));
         } else {
             count = static_cast<int>(
                 rng.uniformInt(n.repeatMin, n.repeatMax));
         }
         for (int i = 0; i < count; ++i)
-            gen(*n.children[0], rng, opts, out);
+            gen(*n.children[0], rng, out);
         return;
       }
     }
@@ -67,20 +72,19 @@ gen(const Node &n, Rng &rng, const GenerateOptions &opts,
 } // namespace
 
 std::vector<std::uint8_t>
-generateMatch(const Node &node, Rng &rng, const GenerateOptions &opts)
+generateMatch(const Node &node, Rng &rng)
 {
     std::vector<std::uint8_t> out;
-    gen(node, rng, opts, out);
+    gen(node, rng, out);
     return out;
 }
 
 std::vector<std::uint8_t>
-generateMatch(const Pattern &pattern, Rng &rng,
-              const GenerateOptions &opts)
+generateMatch(const Pattern &pattern, Rng &rng)
 {
     if (!pattern.root)
         panic("generateMatch: pattern without AST");
-    return generateMatch(*pattern.root, rng, opts);
+    return generateMatch(*pattern.root, rng);
 }
 
 } // namespace tomur::regex

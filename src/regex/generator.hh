@@ -17,28 +17,20 @@
 
 namespace tomur::regex {
 
-/** Options bounding generated strings. */
-struct GenerateOptions
-{
-    /** Extra repeats drawn beyond repeatMin for unbounded repeats. */
-    int maxExtraRepeats = 4;
-    /** Hard cap on generated string length. */
-    std::size_t maxLen = 256;
-};
-
 /**
  * Generate one random string matching the given pattern.
  *
  * Negated/huge classes pick from printable members when possible so
- * output stays payload-like. The result is guaranteed to match the
- * pattern it was generated from (ignoring anchors).
+ * output stays payload-like. Unbounded repeats draw at most 4 extra
+ * iterations, and generation stops adding pieces once the string
+ * reaches 256 bytes. The result is guaranteed to match the pattern
+ * it was generated from (ignoring anchors).
  */
-std::vector<std::uint8_t> generateMatch(const Pattern &pattern, Rng &rng,
-                                        const GenerateOptions &opts = {});
+std::vector<std::uint8_t> generateMatch(const Pattern &pattern,
+                                        Rng &rng);
 
 /** Generate from a bare AST node. */
-std::vector<std::uint8_t> generateMatch(const Node &node, Rng &rng,
-                                        const GenerateOptions &opts = {});
+std::vector<std::uint8_t> generateMatch(const Node &node, Rng &rng);
 
 } // namespace tomur::regex
 

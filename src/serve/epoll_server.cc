@@ -22,6 +22,11 @@ namespace tomur::serve {
 
 namespace {
 
+/** listen() backlog. */
+constexpr int kBacklog = 128;
+/** epoll_wait tick (also paces token-bucket refill). */
+constexpr int kWaitTimeoutMs = 10;
+
 volatile std::sig_atomic_t g_shutdown = 0;
 
 void
@@ -168,7 +173,7 @@ EpollServer::EpollServer(Server &core, EpollOptions opts)
                  opts_.port, std::strerror(errno)));
         return;
     }
-    if (::listen(listenFd_, opts_.backlog) < 0) {
+    if (::listen(listenFd_, kBacklog) < 0) {
         status_ = Status::ioError(
             strf("listen: %s", std::strerror(errno)));
         return;
@@ -216,7 +221,7 @@ EpollServer::iterate()
     // The wait only decides *when* to step; step() itself polls
     // every connection non-blockingly, so a missed registration or
     // a spurious wakeup cannot lose work.
-    int n = epoll_wait(epollFd_, events, 64, opts_.waitTimeoutMs);
+    int n = epoll_wait(epollFd_, events, 64, kWaitTimeoutMs);
     (void)n;
 
     std::uint64_t now = steadyNs();

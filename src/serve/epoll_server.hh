@@ -35,8 +35,6 @@ struct EpollOptions
 {
     std::string bindAddress = "127.0.0.1";
     int port = 0; ///< 0 = ephemeral; boundPort() reports the choice
-    int backlog = 128;
-    int waitTimeoutMs = 10; ///< epoll_wait tick (drives refill too)
     /** Drain budget once a shutdown signal arrives (0 = forever). */
     double drainDeadlineMs = 5000.0;
     /** Token-bucket refill per second per client (paired with

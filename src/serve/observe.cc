@@ -1,6 +1,5 @@
 #include "serve/observe.hh"
 
-#include <chrono>
 #include <ostream>
 #include <sstream>
 
@@ -126,34 +125,6 @@ ServerObservatory::ServerObservatory(
     // zero) in every dump, like the server families.
     metrics().counter("tomur_server_access_records_total");
     metrics().counter("tomur_server_access_dropped_total");
-}
-
-double
-profilerScopeCostNs()
-{
-    // Min-of-batches over the *unsampled* path: a huge meanPeriod
-    // makes nearly every token take the two-bump-and-a-decrement
-    // fast path, which is what the serve loop pays per phase.
-    SamplerOptions opts;
-    opts.ringCapacity = 16;
-    opts.meanPeriod = 1 << 20;
-    SamplingProfiler probe(opts);
-    int site = probe.registerSite("calibrate");
-    constexpr int kBatch = 4096;
-    double bestNs = 1e9;
-    for (int round = 0; round < 4; ++round) {
-        auto t0 = std::chrono::steady_clock::now();
-        for (int i = 0; i < kBatch; ++i)
-            SamplingProfiler::Scope scope(&probe, site);
-        auto t1 = std::chrono::steady_clock::now();
-        double perToken =
-            std::chrono::duration<double, std::nano>(t1 - t0)
-                .count() /
-            kBatch;
-        if (perToken < bestNs)
-            bestNs = perToken;
-    }
-    return bestNs;
 }
 
 } // namespace tomur::serve

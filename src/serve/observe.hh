@@ -132,14 +132,6 @@ struct ServerObservatory
  */
 std::vector<SloObjective> defaultServeObjectives();
 
-/**
- * Measure the per-token cost of an unsampled profiler scope on this
- * machine (min over a few timed batches, like the replay-bench
- * overhead stage). The server core multiplies this by the token
- * count to maintain tomur_server_profiler_overhead_frac.
- */
-double profilerScopeCostNs();
-
 } // namespace tomur::serve
 
 #endif // TOMUR_SERVE_OBSERVE_HH

@@ -15,6 +15,14 @@ namespace tomur::serve {
 
 namespace {
 
+/** Accepts attempted per step (bounds accept storms). */
+constexpr std::size_t kMaxAcceptsPerStep = 32;
+/** Bytes read per read() call. */
+constexpr std::size_t kReadChunkBytes = 4096;
+/** read() calls per connection per step (a firehose client cannot
+ *  starve the others within a step). */
+constexpr std::size_t kMaxReadsPerConnPerStep = 16;
+
 struct ServerMetrics
 {
     Counter &accepted;
@@ -31,7 +39,6 @@ struct ServerMetrics
     Counter &accessDropped;
     Gauge &connections;
     Gauge &queueDepth;
-    Gauge &profOverhead;
     Histogram &latencyMs;
 };
 
@@ -53,7 +60,6 @@ serverMetrics()
         metrics().counter("tomur_server_access_dropped_total"),
         metrics().gauge("tomur_server_connections"),
         metrics().gauge("tomur_server_queue_depth"),
-        metrics().gauge("tomur_server_profiler_overhead_frac"),
         metrics().histogram(
             "tomur_server_request_ms",
             Histogram::exponentialBounds(0.01, 4.0, 10)),
@@ -99,12 +105,6 @@ Server::setObservatory(ServerObservatory *observatory)
         siteRead_ = prof->registerSite("serve.read");
         siteHandle_ = prof->registerSite("serve.handle");
         siteFlush_ = prof->registerSite("serve.flush");
-        // Instrumentation cost is estimated as measured-per-token
-        // cost x token count over wall time since attach; the gauge
-        // is refreshed every 256 steps.
-        profPerTokenNs_ = profilerScopeCostNs();
-        profAttachNs_ = nowNs();
-        serverMetrics().profOverhead.set(0.0);
     }
 }
 
@@ -184,7 +184,7 @@ Server::acceptPhase()
 {
     if (listener_ == nullptr || draining_)
         return;
-    for (std::size_t i = 0; i < opts_.maxAcceptsPerStep; ++i) {
+    for (std::size_t i = 0; i < kMaxAcceptsPerStep; ++i) {
         AcceptResult r = listener_->accept();
         if (r.none)
             break;
@@ -334,15 +334,13 @@ Server::readPhase(const std::shared_ptr<Connection> &conn)
 {
     if (conn->dead || conn->sawEof || conn->parser.failed())
         return;
-    char buf[8192];
-    std::size_t chunk =
-        std::min(sizeof(buf), opts_.readChunkBytes);
+    char buf[kReadChunkBytes];
     // The parse child span opens lazily on the first byte read, so
     // idle connections polled every step record nothing.
     std::optional<TraceSpan> parseSpan;
     std::uint64_t bytesRead = 0;
-    for (std::size_t i = 0; i < opts_.maxReadsPerConnPerStep; ++i) {
-        IoResult r = conn->transport->read(buf, chunk);
+    for (std::size_t i = 0; i < kMaxReadsPerConnPerStep; ++i) {
+        IoResult r = conn->transport->read(buf, sizeof(buf));
         if (!r.ok()) {
             killConnection(conn);
             return;
@@ -604,15 +602,6 @@ Server::step()
         didWork_ = true;
         serverMetrics().connections.set(
             static_cast<double>(conns_.size()));
-    }
-    if (prof != nullptr && (stepIndex_ & 255) == 0) {
-        std::uint64_t now = nowNs();
-        if (now > profAttachNs_) {
-            serverMetrics().profOverhead.set(
-                profPerTokenNs_ *
-                static_cast<double>(prof->tokens()) /
-                static_cast<double>(now - profAttachNs_));
-        }
     }
     return didWork_;
 }

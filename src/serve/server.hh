@@ -65,13 +65,6 @@ struct ServeOptions
     /** Requests handled per step() — the service's concurrency
      *  stand-in; keeps one step's work bounded. */
     std::size_t maxRequestsPerStep = 8;
-    /** Accepts attempted per step (bounds accept storms). */
-    std::size_t maxAcceptsPerStep = 32;
-    /** Bytes read per read() call. */
-    std::size_t readChunkBytes = 4096;
-    /** read() calls per connection per step (a firehose client
-     *  cannot starve the others within a step). */
-    std::size_t maxReadsPerConnPerStep = 16;
     /** Unflushed response bytes before a non-reading client is
      *  dropped. */
     std::size_t maxWriteBufferBytes = 1 << 20;
@@ -122,9 +115,8 @@ class Server
      * every request outcome, folds each outcome into the SLO
      * tracker (mirroring burn events as slo.event trace points),
      * and — when the bundle carries a profiler — wraps each step
-     * phase in a sampled serve.* profiler scope and maintains
-     * tomur_server_profiler_overhead_frac. Caller owns the bundle;
-     * same lifetime rule as setListener.
+     * phase in a sampled serve.* profiler scope. Caller owns the
+     * bundle; same lifetime rule as setListener.
      */
     void setObservatory(ServerObservatory *observatory);
 
@@ -238,8 +230,6 @@ class Server
     SamplingProfiler *registeredProfiler_ = nullptr;
     int siteAccept_ = 0, siteRead_ = 0;
     int siteHandle_ = 0, siteFlush_ = 0;
-    double profPerTokenNs_ = 0.0;
-    std::uint64_t profAttachNs_ = 0;
 };
 
 } // namespace tomur::serve

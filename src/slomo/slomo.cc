@@ -8,6 +8,13 @@ namespace tomur::slomo {
 
 namespace fw = framework;
 
+namespace {
+
+/** Seed of the competitor draws. */
+constexpr std::uint64_t kSeed = 7;
+
+} // namespace
+
 double
 SlomoModel::predict(
     const std::vector<core::ContentionLevel> &competitors,
@@ -43,12 +50,12 @@ SlomoTrainer::train(fw::NetworkFunction &nf,
 {
     if (opts.samples < 8)
         fatal("SlomoTrainer: too few samples");
-    Rng rng(opts.seed);
+    Rng rng(kSeed);
 
+    // The same seed ensemble and GBR hyper-parameters as Tomur's
+    // memory model, minus the traffic features.
     SlomoModel model;
     core::MemoryModelOptions mo;
-    mo.seeds = opts.seeds;
-    mo.gbr = opts.gbr;
     mo.trafficAware = false;
     model.memory_ = core::MemoryModel(mo);
     model.trainingProfile_ = training_profile;

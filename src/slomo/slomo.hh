@@ -22,9 +22,6 @@ struct SlomoTrainOptions
     /** Contended samples collected at the default profile (matched
      *  to Tomur's quota for fair comparison, §7.3). */
     std::size_t samples = 160;
-    int seeds = 3;
-    ml::GbrParams gbr{};
-    std::uint64_t seed = 7;
 };
 
 /**

@@ -9,6 +9,13 @@ namespace tomur::core {
 
 namespace {
 
+/** ε0: relative solo-throughput change that keeps an attribute. */
+constexpr double kEps0 = 0.05;
+/** m: contended samples collected per split. */
+constexpr int kSamplesPerSplit = 4;
+/** Bisection depth cap per attribute. */
+constexpr int kMaxDepth = 5;
+
 /** Quota-counting wrapper around the callbacks with memoisation of
  *  solo evaluations (profile_one() in Algorithm 1 only counts new
  *  configurations). */
@@ -78,7 +85,7 @@ rangeProfile(Budget &budget, const AdaptiveOptions &opts,
     while (!frontier.empty() && !budget.exhausted()) {
         std::vector<Range> next;
         for (const auto &r : frontier) {
-            if (budget.exhausted() || r.depth > opts.maxDepth)
+            if (budget.exhausted() || r.depth > kMaxDepth)
                 break;
             double t_lo = budget.solo(base.withAttribute(attr, r.lo));
             double t_hi = budget.solo(base.withAttribute(attr, r.hi));
@@ -92,8 +99,7 @@ rangeProfile(Budget &budget, const AdaptiveOptions &opts,
             double mid = 0.5 * (r.lo + r.hi);
             auto p_mid = base.withAttribute(attr, mid);
             for (int i = 0;
-                 i < opts.samplesPerSplit && !budget.exhausted();
-                 ++i) {
+                 i < kSamplesPerSplit && !budget.exhausted(); ++i) {
                 budget.collect(p_mid, result.sampledProfiles);
             }
             next.push_back({r.lo, mid, r.depth + 1});
@@ -127,15 +133,14 @@ adaptiveProfile(const AdaptiveCallbacks &callbacks,
             budget.solo(defaults.withAttribute(attr, range.max));
         double ref = std::max(std::fabs(t_min), std::fabs(t_max));
         if (ref > 0.0 &&
-            std::fabs(t_max - t_min) / ref >= opts.eps0) {
+            std::fabs(t_max - t_min) / ref >= kEps0) {
             result.keptAttributes.push_back(attr);
         }
     }
 
     // Anchor samples at the default profile so the model covers the
     // operating point even when every attribute is pruned.
-    for (int i = 0; i < opts.samplesPerSplit && !budget.exhausted();
-         ++i) {
+    for (int i = 0; i < kSamplesPerSplit && !budget.exhausted(); ++i) {
         budget.collect(defaults, result.sampledProfiles);
     }
 

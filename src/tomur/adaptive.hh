@@ -17,14 +17,12 @@
 
 namespace tomur::core {
 
-/** Hyper-parameters of Algorithm 1. */
+/** The hyper-parameters of Algorithm 1 that the evaluation varies;
+ *  ε0, m and the recursion cap are fixed in adaptive.cc. */
 struct AdaptiveOptions
 {
     std::size_t quota = 160;     ///< Q: total profiling budget
-    double eps0 = 0.05;          ///< relative change to keep an attr
     double eps1 = 0.03;          ///< relative change to keep splitting
-    int samplesPerSplit = 4;     ///< m: contended samples per split
-    int maxDepth = 5;            ///< recursion cap per attribute
 };
 
 /**

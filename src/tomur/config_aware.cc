@@ -9,6 +9,17 @@ namespace tomur::core {
 
 namespace fw = framework;
 
+namespace {
+
+/** Relative solo-throughput change below which the NF is declared
+ *  configuration-insensitive (one model suffices). */
+constexpr double kEps0 = 0.05;
+/** Relative change below which a config sub-range stops being
+ *  refined. */
+constexpr double kEps1 = 0.04;
+
+} // namespace
+
 ConfigAwareModel
 ConfigAwareModel::train(TomurTrainer &trainer,
                         const NfFactory &factory,
@@ -45,7 +56,7 @@ ConfigAwareModel::train(TomurTrainer &trainer,
     double ref = std::max(t_min, t_max);
     std::vector<double> picked = {attr.min};
     if (ref > 0.0 &&
-        std::fabs(t_max - t_min) / ref >= opts.eps0) {
+        std::fabs(t_max - t_min) / ref >= kEps0) {
         picked.push_back(attr.max);
         // Breadth-first bisection on the configuration axis.
         struct Range
@@ -66,7 +77,7 @@ ConfigAwareModel::train(TomurTrainer &trainer,
                 double hi = solo_at(r.hi);
                 double rr = std::max(lo, hi);
                 if (rr <= 0.0 ||
-                    std::fabs(hi - lo) / rr < opts.eps1) {
+                    std::fabs(hi - lo) / rr < kEps1) {
                     continue;
                 }
                 double mid = 0.5 * (r.lo + r.hi);

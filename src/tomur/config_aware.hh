@@ -34,12 +34,6 @@ struct ConfigAttribute
 /** Options for configuration-aware training. */
 struct ConfigAwareOptions
 {
-    /** Relative solo-throughput change below which the NF is
-     *  declared configuration-insensitive (one model suffices). */
-    double eps0 = 0.05;
-    /** Relative change below which a config sub-range stops being
-     *  refined. */
-    double eps1 = 0.04;
     /** Maximum configuration points profiled (models trained). */
     int maxConfigPoints = 5;
     /** Per-configuration-point training options. */

@@ -14,12 +14,36 @@ namespace tomur::core {
 
 namespace {
 
+/** EWMA smoothing for the absolute relative error. */
+constexpr double kEwmaAlpha = 0.1;
+/** Recent samples kept for the windowed percentiles. */
+constexpr std::size_t kWindow = 256;
+/** Samples before any detector may fire (warm-up). */
+constexpr std::size_t kMinSamples = 8;
+/** Page–Hinkley magnitude tolerance (drift below it ignored). */
+constexpr double kPhDelta = 0.005;
+/** Page–Hinkley trip level on the cumulative deviation. */
+constexpr double kPhLambda = 0.5;
+/** EWMA |relative error| above this is degraded accuracy. */
+constexpr double kAccuracyThreshold = 0.15;
+/** Below kRecoveredFactor x kAccuracyThreshold the accuracy counts
+ *  as recovered: the degraded alarm re-arms and an open recovery
+ *  window may close. */
+constexpr double kRecoveredFactor = 0.8;
+/** Relative attribute delta vs its baseline that counts as a
+ *  traffic shift. */
+constexpr double kTrafficShiftFactor = 0.5;
+/** EWMA smoothing for the traffic-attribute baselines. */
+constexpr double kTrafficAlpha = 0.2;
+
 /** Histogram layout shared by the registry metric and the windowed
  *  percentiles (|relative error| 0.5% .. 256%). */
-std::vector<double>
-defaultErrorBounds()
+const std::vector<double> &
+errorBounds()
 {
-    return Histogram::exponentialBounds(0.005, 2.0, 10);
+    static const std::vector<double> bounds =
+        Histogram::exponentialBounds(0.005, 2.0, 10);
+    return bounds;
 }
 
 const char *
@@ -170,15 +194,11 @@ PredictionMonitor::PredictionMonitor(MonitorOptions opts)
           &metrics().counter("tomur_monitor_degraded_samples_total")),
       mEvents_(&metrics().counter("tomur_monitor_events_total")),
       mEwma_(&metrics().gauge("tomur_monitor_ewma_abs_error")),
-      mErrHist_(&metrics().histogram(
-          "tomur_monitor_abs_rel_error",
-          opts_.errorBounds.empty() ? defaultErrorBounds()
-                                    : opts_.errorBounds)),
+      mErrHist_(&metrics().histogram("tomur_monitor_abs_rel_error",
+                                     errorBounds())),
       mRecoveryHist_(&metrics().histogram("tomur_recovery_samples",
                                           recoveryBounds()))
 {
-    if (opts_.errorBounds.empty())
-        opts_.errorBounds = defaultErrorBounds();
     for (int k = 0; k < numMonitorEventKinds; ++k) {
         mKind_[k] = &metrics().counter(
             kindMetricName(static_cast<MonitorEventKind>(k)));
@@ -276,12 +296,12 @@ PredictionMonitor::ingest(const MonitorSample &s)
                 worst = a;
             }
         }
-        if (samples_ > opts_.minSamples &&
-            worst_delta > opts_.trafficShiftFactor &&
+        if (samples_ > kMinSamples &&
+            worst_delta > kTrafficShiftFactor &&
             cool(MonitorEventKind::TrafficShift)) {
             auto attr = static_cast<traffic::Attribute>(worst);
             fire(fired, MonitorEventKind::TrafficShift, s,
-                 worst_delta, opts_.trafficShiftFactor,
+                 worst_delta, kTrafficShiftFactor,
                  strf("%s %s -> %s",
                       traffic::attributeName(attr),
                       traceFormat(trafficBase_[worst]).c_str(),
@@ -292,7 +312,7 @@ PredictionMonitor::ingest(const MonitorSample &s)
                 trafficBase_[a] = attrs[a];
         } else {
             for (int a = 0; a < traffic::numAttributes; ++a) {
-                trafficBase_[a] += opts_.trafficAlpha *
+                trafficBase_[a] += kTrafficAlpha *
                                    (attrs[a] - trafficBase_[a]);
             }
         }
@@ -313,25 +333,25 @@ PredictionMonitor::ingest(const MonitorSample &s)
     ewmaAbsErr_ = errorSamples_ == 0
                       ? abs_err
                       : ewmaAbsErr_ +
-                            opts_.ewmaAlpha * (abs_err - ewmaAbsErr_);
+                            kEwmaAlpha * (abs_err - ewmaAbsErr_);
     sumAbsErr_ += abs_err;
     ++errorSamples_;
     mEwma_->set(ewmaAbsErr_);
     window_.push_back(abs_err);
-    while (window_.size() > opts_.window)
+    while (window_.size() > kWindow)
         window_.pop_front();
 
     // ---- Two-sided Page–Hinkley on the signed error ----
     ++phN_;
     phMean_ += (err - phMean_) / static_cast<double>(phN_);
-    phUp_ += err - phMean_ - opts_.phDelta;
+    phUp_ += err - phMean_ - kPhDelta;
     phUpMin_ = std::min(phUpMin_, phUp_);
-    phDown_ += err - phMean_ + opts_.phDelta;
+    phDown_ += err - phMean_ + kPhDelta;
     phDownMax_ = std::max(phDownMax_, phDown_);
     double ph_stat =
         std::max(phUp_ - phUpMin_, phDownMax_ - phDown_);
     bool drift_fired = false;
-    if (samples_ > opts_.minSamples && ph_stat > opts_.phLambda &&
+    if (samples_ > kMinSamples && ph_stat > kPhLambda &&
         cool(MonitorEventKind::DriftDetected)) {
         std::string detail =
             strf("signed-error level shifted (running mean %s)",
@@ -339,26 +359,26 @@ PredictionMonitor::ingest(const MonitorSample &s)
         if (!s.bottleneck.empty())
             detail += "; model blames " + s.bottleneck;
         fire(fired, MonitorEventKind::DriftDetected, s, ph_stat,
-             opts_.phLambda, std::move(detail));
+             kPhLambda, std::move(detail));
         ++driftsSinceRecal_;
         drift_fired = true;
         resetDriftDetector();
     }
 
     // ---- Accuracy threshold with hysteresis ----
-    if (samples_ > opts_.minSamples) {
+    if (samples_ > kMinSamples) {
         if (!accuracyAlarm_ &&
-            ewmaAbsErr_ > opts_.accuracyThreshold &&
+            ewmaAbsErr_ > kAccuracyThreshold &&
             cool(MonitorEventKind::AccuracyDegraded)) {
             accuracyAlarm_ = true;
             fire(fired, MonitorEventKind::AccuracyDegraded, s,
-                 ewmaAbsErr_, opts_.accuracyThreshold,
+                 ewmaAbsErr_, kAccuracyThreshold,
                  strf("EWMA |relative error| %s above %s",
                       traceFormat(ewmaAbsErr_).c_str(),
-                      traceFormat(opts_.accuracyThreshold).c_str()));
+                      traceFormat(kAccuracyThreshold).c_str()));
         } else if (accuracyAlarm_ &&
                    ewmaAbsErr_ <
-                       0.8 * opts_.accuracyThreshold) {
+                       kRecoveredFactor * kAccuracyThreshold) {
             accuracyAlarm_ = false;
         }
     }
@@ -366,14 +386,14 @@ PredictionMonitor::ingest(const MonitorSample &s)
     // ---- Recalibration recommendation: the model is both drifting
     // and inaccurate (or drifting repeatedly) ----
     if (drift_fired &&
-        (accuracyAlarm_ || ewmaAbsErr_ > opts_.accuracyThreshold ||
+        (accuracyAlarm_ || ewmaAbsErr_ > kAccuracyThreshold ||
          driftsSinceRecal_ >= 2) &&
         cool(MonitorEventKind::RecalibrationRecommended)) {
         std::string detail = "drift with degraded accuracy";
         if (!s.bottleneck.empty())
             detail += "; dominant resource " + s.bottleneck;
         fire(fired, MonitorEventKind::RecalibrationRecommended, s,
-             ewmaAbsErr_, opts_.accuracyThreshold,
+             ewmaAbsErr_, kAccuracyThreshold,
              std::move(detail));
         driftsSinceRecal_ = 0;
     }
@@ -384,8 +404,7 @@ PredictionMonitor::ingest(const MonitorSample &s)
     // recoveryStartSample_), and invalid samples never reach here,
     // so only valid post-change samples advance the stability run.
     if (recoveryOpen_ && samples_ > recoveryStartSample_) {
-        double recovered =
-            opts_.recoveredFactor * opts_.accuracyThreshold;
+        double recovered = kRecoveredFactor * kAccuracyThreshold;
         if (ewmaAbsErr_ <= recovered) {
             ++recoveryStable_;
             if (recoveryStable_ >= opts_.recoveryStableSamples) {
@@ -434,7 +453,7 @@ PredictionMonitor::summary() const
         // Windowed percentiles through the telemetry Histogram: the
         // same bucket layout as the registry metric, rebuilt over
         // just the window.
-        Histogram h(opts_.errorBounds);
+        Histogram h(errorBounds());
         for (double e : window_)
             h.observe(e);
         auto snap = h.snapshot();

@@ -27,12 +27,12 @@
  *
  * Time-to-recovery is a first-class metric: every regime change
  * (TRAFFIC_SHIFT or DRIFT_DETECTED) opens a recovery window, and
- * when the error EWMA then holds below recoveredFactor *
- * accuracyThreshold for recoveryStableSamples consecutive valid
- * samples, an ACCURACY_RECOVERED event fires whose value is the
- * span in samples since the (latest) regime change — also observed
- * into the `tomur_recovery_samples` histogram and rolled up in the
- * summary trailer.
+ * when the error EWMA then holds below kRecoveredFactor x
+ * kAccuracyThreshold (monitor.cc) for recoveryStableSamples
+ * consecutive valid samples, an ACCURACY_RECOVERED event fires
+ * whose value is the span in samples since the (latest) regime
+ * change — also observed into the `tomur_recovery_samples` histogram
+ * and rolled up in the summary trailer.
  *
  * Determinism contract: ingest() is a pure fold over the sample
  * stream — no wall clock, no RNG, deterministic double formatting —
@@ -108,37 +108,18 @@ struct MonitorEvent
     std::string toJson() const;
 };
 
-/** Detector tuning. The defaults hold for relative errors in the
- *  few-percent range (the trained models' regime). */
+/** Detector tuning that callers vary. The fixed detector constants
+ *  (EWMA smoothing, window, warm-up, Page–Hinkley δ/λ, accuracy and
+ *  traffic-shift thresholds, error buckets) live in monitor.cc; they
+ *  hold for relative errors in the few-percent range (the trained
+ *  models' regime). */
 struct MonitorOptions
 {
-    /** EWMA smoothing for the absolute relative error. */
-    double ewmaAlpha = 0.1;
-    /** Recent samples kept for the windowed percentiles. */
-    std::size_t window = 256;
-    /** Samples before any detector may fire (warm-up). */
-    std::size_t minSamples = 8;
-    /** Page–Hinkley magnitude tolerance (drift below it ignored). */
-    double phDelta = 0.005;
-    /** Page–Hinkley trip level on the cumulative deviation. */
-    double phLambda = 0.5;
-    /** EWMA |relative error| above this is degraded accuracy. */
-    double accuracyThreshold = 0.15;
-    /** Relative attribute delta vs its baseline that counts as a
-     *  traffic shift. */
-    double trafficShiftFactor = 0.5;
-    /** EWMA smoothing for the traffic-attribute baselines. */
-    double trafficAlpha = 0.2;
     /** Minimum samples between two events of the same kind. */
     std::size_t cooldown = 16;
-    /** A recovery window closes once the error EWMA holds below
-     *  recoveredFactor * accuracyThreshold... */
-    double recoveredFactor = 0.8;
-    /** ...for this many consecutive valid samples. */
+    /** A recovery window closes once the error EWMA holds below the
+     *  recovered level for this many consecutive valid samples. */
     std::size_t recoveryStableSamples = 4;
-    /** Bucket layout for the error histogram/percentiles (empty:
-     *  exponential 0.005 .. 2.56). */
-    std::vector<double> errorBounds;
 };
 
 /** Rolling summary (also the JSONL trailer of an event stream). */

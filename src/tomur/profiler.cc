@@ -37,6 +37,18 @@ benchTraffic(double mtbr = 0.0, std::uint64_t packet_size = 1500)
  *  simulated NIC tops out around 1e9 events/s. */
 constexpr double kCounterCeiling = 1e13;
 
+/** Re-measurements allowed per faulted training sample. */
+constexpr int kRetryBudget = 3;
+/** Damage ratios above this are physically implausible (contention
+ *  cannot speed an NF up beyond noise). */
+constexpr double kRatioCeiling = 1.3;
+/** MAD multiple beyond which a repeated reading is an outlier. */
+constexpr double kMadThreshold = 6.0;
+/** Full sampling: grid points per attribute, and contended co-runs
+ *  per grid point. */
+constexpr int kFullGridPerAttribute = 7;
+constexpr int kFullContentionSamplesPerPoint = 3;
+
 /** A measured throughput that can enter training data. */
 bool
 plausibleThroughput(const sim::Measurement &m)
@@ -412,7 +424,7 @@ TomurTrainer::train(fw::NetworkFunction &nf,
     }
 
     auto &bed = library_.testbed();
-    const ScreenOptions &sc = opts.screen;
+    const double verify_below = opts.screen.verifyBelowRatio;
 
     // ---- Screened measurement helpers (the outlier-rejection /
     // retry loop). On a fault-free testbed the first attempt always
@@ -442,9 +454,7 @@ TomurTrainer::train(fw::NetworkFunction &nf,
         [&](const std::vector<fw::WorkloadProfile> &deploy,
             const char *stage)
         -> std::optional<std::vector<sim::Measurement>> {
-        if (!sc.enabled)
-            return bed.run(deploy);
-        for (int attempt = 0; attempt <= sc.retryBudget; ++attempt) {
+        for (int attempt = 0; attempt <= kRetryBudget; ++attempt) {
             if (attempt > 0)
                 noteRetry();
             auto ms = bed.run(deploy);
@@ -468,31 +478,24 @@ TomurTrainer::train(fw::NetworkFunction &nf,
     auto measureRatio =
         [&](const std::vector<fw::WorkloadProfile> &deploy,
             double solo) -> std::optional<double> {
-        for (int attempt = 0; attempt <= sc.retryBudget; ++attempt) {
+        for (int attempt = 0; attempt <= kRetryBudget; ++attempt) {
             if (attempt > 0)
                 noteRetry();
             auto ms = bed.run(deploy);
             if (ms.size() != deploy.size() ||
                 !plausibleThroughput(ms[0])) {
-                if (sc.enabled) {
-                    noteFault();
-                    continue;
-                }
-                return ms.empty() ? 0.0 : ms[0].throughput / solo;
+                noteFault();
+                continue;
             }
             double r = ms[0].throughput / solo;
-            if (!sc.enabled)
-                return r;
-            if (r > sc.ratioCeiling) {
+            if (r > kRatioCeiling) {
                 // Contention cannot make an NF faster: a ratio this
                 // far above 1 is a faulted reading.
                 noteFault();
                 continue;
             }
-            if (sc.verifyBelowRatio <= 0.0 ||
-                r >= sc.verifyBelowRatio) {
+            if (verify_below <= 0.0 || r >= verify_below)
                 return r;
-            }
             // Suspiciously heavy drop: verify by repetition. A real
             // heavy contention level reproduces; a low outlier
             // disagrees with its re-measurements and the MAD test
@@ -504,7 +507,7 @@ TomurTrainer::train(fw::NetworkFunction &nf,
                 if (again.size() == deploy.size() &&
                     plausibleThroughput(again[0])) {
                     double r2 = again[0].throughput / solo;
-                    if (r2 <= sc.ratioCeiling)
+                    if (r2 <= kRatioCeiling)
                         reads.push_back(r2);
                 }
             }
@@ -512,7 +515,7 @@ TomurTrainer::train(fw::NetworkFunction &nf,
             double spread =
                 std::max(mad(reads), 0.01 * std::max(med, 1e-12));
             for (double x : reads) {
-                if (std::fabs(x - med) > sc.madThreshold * spread) {
+                if (std::fabs(x - med) > kMadThreshold * spread) {
                     noteFault(); // a repetition disagreed: faulted
                     break;
                 }
@@ -690,7 +693,7 @@ TomurTrainer::train(fw::NetworkFunction &nf,
         executePlan(plan);
     } else {
         // Full profiling: dense grid over every attribute.
-        int g = std::max(2, opts.fullGridPerAttribute);
+        constexpr int g = kFullGridPerAttribute;
         std::vector<PlanStep> plan;
         std::unique_ptr<TraceSpan> plan_span;
         if (tracer().enabled()) {
@@ -715,7 +718,7 @@ TomurTrainer::train(fw::NetworkFunction &nf,
                     solo_step.profile = p;
                     plan.push_back(std::move(solo_step));
                     for (int i = 0;
-                         i < opts.contentionSamplesPerProfile; ++i) {
+                         i < kFullContentionSamplesPerPoint; ++i) {
                         PlanStep step;
                         step.contended = true;
                         step.profile = p;

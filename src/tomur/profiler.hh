@@ -105,18 +105,19 @@ enum class SamplingStrategy
 {
     Adaptive, ///< Algorithm 1
     Random,   ///< same quota, uniform random traffic + contention
-    Full,     ///< dense grid (the expensive reference)
+    Full,     ///< dense 7^3 grid, 3 co-runs per point (reference)
 };
 
 /**
  * Measurement screening / retry policy (the robustness layer).
  *
  * Every training measurement passes a plausibility screen (finite,
- * positive, complete co-run batch, damage ratio below ratioCeiling);
- * a sample that fails is re-measured up to retryBudget times and
- * abandoned (with a structured WARN) if it never passes. The
- * defaults are chosen so a fault-free testbed never triggers a
- * retry — clean profiling runs are bit-identical with screening on.
+ * positive, complete co-run batch, damage ratio below a physical
+ * ceiling); a sample that fails is re-measured up to a fixed retry
+ * budget and abandoned (with a structured WARN) if it never passes.
+ * The screen constants (profiler.cc) are chosen so a fault-free
+ * testbed never triggers a retry — clean profiling runs pay nothing
+ * for it.
  *
  * Suspiciously low damage ratios (below verifyBelowRatio) can
  * additionally be verified by repetition: the deployment is
@@ -128,16 +129,8 @@ enum class SamplingStrategy
  */
 struct ScreenOptions
 {
-    bool enabled = true;
-    /** Re-measurements allowed per faulted sample. */
-    int retryBudget = 3;
-    /** Damage ratios above this are physically implausible
-     *  (contention cannot speed an NF up beyond noise). */
-    double ratioCeiling = 1.3;
     /** Verify-by-repetition threshold (0 disables). */
     double verifyBelowRatio = 0.0;
-    /** MAD multiple beyond which a repeated reading is an outlier. */
-    double madThreshold = 6.0;
 };
 
 /** Training options. */
@@ -147,10 +140,6 @@ struct TrainOptions
     AdaptiveOptions adaptive{};
     MemoryModelOptions memory{};
     ScreenOptions screen{};
-    /** Contended co-runs collected per visited traffic profile. */
-    int contentionSamplesPerProfile = 4;
-    /** Grid points per attribute for Full sampling. */
-    int fullGridPerAttribute = 7;
     std::uint64_t seed = 99;
 };
 

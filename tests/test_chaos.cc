@@ -207,8 +207,7 @@ bool
 fails(const RunOutcome &o, InvariantKind kind,
       const FaultPlan &plan = {})
 {
-    for (const auto &v :
-         chaos::checkInvariants(plan, o, {})) {
+    for (const auto &v : chaos::checkInvariants(plan, o)) {
         if (v.kind == kind)
             return !v.passed;
     }
@@ -218,7 +217,7 @@ fails(const RunOutcome &o, InvariantKind kind,
 
 TEST(ChaosInvariants, HealthyOutcomePassesAll)
 {
-    auto verdicts = chaos::checkInvariants({}, healthyOutcome(), {});
+    auto verdicts = chaos::checkInvariants({}, healthyOutcome());
     ASSERT_EQ(verdicts.size(), 4u); // determinism is appended later
     for (const auto &v : verdicts)
         EXPECT_TRUE(v.passed) << chaos::invariantName(v.kind)
@@ -361,8 +360,7 @@ TEST(ChaosRunner, ServePlanShedsWithRetryAfterUnderStorm)
     EXPECT_TRUE(outcome.drainConverged);
     EXPECT_EQ(outcome.serveInternalErrors, 0u);
 
-    auto verdicts =
-        chaos::checkInvariants(plan, outcome, opts.invariants);
+    auto verdicts = chaos::checkInvariants(plan, outcome);
     for (const auto &v : verdicts)
         EXPECT_TRUE(v.passed) << chaos::invariantName(v.kind)
                               << ": " << v.detail;

@@ -3,18 +3,24 @@
  * Parallel-engine tests: thread-pool semantics (exception
  * propagation, empty/nested loops, map ordering), per-task seed
  * derivation, the parallel-equals-serial determinism contract
- * (GBR fits, batched testbed runs, end-to-end training), and the
+ * (GBR fits, batched testbed runs, end-to-end training), the
  * deployment-measurement cache (hit/miss accounting, key
- * discrimination, fault-injection bypass).
+ * discrimination, fault-injection bypass), and the trained-model
+ * digest golden: contentDigest() of six pinned trainings matches
+ * tests/golden/model_digests.txt at pool widths 1 and 8
+ * (regenerate with tools/update_goldens.sh).
  *
- * Every suite here is prefixed "Parallel" so
- * tools/run_sanitized_tests.sh can select exactly these tests for
- * the TSan pass (ctest -R '^Parallel').
+ * Every suite here except ModelDigestGolden is prefixed "Parallel"
+ * so tools/run_sanitized_tests.sh can select exactly these tests for
+ * the TSan pass (ctest -R '^Parallel'); the digest golden trains six
+ * models and is too slow for it.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
+#include <fstream>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -281,6 +287,129 @@ TEST(ParallelDeterminism, TrainedModelIsBitIdenticalAcrossWidths)
     auto parallel = trainOnce(4);
     EXPECT_EQ(serial, parallel)
         << "serialized models differ between pool widths";
+}
+
+// ---------------------------------------------------------------
+// Trained-model digests, pinned across commits
+// ---------------------------------------------------------------
+
+#ifndef TOMUR_GOLDEN_DIR
+#define TOMUR_GOLDEN_DIR "tests/golden"
+#endif
+
+namespace {
+
+/** One pinned training: an NF, its options, and whether the
+ *  testbed corrupts measurements after the bench library is
+ *  profiled. */
+struct DigestCase
+{
+    const char *label;
+    const char *nf;
+    core::SamplingStrategy sampling;
+    std::size_t quota;
+    bool faulty;
+};
+
+const DigestCase kDigestCases[] = {
+    {"FlowStats/adaptive/q12", "FlowStats",
+     core::SamplingStrategy::Adaptive, 12, false},
+    {"NIDS/adaptive/q12", "NIDS", core::SamplingStrategy::Adaptive,
+     12, false},
+    {"IPCompGateway/adaptive/q12", "IPCompGateway",
+     core::SamplingStrategy::Adaptive, 12, false},
+    {"FlowMonitor/adaptive/q12", "FlowMonitor",
+     core::SamplingStrategy::Adaptive, 12, false},
+    {"FlowStats/random/q20", "FlowStats",
+     core::SamplingStrategy::Random, 20, false},
+    {"FlowStats/adaptive/q12/faults0.2", "FlowStats",
+     core::SamplingStrategy::Adaptive, 12, true},
+};
+
+/** contentDigest() of every case, one "<label> <hex>" line each. */
+std::string
+trainedModelDigests()
+{
+    auto rules = regex::defaultRuleSet();
+    fw::DeviceSet dev;
+    dev.regex = std::make_shared<fw::RegexDevice>(rules);
+    dev.compression = std::make_shared<fw::CompressionDevice>();
+    dev.crypto = std::make_shared<fw::CryptoDevice>();
+    auto defaults = traffic::TrafficProfile::defaults();
+
+    std::ostringstream out;
+    for (const auto &c : kDigestCases) {
+        sim::Testbed bed(hw::blueField2(), {});
+        sim::FaultInjectingTestbed faulty(bed, {});
+        core::BenchLibrary lib(faulty, dev, rules);
+        core::TomurTrainer trainer(lib);
+        core::TrainOptions topts;
+        topts.sampling = c.sampling;
+        topts.adaptive.quota = c.quota;
+        if (c.faulty) {
+            faulty.setConfig(sim::FaultConfig::uniformCorruption(0.2));
+            topts.screen.verifyBelowRatio = 0.6;
+        }
+        auto nf = nfs::makeByName(c.nf, dev);
+        core::TrainReport report;
+        auto model = trainer.train(*nf, defaults, topts, &report);
+        if (c.faulty) {
+            // The screen's retry path must actually run, or the
+            // digest would not pin its constants.
+            EXPECT_GT(report.retriesUsed, 0u) << c.label;
+        }
+        out << c.label << ' ' << std::hex << model.contentDigest()
+            << std::dec << '\n';
+    }
+    return out.str();
+}
+
+void
+checkDigestGolden(const std::string &actual)
+{
+    const std::string path =
+        std::string(TOMUR_GOLDEN_DIR) + "/model_digests.txt";
+    if (std::getenv("TOMUR_UPDATE_GOLDENS")) {
+        std::ofstream out(path, std::ios::binary);
+        ASSERT_TRUE(out) << "cannot write " << path;
+        out << actual;
+        return;
+    }
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream expected;
+    expected << in.rdbuf();
+    ASSERT_FALSE(expected.str().empty())
+        << path << " is missing; regenerate with "
+        << "tools/update_goldens.sh";
+    EXPECT_EQ(expected.str(), actual)
+        << "trained models changed; if the change is intentional, "
+        << "regenerate with tools/update_goldens.sh and review the "
+        << "diff";
+}
+
+} // namespace
+
+TEST(ModelDigestGolden, SerialTrainingMatchesFixture)
+{
+    PoolWidth width(1);
+    checkDigestGolden(trainedModelDigests());
+}
+
+TEST(ModelDigestGolden, WideTrainingMatchesFixture)
+{
+    std::string wide;
+    {
+        PoolWidth width(8);
+        wide = trainedModelDigests();
+    }
+    if (std::getenv("TOMUR_UPDATE_GOLDENS")) {
+        // The serial test writes the fixture; here the wide run only
+        // has to reproduce the serial one.
+        PoolWidth width(1);
+        EXPECT_EQ(trainedModelDigests(), wide);
+        return;
+    }
+    checkDigestGolden(wide);
 }
 
 // ---------------------------------------------------------------

@@ -51,6 +51,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -481,6 +482,23 @@ saveModelOrExit(const core::TomurModel &model,
     }
 }
 
+/** Write an output file through `fill`. On failure prints an error
+ *  naming `what` and returns false; the caller exits kExitIo. */
+bool
+writeOutput(const std::string &path, const char *what,
+            const std::function<void(std::ostream &)> &fill)
+{
+    std::ofstream out(path);
+    if (out)
+        fill(out);
+    if (!out) {
+        std::fprintf(stderr, "error: cannot write %s to '%s': %s\n",
+                     what, path.c_str(), std::strerror(errno));
+        return false;
+    }
+    return true;
+}
+
 /** Train (with screening tuned for the injected fault rate) or load
  *  the model for the target NF. */
 core::TomurModel
@@ -799,19 +817,12 @@ runSupervisedReplay(const Cli &cli)
         }
     }
 
-    if (!cli.eventsOut.empty()) {
-        std::ofstream out(cli.eventsOut);
-        if (out) {
+    if (!cli.eventsOut.empty() &&
+        !writeOutput(cli.eventsOut, "events", [&](std::ostream &out) {
             monitor.exportJsonl(out);
             supervisor.exportJsonl(out);
-        }
-        if (!out) {
-            std::fprintf(stderr,
-                         "error: cannot write events to '%s': %s\n",
-                         cli.eventsOut.c_str(),
-                         std::strerror(errno));
-            return kExitIo;
-        }
+        })) {
+        return kExitIo;
     }
 
     const auto &r = res.value();
@@ -857,17 +868,11 @@ runSupervisedReplay(const Cli &cli)
                     profiler.sampledTokens()),
                 static_cast<unsigned long long>(
                     profiler.droppedTokens()));
-    if (!cli.profileOut.empty()) {
-        std::ofstream out(cli.profileOut);
-        if (out)
+    if (!cli.profileOut.empty() &&
+        !writeOutput(cli.profileOut, "profile", [&](std::ostream &out) {
             profiler.exportText(out);
-        if (!out) {
-            std::fprintf(stderr,
-                         "error: cannot write profile to '%s': %s\n",
-                         cli.profileOut.c_str(),
-                         std::strerror(errno));
-            return kExitIo;
-        }
+        })) {
+        return kExitIo;
     }
     return kExitOk;
 }
@@ -939,18 +944,13 @@ cmdServe(const Cli &cli)
         return kExitIo;
     }
 
-    if (!cli.portFile.empty()) {
-        // Scripts binding port 0 discover the choice here; written
-        // before run() so pollers see it as soon as we can serve.
-        std::ofstream out(cli.portFile);
-        if (out)
+    // Scripts binding port 0 discover the choice here; written
+    // before run() so pollers see it as soon as we can serve.
+    if (!cli.portFile.empty() &&
+        !writeOutput(cli.portFile, "port file", [&](std::ostream &out) {
             out << daemon.boundPort() << "\n";
-        if (!out) {
-            std::fprintf(stderr,
-                         "error: cannot write port file '%s': %s\n",
-                         cli.portFile.c_str(), std::strerror(errno));
-            return kExitIo;
-        }
+        })) {
+        return kExitIo;
     }
 
     serve::installShutdownHandlers();
@@ -975,17 +975,11 @@ cmdServe(const Cli &cli)
                         slo.recoveredEvents),
                     slo.burning ? " (still burning)" : "");
     }
-    if (!cli.profileOut.empty()) {
-        std::ofstream out(cli.profileOut);
-        if (out)
+    if (!cli.profileOut.empty() &&
+        !writeOutput(cli.profileOut, "profile", [&](std::ostream &out) {
             profiler.exportText(out);
-        if (!out) {
-            std::fprintf(stderr,
-                         "error: cannot write profile to '%s': %s\n",
-                         cli.profileOut.c_str(),
-                         std::strerror(errno));
-            return kExitIo;
-        }
+        })) {
+        return kExitIo;
     }
     if (!st.isOk()) {
         std::fprintf(stderr, "error: %s\n", st.toString().c_str());
@@ -1041,8 +1035,7 @@ cmdChaos(const Cli &cli)
             return kExitUsage;
         }
         auto outcome = chaos::runPlan(world, plan.value(), ropts);
-        auto verdicts = chaos::checkInvariants(
-            plan.value(), outcome, ropts.invariants);
+        auto verdicts = chaos::checkInvariants(plan.value(), outcome);
         std::size_t violations = 0;
         std::printf("replay %s: seed=%llu target=%s actions=%zu "
                     "samples=%zu crashes=%zu stream=%016llx\n",
@@ -1097,33 +1090,20 @@ cmdChaos(const Cli &cli)
                     result.shrunkPlan.actions.size(),
                     result.shrinkIterations);
         if (!cli.reproOut.empty()) {
-            std::ofstream out(cli.reproOut);
-            if (out)
-                out << result.reproText;
-            if (!out) {
-                std::fprintf(stderr,
-                             "error: cannot write repro to "
-                             "'%s': %s\n",
-                             cli.reproOut.c_str(),
-                             std::strerror(errno));
+            if (!writeOutput(cli.reproOut, "repro",
+                             [&](std::ostream &out) {
+                                 out << result.reproText;
+                             })) {
                 return kExitIo;
             }
             std::printf("repro written to %s\n",
                         cli.reproOut.c_str());
         }
     }
-    if (!cli.eventsOut.empty()) {
-        std::ofstream out(cli.eventsOut);
-        if (out)
-            out << result.jsonl;
-        if (!out) {
-            std::fprintf(stderr,
-                         "error: cannot write campaign ledger to "
-                         "'%s': %s\n",
-                         cli.eventsOut.c_str(),
-                         std::strerror(errno));
-            return kExitIo;
-        }
+    if (!cli.eventsOut.empty() &&
+        !writeOutput(cli.eventsOut, "campaign ledger",
+                     [&](std::ostream &out) { out << result.jsonl; })) {
+        return kExitIo;
     }
     return result.violations == 0 ? kExitOk : kExitRuntime;
 }
@@ -1157,13 +1137,9 @@ cmdReport(const Cli &cli)
         std::fputs(rendered.value().c_str(), stdout);
         return kExitOk;
     }
-    std::ofstream out(cli.outPath);
-    if (out)
-        out << rendered.value();
-    if (!out) {
-        std::fprintf(stderr,
-                     "error: cannot write report to '%s': %s\n",
-                     cli.outPath.c_str(), std::strerror(errno));
+    if (!writeOutput(cli.outPath, "report", [&](std::ostream &out) {
+            out << rendered.value();
+        })) {
         return kExitIo;
     }
     std::printf("report written to %s\n", cli.outPath.c_str());
@@ -1207,29 +1183,17 @@ int
 writeObservability(const Cli &cli)
 {
     int rc = kExitOk;
-    if (!cli.traceOut.empty()) {
-        std::ofstream out(cli.traceOut);
-        if (out)
+    if (!cli.traceOut.empty() &&
+        !writeOutput(cli.traceOut, "trace", [](std::ostream &out) {
             tracer().exportJsonl(out);
-        if (!out) {
-            std::fprintf(stderr,
-                         "error: cannot write trace to '%s': %s\n",
-                         cli.traceOut.c_str(),
-                         std::strerror(errno));
-            rc = kExitIo;
-        }
+        })) {
+        rc = kExitIo;
     }
-    if (!cli.metricsOut.empty()) {
-        std::ofstream out(cli.metricsOut);
-        if (out)
+    if (!cli.metricsOut.empty() &&
+        !writeOutput(cli.metricsOut, "metrics", [](std::ostream &out) {
             metrics().dump(out);
-        if (!out) {
-            std::fprintf(stderr,
-                         "error: cannot write metrics to '%s': %s\n",
-                         cli.metricsOut.c_str(),
-                         std::strerror(errno));
-            rc = kExitIo;
-        }
+        })) {
+        rc = kExitIo;
     }
     return rc;
 }

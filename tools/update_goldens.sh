@@ -6,9 +6,10 @@
 # tests/test_monitor.cc, the autopilot monitor+supervisor event
 # stream of the crash/resume scenario in tests/test_supervisor.cc,
 # the serving observatory's canonical access-log + SLO + trace
-# streams of the fixed server scenario in tests/test_serve.cc, and
-# the chaos-campaign JSONL ledger of the fixed seeded campaign in
-# tests/test_chaos.cc).
+# streams of the fixed server scenario in tests/test_serve.cc, the
+# chaos-campaign JSONL ledger of the fixed seeded campaign in
+# tests/test_chaos.cc, and model_digests.txt, the contentDigest() of
+# the six pinned trainings in tests/test_parallel.cc).
 #
 # Run this after intentionally changing instrumentation (new spans,
 # new fields, new metrics) and commit the updated fixtures together
@@ -25,7 +26,7 @@ build_dir="$repo_root/build"
 cmake -B "$build_dir" -S "$repo_root"
 cmake --build "$build_dir" -j "$(nproc 2>/dev/null || echo 4)" \
     --target test_telemetry test_monitor test_supervisor \
-    --target test_serve test_chaos
+    --target test_serve test_chaos test_parallel
 
 # The serial run writes the fixtures; the wide run then re-runs the
 # scenario at TOMUR_THREADS=8 and asserts it reproduces them
@@ -40,6 +41,8 @@ TOMUR_UPDATE_GOLDENS=1 "$build_dir/tests/test_serve" \
     --gtest_filter='ServeObservatoryGolden.*'
 TOMUR_UPDATE_GOLDENS=1 "$build_dir/tests/test_chaos" \
     --gtest_filter='ChaosGolden.*'
+TOMUR_UPDATE_GOLDENS=1 "$build_dir/tests/test_parallel" \
+    --gtest_filter='ModelDigestGolden.*'
 
 echo ""
 echo "updated fixtures:"
