@@ -205,8 +205,9 @@ BENCHMARK(BM_MonitorIngest);
 void
 BM_CheckpointFrame(benchmark::State &state)
 {
-    // Frame + verify of a model-sized body: the pure-CPU cost
-    // (checksum twice, no I/O) every autopilot checkpoint pays.
+    // Frame + verify of a model-sized body through the checkpoint
+    // log's frame code: the pure-CPU cost (checksum twice, no I/O) a
+    // blob frame pays once when staged and once when restored.
     std::string body(64 * 1024, '\0');
     for (std::size_t i = 0; i < body.size(); ++i)
         body[i] = static_cast<char>('a' + i % 26);

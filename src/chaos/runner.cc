@@ -192,13 +192,13 @@ crashPointFor(int variant)
 {
     switch (variant) {
     case 1:
-        return CheckpointCrashPoint::BeforeTempWrite;
+        return CheckpointCrashPoint::BeforeAppend;
     case 2:
-        return CheckpointCrashPoint::MidTempWrite;
+        return CheckpointCrashPoint::TornAppend;
     case 3:
-        return CheckpointCrashPoint::BeforeRename;
+        return CheckpointCrashPoint::BeforeGeneration;
     case 4:
-        return CheckpointCrashPoint::BeforePrune;
+        return CheckpointCrashPoint::BeforeCompaction;
     default:
         return CheckpointCrashPoint::None;
     }

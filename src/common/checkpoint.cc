@@ -4,14 +4,16 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
+#include <charconv>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <iomanip>
-#include <optional>
-#include <sstream>
+#include <ranges>
 
 #include "common/logging.hh"
 #include "common/serial.hh"
+#include "common/strutil.hh"
 #include "common/telemetry.hh"
 #include "common/trace.hh"
 
@@ -21,104 +23,142 @@ namespace tomur {
 
 namespace {
 
-constexpr const char *kMagic = "tomur_ckpt";
+constexpr std::string_view kMagic = "tomur_ckpt ";
 constexpr int kVersion = 2;
 constexpr std::size_t kMaxBodyBytes = 64ULL * 1024 * 1024;
-/** Upper bound on one generation's blob references; more means a
- *  corrupt reference line. */
+/** Past any header frame() writes: no newline by here is garbage. */
+constexpr std::size_t kMaxHeaderBytes = 80;
+/** Upper bound on one generation's blob references. */
 constexpr std::size_t kMaxBlobRefs = 64;
-
-struct CheckpointMetrics
-{
-    Counter &writes =
-        metrics().counter("tomur_checkpoint_writes_total");
-    Counter &restores =
-        metrics().counter("tomur_checkpoint_restores_total");
-    Counter &corruptSkipped =
-        metrics().counter("tomur_checkpoint_corrupt_skipped_total");
-    Counter &pruned =
-        metrics().counter("tomur_checkpoint_pruned_total");
-    Counter &blobWrites =
-        metrics().counter("tomur_checkpoint_blob_writes_total");
-    Counter &blobBytes =
-        metrics().counter("tomur_checkpoint_blob_bytes_total");
-    Counter &blobsPruned =
-        metrics().counter("tomur_checkpoint_blobs_pruned_total");
-};
-
-CheckpointMetrics &
-checkpointMetrics()
-{
-    static CheckpointMetrics cm;
-    return cm;
-}
+/** Dead bytes the log may carry before a compaction is due. */
+constexpr std::uint64_t kCompactFloorBytes = 1 << 20;
 
 std::string
-checksumHex(std::uint64_t h)
+digestHex(std::uint64_t d)
 {
-    std::ostringstream out;
-    out << std::hex << std::setw(16) << std::setfill('0') << h;
-    return out.str();
+    return strf("%016llx", static_cast<unsigned long long>(d));
 }
 
-/** fsync a path (file or directory); best-effort, reports failure. */
+/** Parse all of `s` in `base`; a digest (base 16) has 16 digits. */
+template <class T>
 bool
-syncPath(const std::string &path)
+parseNumber(std::string_view s, T *v, int base = 10)
 {
-    int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0)
+    auto res = std::from_chars(s.data(), s.data() + s.size(), *v, base);
+    return !s.empty() && (base != 16 || s.size() == 16) &&
+           res.ec == std::errc() && res.ptr == s.data() + s.size();
+}
+
+/** Append the frame of payload `kind` + `body` to `out`. */
+void
+appendFrame(std::string &out, std::string_view kind,
+            std::string_view body)
+{
+    out += strf("%.*s%d %zu %s\n", static_cast<int>(kMagic.size()),
+                kMagic.data(), kVersion, kind.size() + body.size(),
+                digestHex(fnv1a64(body, fnv1a64(kind))).c_str());
+    out += kind;
+    out += body;
+}
+
+/** Verify the frame `bytes` starts with into its `size` and
+ *  `payload`; `torn` when `bytes` ends inside a frame's start. */
+Status
+findFrame(std::string_view bytes, std::size_t *size,
+          std::string_view *payload, bool *torn)
+{
+    std::size_t nl = bytes.substr(0, kMaxHeaderBytes).find('\n');
+    if (nl == bytes.npos) {
+        *torn = bytes.size() < kMaxHeaderBytes &&
+                (bytes.starts_with(kMagic) || kMagic.starts_with(bytes));
+        return Status::corruptData("checkpoint header truncated");
+    }
+    auto f = split(std::string(bytes.substr(0, nl)), ' ');
+    int version = 0;
+    std::uint64_t checksum = 0;
+    if (f.size() != 4 || f[0] + ' ' != kMagic ||
+        !parseNumber(f[1], &version) || !parseNumber(f[2], size) ||
+        !parseNumber(f[3], &checksum, 16))
+        return Status::corruptData(
+            "checkpoint header malformed (bad magic)");
+    if (version != kVersion)
+        return Status::corruptData(strf(
+            "unsupported checkpoint version %d (this build reads "
+            "version %d, whose generations reference model blobs)",
+            version, kVersion));
+    if (*size > kMaxBodyBytes)
+        return Status::corruptData(
+            strf("checkpoint body size %zu exceeds limit", *size));
+    *payload = bytes.substr(nl + 1, *size);
+    *torn = payload->size() < *size;
+    if (*torn)
+        return Status::corruptData(strf(
+            "checkpoint body truncated: header says %zu bytes, found %zu",
+            *size, payload->size()));
+    if (fnv1a64(*payload) != checksum)
+        return Status::corruptData("checkpoint checksum mismatch");
+    *size += nl + 1;
+    return Status::ok();
+}
+
+/** A payload: a blob (key = its digest) or a generation (key = its
+ *  number, refs = its blobs), and the bytes after its record line. */
+struct Record
+{
+    bool blob = false;
+    std::uint64_t key = 0;
+    std::vector<std::uint64_t> refs;
+    std::string_view bytes;
+};
+
+bool
+parseRecord(std::string_view payload, Record *r)
+{
+    std::size_t nl = payload.find('\n');
+    auto f = split(std::string(payload.substr(0, nl)), ' ');
+    r->blob = f[0] == "blob";
+    if (nl == payload.npos || f.size() < 2 ||
+        f.size() > (r->blob ? 2 : 2 + kMaxBlobRefs) ||
+        !(r->blob || f[0] == "generation") ||
+        !parseNumber(f[1], &r->key, r->blob ? 16 : 10) ||
+        (!r->blob && r->key == 0))
         return false;
-    bool ok = ::fsync(fd) == 0;
-    ::close(fd);
-    return ok;
+    r->refs.resize(f.size() - 2);
+    for (std::size_t i = 2; i < f.size(); ++i)
+        if (!parseNumber(f[i], &r->refs[i - 2], 16))
+            return false;
+    r->bytes = payload.substr(nl + 1);
+    return true;
 }
 
-/** The part of `filename` between `prefix` and `.tomur`; empty when
- *  the name has another shape. */
-std::string_view
-recordStem(std::string_view filename, std::string_view prefix)
+/** Up to `size` bytes of `path` from `offset`; fewer at its end. */
+std::string
+readAt(const std::string &path, std::uint64_t offset, std::size_t size)
 {
-    constexpr std::string_view suffix = ".tomur";
-    if (filename.size() <= prefix.size() + suffix.size() ||
-        !filename.starts_with(prefix) || !filename.ends_with(suffix))
-        return {};
-    return filename.substr(prefix.size(), filename.size() -
-                                              prefix.size() -
-                                              suffix.size());
+    std::string bytes(size, '\0');
+    std::ifstream in(path, std::ios::binary);
+    in.seekg(static_cast<std::streamoff>(offset));
+    in.read(bytes.data(), static_cast<std::streamsize>(size));
+    bytes.resize(static_cast<std::size_t>(in.gcount()));
+    return bytes;
 }
 
-/** Parse `ckpt-<digits>.tomur` -> generation; 0 when not a record. */
-std::uint64_t
-generationOf(const std::string &filename)
+/** `what` and errno's text, as an IoError. */
+Status
+ioError(const std::string &what)
 {
-    std::string_view digits = recordStem(filename, "ckpt-");
-    if (digits.empty())
-        return 0;
-    std::uint64_t gen = 0;
-    for (char c : digits) {
-        if (c < '0' || c > '9')
-            return 0;
-        gen = gen * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    return gen;
+    return Status::ioError(what + ": " + std::strerror(errno));
 }
 
-/** Parse exactly 16 lowercase hex digits (checksumHex's output). */
-std::optional<std::uint64_t>
-parseDigest(std::string_view hex)
+/** fdatasync `fd` (counted) when `on`. */
+Status
+syncFd(int fd, const std::string &what, bool on)
 {
-    if (hex.size() != 16)
-        return std::nullopt;
-    std::uint64_t v = 0;
-    for (char c : hex) {
-        int d = c >= '0' && c <= '9'   ? c - '0'
-                : c >= 'a' && c <= 'f' ? c - 'a' + 10
-                                       : -1;
-        if (d < 0)
-            return std::nullopt;
-        v = v << 4 | static_cast<std::uint64_t>(d);
-    }
-    return v;
+    if (on)
+        metrics().counter("tomur_checkpoint_syncs_total").inc();
+    return !on || ::fdatasync(fd) == 0
+               ? Status::ok()
+               : ioError("fdatasync failed for " + what);
 }
 
 } // namespace
@@ -127,150 +167,154 @@ CheckpointStore::CheckpointStore(std::string dir,
                                  CheckpointOptions opts)
     : dir_(std::move(dir)), opts_(opts)
 {
-    auto gens = listGenerations();
-    nextGen_ = gens.empty() ? 1 : gens.back() + 1;
-}
-
-std::string
-CheckpointStore::generationPath(std::uint64_t gen) const
-{
-    std::ostringstream name;
-    name << "ckpt-" << std::setw(8) << std::setfill('0') << gen
-         << ".tomur";
-    return (fs::path(dir_) / name.str()).string();
-}
-
-std::string
-CheckpointStore::blobPath(std::uint64_t digest) const
-{
-    return (fs::path(dir_) / ("blob-" + checksumHex(digest) + ".tomur"))
-        .string();
-}
-
-void
-CheckpointStore::crash(CheckpointCrashPoint p) const
-{
-    if (opts_.crashPoint != p)
-        return;
-    const char *where = "?";
-    switch (p) {
-    case CheckpointCrashPoint::BeforeTempWrite:
-        where = "checkpoint.before-temp-write";
-        break;
-    case CheckpointCrashPoint::MidTempWrite:
-        where = "checkpoint.mid-temp-write";
-        break;
-    case CheckpointCrashPoint::BeforeRename:
-        where = "checkpoint.before-rename";
-        break;
-    case CheckpointCrashPoint::BeforePrune:
-        where = "checkpoint.before-prune";
-        break;
-    case CheckpointCrashPoint::None:
-        break;
+    std::error_code ec;
+    for (const auto &entry : fs::directory_iterator(dir_, ec)) {
+        std::string name = entry.path().filename().string();
+        if ((name.starts_with("ckpt-") || name.starts_with("blob-")) &&
+            name.ends_with(".tomur"))
+            refused_ = Status::failedPrecondition(strf(
+                "checkpoint directory %s holds %s, a file-per-record "
+                "checkpoint of an older build (this build keeps one "
+                "log); resume from an empty checkpoint directory",
+                dir_.c_str(), name.c_str()));
     }
-    throw SimulatedCrash(where);
+    if (refused_.isOk())
+        scan();
 }
 
 std::string
 CheckpointStore::frame(const std::string &body)
 {
-    std::ostringstream out;
-    out << kMagic << ' ' << kVersion << ' ' << body.size() << ' '
-        << checksumHex(fnv1a64(body)) << '\n'
-        << body;
-    return out.str();
+    std::string out;
+    appendFrame(out, {}, body);
+    return out;
 }
 
 Status
 CheckpointStore::verifyFrame(const std::string &framed,
                              std::string *body)
 {
-    std::size_t nl = framed.find('\n');
-    if (nl == std::string::npos)
-        return Status::corruptData("checkpoint header truncated");
-    std::istringstream header(framed.substr(0, nl));
-    std::string magic;
-    int version = 0;
-    std::size_t bytes = 0;
-    std::string checksum;
-    header >> magic >> version >> bytes >> checksum;
-    if (!header || magic != kMagic)
+    std::size_t size = 0;
+    std::string_view payload;
+    bool torn = false;
+    if (Status st = findFrame(framed, &size, &payload, &torn); !st)
+        return st;
+    if (size != framed.size())
         return Status::corruptData(
-            "checkpoint header malformed (bad magic)");
-    if (version != kVersion)
-        return Status::corruptData(
-            "unsupported checkpoint version " +
-            std::to_string(version) + " (this build reads version " +
-            std::to_string(kVersion) +
-            ", whose generations reference model blobs)");
-    if (bytes > kMaxBodyBytes)
-        return Status::corruptData(
-            "checkpoint body size " + std::to_string(bytes) +
-            " exceeds limit");
-    std::string rest = framed.substr(nl + 1);
-    if (rest.size() != bytes)
-        return Status::corruptData(
-            "checkpoint body truncated: header says " +
-            std::to_string(bytes) + " bytes, found " +
-            std::to_string(rest.size()));
-    if (checksumHex(fnv1a64(rest)) != checksum)
-        return Status::corruptData(
-            "checkpoint checksum mismatch");
+            strf("checkpoint frame followed by %zu stray bytes",
+                 framed.size() - size));
     if (body != nullptr)
-        *body = std::move(rest);
+        body->assign(payload);
     return Status::ok();
 }
 
+void
+CheckpointStore::scan()
+{
+    gens_.clear();
+    blobs_.clear();
+    staged_.clear();
+    corruptFrames_ = end_ = appended_ = 0;
+    std::error_code ec;
+    const std::uintmax_t bytes = fs::file_size(logPath(), ec);
+    const std::string log = readAt(logPath(), 0, ec ? 0 : bytes);
+    fileBytes_ = log.size();
+    for (std::size_t pos = 0, size = 0; pos < log.size();) {
+        std::string_view rest = std::string_view(log).substr(pos), payload;
+        bool torn = false;
+        Record r;
+        if (findFrame(rest, &size, &payload, &torn).isOk() &&
+            parseRecord(payload, &r)) {
+            // A later frame of a number wins: it was written after a
+            // crash dropped the earlier one from the index.
+            (r.blob ? blobs_ : gens_)[r.key] = {pos, size, r.refs};
+            end_ = pos += size;
+            continue;
+        }
+        // Resync to the next magic, so a bad frame never hides a later
+        // good one. A frame cut off by the log's end is a torn append.
+        std::size_t next = log.find(kMagic, pos + 1);
+        corruptFrames_ += next != log.npos || !torn;
+        pos = next == log.npos ? log.size() : next;
+    }
+    nextGen_ = gens_.empty() ? 1 : gens_.rbegin()->first + 1;
+    // Blobs after the newest generation await the one that never
+    // landed: a resumed run references them.
+    const Frame *newest = gens_.empty() ? nullptr : &gens_.rbegin()->second;
+    retire(newest ? newest->offset + newest->size : 0);
+}
+
+void
+CheckpointStore::retire(std::uint64_t pendingFrom)
+{
+    while (opts_.generations > 0 && gens_.size() > opts_.generations)
+        gens_.erase(gens_.begin());
+    std::erase_if(blobs_, [&](const auto &blob) {
+        return blob.second.offset < pendingFrom &&
+               std::none_of(gens_.begin(), gens_.end(), [&](auto &g) {
+                   return std::count(g.second.refs.begin(),
+                                     g.second.refs.end(), blob.first);
+               });
+    });
+}
+
 Status
-CheckpointStore::writeFramed(const std::string &path,
-                             const std::string &payload,
-                             bool crashPoints)
+CheckpointStore::syncDir() const
+{
+    int fd = ::open(dir_.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+    if (fd < 0)
+        return ioError("cannot open " + dir_);
+    Status st = syncFd(fd, dir_, opts_.fsync);
+    ::close(fd);
+    return st;
+}
+
+Status
+CheckpointStore::writeAt(const std::string &path, std::string_view bytes,
+                         std::uint64_t offset, bool cut) const
+{
+    int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_CLOEXEC, 0644);
+    if (fd < 0)
+        return ioError("cannot open " + path);
+    const auto at = static_cast<off_t>(offset);
+    bool ok = (!cut || ::ftruncate(fd, at) == 0) &&
+              ::pwrite(fd, bytes.data(), bytes.size(), at) ==
+                  static_cast<ssize_t>(bytes.size());
+    Status st = ok ? syncFd(fd, path, opts_.fsync)
+                   : ioError("cannot write " + path);
+    ::close(fd);
+    return st;
+}
+
+Status
+CheckpointStore::append(std::string_view bytes)
 {
     std::error_code ec;
     fs::create_directories(dir_, ec);
-    if (ec)
-        return Status::ioError("cannot create checkpoint dir " +
-                               dir_ + ": " + ec.message());
-
-    if (crashPoints)
-        crash(CheckpointCrashPoint::BeforeTempWrite);
-
-    std::string framed = frame(payload);
-    std::string tmpPath = path + ".tmp";
-    {
-        std::ofstream out(tmpPath,
-                          std::ios::binary | std::ios::trunc);
-        if (!out)
-            return Status::ioError("cannot open " + tmpPath +
-                                   " for writing");
-        if (crashPoints &&
-            opts_.crashPoint == CheckpointCrashPoint::MidTempWrite) {
-            // A real crash mid-write leaves a prefix of the record.
-            out.write(framed.data(),
-                      static_cast<std::streamsize>(framed.size() / 2));
-            out.flush();
-            crash(CheckpointCrashPoint::MidTempWrite);
-        }
-        out.write(framed.data(),
-                  static_cast<std::streamsize>(framed.size()));
-        out.flush();
-        if (!out)
-            return Status::ioError("short write to " + tmpPath);
+    const bool created = !fs::exists(logPath(), ec);
+    // Cut a torn tail, so the append follows the last valid frame.
+    const bool cut = fileBytes_ != end_;
+    fileBytes_ = end_ + bytes.size(); // a failed write rescans
+    Status st = writeAt(logPath(), bytes, end_, cut);
+    if (st.isOk() && created)
+        st = syncDir();
+    if (st.isOk()) {
+        end_ += bytes.size();
+        appended_ += bytes.size();
     }
-    if (opts_.fsync && !syncPath(tmpPath))
-        return Status::ioError("fsync failed for " + tmpPath);
+    return st;
+}
 
-    if (crashPoints)
-        crash(CheckpointCrashPoint::BeforeRename);
-
-    fs::rename(tmpPath, path, ec);
-    if (ec)
-        return Status::ioError("rename " + tmpPath + " -> " + path +
-                               ": " + ec.message());
-    if (opts_.fsync)
-        syncPath(dir_); // durability of the rename itself
-    return Status::ok();
+void
+CheckpointStore::crash(CheckpointCrashPoint p)
+{
+    if (opts_.crashPoint != p)
+        return;
+    // A killed process keeps nothing in memory: what survives is the
+    // log, as a restarted process scans it.
+    scan();
+    throw SimulatedCrash(
+        strf("checkpoint crash point %d", static_cast<int>(p)));
 }
 
 Status
@@ -278,168 +322,142 @@ CheckpointStore::writeGeneration(const std::string &body,
                                  const std::vector<std::uint64_t> &blobs)
 {
     TraceSpan span("checkpoint.write");
-    std::uint64_t gen = nextGen_;
+    if (!refused_.isOk())
+        return refused_;
+    const std::uint64_t gen = nextGen_;
     span.field("generation", static_cast<double>(gen));
 
-    std::string payload = "blobs " + std::to_string(blobs.size());
-    for (std::uint64_t d : blobs)
-        payload += ' ' + checksumHex(d);
-    payload += '\n';
-    payload += body;
-    if (Status st = writeFramed(generationPath(gen), payload, true);
-        !st.isOk())
+    // One append: the staged frames this generation references, then
+    // its own, indexed ahead (a failed append rescans the log).
+    // Staged blobs it does not reference would retire at once.
+    std::string kind = "generation " + std::to_string(gen);
+    std::string bytes;
+    for (std::uint64_t d : blobs) {
+        kind += ' ' + digestHex(d);
+        if (auto it = staged_.find(d); it != staged_.end()) {
+            blobs_[d] = {end_ + bytes.size(), it->second.size(), {}};
+            bytes += it->second;
+            staged_.erase(it);
+        }
+    }
+    staged_.clear();
+    const std::size_t blobBytes = bytes.size();
+    appendFrame(bytes, kind + '\n', body);
+    gens_[gen] = {end_ + blobBytes, bytes.size() - blobBytes, blobs};
+
+    crash(CheckpointCrashPoint::BeforeAppend);
+    if (auto p = opts_.crashPoint; p == CheckpointCrashPoint::TornAppend ||
+                                   p == CheckpointCrashPoint::BeforeGeneration) {
+        // What a kill mid-write leaves: a prefix of the append.
+        bool torn = p == CheckpointCrashPoint::TornAppend;
+        (void)append(std::string_view(bytes).substr(
+            0, torn ? bytes.size() / 2 : blobBytes));
+        crash(p);
+    }
+    if (Status st = append(bytes); !st.isOk()) {
+        scan();
         return st;
-
+    }
     nextGen_ = gen + 1;
-    checkpointMetrics().writes.inc();
+    metrics().counter("tomur_checkpoint_writes_total").inc();
 
-    crash(CheckpointCrashPoint::BeforePrune);
-    prune();
-    return Status::ok();
+    crash(CheckpointCrashPoint::BeforeCompaction);
+    retire(~std::uint64_t{0});
+    std::uint64_t live = 0;
+    for (const auto *index : {&gens_, &blobs_})
+        for (const auto &[key, f] : *index)
+            live += f.size;
+    return appended_ >= std::max(live, kCompactFloorBytes)
+               ? compact()
+               : Status::ok();
 }
 
-bool
-CheckpointStore::hasBlob(std::uint64_t digest) const
+Status
+CheckpointStore::compact()
 {
-    if (knownBlobs_.count(digest))
-        return true;
-    if (!readFramed(blobPath(digest)).isOk())
-        return false;
-    knownBlobs_.insert(digest);
-    return true;
+    TraceSpan span("checkpoint.compact");
+    // The live frames in log order: each blob still precedes the
+    // generations that reference it.
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> live;
+    for (const auto *index : {&gens_, &blobs_})
+        for (const auto &[key, f] : *index)
+            live.emplace_back(f.offset, f.size);
+    std::sort(live.begin(), live.end());
+    const std::string log = readAt(logPath(), 0, end_);
+    std::string fresh;
+    for (const auto &[offset, size] : live)
+        fresh.append(log, offset, size);
+    const std::string tmp = logPath() + ".tmp";
+    Status st = writeAt(tmp, fresh, 0, true);
+    if (st.isOk() && ::rename(tmp.c_str(), logPath().c_str()) != 0)
+        st = ioError("rename " + tmp);
+    if (!st.isOk())
+        return st.withContext("checkpoint compaction");
+    span.field("bytes", static_cast<double>(fresh.size()));
+    metrics().counter("tomur_checkpoint_compactions_total").inc();
+    scan(); // the index of the compacted log
+    return syncDir();
 }
 
 Status
 CheckpointStore::writeBlob(std::uint64_t digest,
                            const std::string &bytes)
 {
-    if (hasBlob(digest))
-        return Status::ok();
+    if (!refused_.isOk() || hasBlob(digest))
+        return refused_;
     TraceSpan span("checkpoint.blob_write");
     span.field("bytes", static_cast<double>(bytes.size()));
-    if (Status st = writeFramed(blobPath(digest), bytes, false);
-        !st.isOk())
-        return st;
-    knownBlobs_.insert(digest);
-    checkpointMetrics().blobWrites.inc();
-    checkpointMetrics().blobBytes.inc(bytes.size());
+    appendFrame(staged_[digest], "blob " + digestHex(digest) + "\n",
+                bytes);
+    metrics().counter("tomur_checkpoint_blob_writes_total").inc();
     return Status::ok();
-}
-
-void
-CheckpointStore::prune()
-{
-    auto gens = listGenerations();
-    if (opts_.generations > 0 && gens.size() > opts_.generations) {
-        std::size_t drop = gens.size() - opts_.generations;
-        for (std::size_t i = 0; i < drop; ++i) {
-            std::error_code ec;
-            fs::remove(generationPath(gens[i]), ec);
-            if (!ec)
-                checkpointMetrics().pruned.inc();
-        }
-        gens.erase(gens.begin(),
-                   gens.begin() + static_cast<std::ptrdiff_t>(drop));
-    }
-
-    // References are read back from disk, so a reopened store keeps
-    // exactly what its retained generations need. An unreadable
-    // generation cannot be restored, so its blobs need no keeping.
-    std::set<std::uint64_t> referenced;
-    for (std::uint64_t g : gens) {
-        std::vector<std::uint64_t> refs;
-        if (readGeneration(g, nullptr, &refs).isOk())
-            referenced.insert(refs.begin(), refs.end());
-    }
-    for (std::uint64_t d : listBlobs()) {
-        if (referenced.count(d))
-            continue;
-        std::error_code ec;
-        fs::remove(blobPath(d), ec);
-        knownBlobs_.erase(d);
-        if (!ec)
-            checkpointMetrics().blobsPruned.inc();
-    }
 }
 
 std::vector<std::uint64_t>
 CheckpointStore::listGenerations() const
 {
-    std::vector<std::uint64_t> gens;
-    std::error_code ec;
-    fs::directory_iterator it(dir_, ec);
-    if (ec)
-        return gens;
-    for (const auto &entry : it) {
-        std::uint64_t gen = generationOf(
-            entry.path().filename().string());
-        if (gen != 0)
-            gens.push_back(gen);
-    }
-    std::sort(gens.begin(), gens.end());
-    return gens;
+    auto keys = std::views::keys(gens_);
+    return {keys.begin(), keys.end()};
 }
 
 std::vector<std::uint64_t>
 CheckpointStore::listBlobs() const
 {
-    std::vector<std::uint64_t> blobs;
-    std::error_code ec;
-    fs::directory_iterator it(dir_, ec);
-    if (ec)
-        return blobs;
-    for (const auto &entry : it) {
-        auto d = parseDigest(
-            recordStem(entry.path().filename().string(), "blob-"));
-        if (d)
-            blobs.push_back(*d);
-    }
-    std::sort(blobs.begin(), blobs.end());
-    return blobs;
-}
-
-Result<std::string>
-CheckpointStore::readFramed(const std::string &path) const
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return Status::notFound("cannot open " + path);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    std::string payload;
-    if (Status ok = verifyFrame(buf.str(), &payload); !ok.isOk())
-        return ok;
-    return payload;
+    auto keys = std::views::keys(blobs_);
+    return {keys.begin(), keys.end()};
 }
 
 Status
-CheckpointStore::readGeneration(std::uint64_t gen, std::string *body,
-                                std::vector<std::uint64_t> *blobs) const
+CheckpointStore::readGeneration(std::uint64_t gen, const Frame &f,
+                                CheckpointRecord *rec) const
 {
-    auto payload = readFramed(generationPath(gen));
-    if (!payload.isOk())
-        return payload.status();
-    const std::string &p = payload.value();
-    std::size_t nl = p.find('\n');
-    if (nl == std::string::npos)
-        return Status::corruptData("generation has no blob list");
-    std::istringstream line(p.substr(0, nl));
-    std::size_t n = 0;
-    if (!expectToken(line, "blobs") || !(line >> n) ||
-        n > kMaxBlobRefs)
-        return Status::corruptData("generation blob list malformed");
-    blobs->clear();
-    for (std::size_t i = 0; i < n; ++i) {
-        std::string hex;
-        line >> hex;
-        auto d = parseDigest(hex);
-        if (!d)
-            return Status::corruptData(
-                "generation blob list malformed");
-        blobs->push_back(*d);
+    // Frames are read back and verified again: the log may have
+    // changed under the index.
+    auto read = [&](const Frame &at, std::uint64_t key, bool blob,
+                    std::string *bytes) {
+        std::string payload;
+        Record r;
+        Status st = verifyFrame(readAt(logPath(), at.offset, at.size),
+                                &payload);
+        if (st.isOk() &&
+            (!parseRecord(payload, &r) || r.blob != blob || r.key != key))
+            st = Status::corruptData("record line malformed");
+        if (st.isOk())
+            bytes->assign(r.bytes);
+        return st;
+    };
+    rec->generation = gen;
+    if (Status st = read(f, gen, false, &rec->body); !st.isOk())
+        return st;
+    for (std::uint64_t d : f.refs) {
+        auto blob = blobs_.find(d);
+        Status st = blob == blobs_.end()
+                        ? Status::notFound("not in the log")
+                        : read(blob->second, d, true, &rec->blobs[d]);
+        if (!st.isOk())
+            return Status::corruptData("blob " + digestHex(d) + ": " +
+                                       st.message());
     }
-    if (body != nullptr)
-        *body = p.substr(nl + 1);
     return Status::ok();
 }
 
@@ -447,50 +465,39 @@ Result<CheckpointRecord>
 CheckpointStore::loadLatestValid() const
 {
     TraceSpan span("checkpoint.restore");
-    auto gens = listGenerations();
-    if (gens.empty())
-        return Status::notFound("no checkpoint generations in " +
-                                dir_);
-    std::size_t skipped = 0;
-    std::string newestError;
-    for (auto it = gens.rbegin(); it != gens.rend(); ++it) {
+    if (!refused_.isOk())
+        return refused_;
+    if (gens_.empty() && corruptFrames_ == 0)
+        return Status::notFound("no checkpoint generations in " + dir_);
+    std::string newestError = "none";
+    for (auto it = gens_.rbegin(); it != gens_.rend(); ++it) {
         CheckpointRecord rec;
-        rec.generation = *it;
-        std::vector<std::uint64_t> refs;
-        Status ok = readGeneration(*it, &rec.body, &refs);
-        for (std::size_t i = 0; ok.isOk() && i < refs.size(); ++i) {
-            auto blob = readFramed(blobPath(refs[i]));
-            if (blob.isOk())
-                rec.blobs[refs[i]] = std::move(blob.value());
-            else
-                ok = Status::corruptData(
-                    "blob " + checksumHex(refs[i]) + ": " +
-                    blob.status().message());
-        }
+        Status ok = readGeneration(it->first, it->second, &rec);
+        const std::string gen = std::to_string(it->first);
         if (ok.isOk()) {
-            span.field("generation", static_cast<double>(*it));
+            const auto skipped = std::distance(gens_.rbegin(), it);
+            span.field("generation", static_cast<double>(it->first));
             span.field("skipped", static_cast<double>(skipped));
-            checkpointMetrics().restores.inc();
+            metrics().counter("tomur_checkpoint_restores_total").inc();
             if (skipped > 0)
-                warnEvent(
-                    "checkpoint", "stale-generation-restore",
-                    {{"dir", dir_},
-                     {"generation", std::to_string(*it)},
-                     {"skipped", std::to_string(skipped)}});
+                warnEvent("checkpoint", "stale-generation-restore",
+                          {{"dir", dir_},
+                           {"generation", gen},
+                           {"skipped", std::to_string(skipped)}});
             return rec;
         }
-        ++skipped;
-        if (newestError.empty())
+        if (it == gens_.rbegin())
             newestError = ok.message();
-        checkpointMetrics().corruptSkipped.inc();
+        metrics().counter("tomur_checkpoint_corrupt_skipped_total").inc();
         warnEvent("checkpoint", "corrupt-generation-skipped",
-                  {{"file", generationPath(*it)},
+                  {{"log", logPath()},
+                   {"generation", gen},
                    {"error", ok.message()}});
     }
-    return Status::corruptData(
-        "all " + std::to_string(gens.size()) +
-        " checkpoint generations in " + dir_ +
-        " failed verification (newest: " + newestError + ")");
+    return Status::corruptData(strf(
+        "all %zu checkpoint generations in %s failed verification "
+        "(newest: %s; %zu corrupt frames)",
+        gens_.size(), dir_.c_str(), newestError.c_str(), corruptFrames_));
 }
 
 } // namespace tomur

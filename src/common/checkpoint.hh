@@ -1,43 +1,25 @@
 /**
  * @file
- * Crash-safe generational checkpoint store.
+ * Crash-safe generational checkpoint store: one append-only log.
  *
- * A CheckpointStore persists opaque state snapshots ("bodies") to a
- * directory with the durability discipline a kill -9 demands:
- *
- *  - every record is framed `tomur_ckpt 2 <bytes> <fnv1a64-hex>`
- *    followed by its payload, the same checksum-framing discipline as
- *    the v2 model format, so a torn or bit-flipped file is detected
- *    on read instead of silently restoring garbage;
- *  - writes go to a `.tmp` sibling first, are fsync'd, and only then
- *    renamed over the final `ckpt-<generation>.tomur` name (rename on
- *    POSIX is atomic), so a crash mid-write can never damage an
- *    existing generation;
- *  - the newest N generations are retained; restore walks them newest
- *    first and returns the first one whose checksum verifies, so a
- *    corrupt latest generation degrades to a stale-but-valid one with
- *    a warnEvent, and only an empty/fully-corrupt directory surfaces
- *    an error Status.
- *
- * Large state that rarely changes (the autopilot's model) lives in
- * content-addressed blobs beside the generations:
- *
- *  - a blob is stored as `blob-<digest-hex>.tomur`, framed,
- *    tmp-written, fsync'd and renamed exactly like a generation, and
- *    written only when no verified blob with that digest exists yet;
- *  - a generation records the digests it references (a `blobs` line
- *    ahead of its body, inside the checksummed frame), and restore
- *    treats a generation whose blob is missing or corrupt as corrupt;
- *  - pruning keeps every blob a retained generation references and
- *    deletes the rest, reading the references back from disk, so it
- *    works the same after the store is reopened.
- *
- * Crash-point injection (for the chaos tests and the fault-injecting
- * testbed) simulates a kill at each interesting instant of the
- * generation write protocol by throwing SimulatedCrash; the store's
- * on-disk state afterwards is exactly what a real crash would leave.
- * Blob writes precede the generation that references them, so
- * BeforeTempWrite also stands for "blob durable, generation not".
+ * `<dir>/checkpoint.log` holds frames, each a checksummed
+ * `tomur_ckpt 2 <bytes> <fnv1a64-hex>` header line and its payload:
+ * `blob <digest>\n<bytes>` (content-addressed state, the autopilot's
+ * model) or `generation <n> <digest>...\n<body>`. writeBlob() stages
+ * a frame; writeGeneration() appends the staged frames it references
+ * and its own in one write, covered by one fdatasync. Opening scans
+ * the log into an index (generation -> offset and references, digest
+ * -> offset); a frame that fails its check is passed by a resync to
+ * the next magic, so it never hides a later good one, and a torn tail
+ * is truncated before the next append. Restore re-verifies frames by
+ * offset, newest generation first, falling back past corrupt ones.
+ * The newest N generations and their blobs are live; once the bytes
+ * appended since the last compaction reach the live bytes (and a
+ * 1 MiB floor), the live frames are rewritten via tmp-write, fsync,
+ * rename and a directory fsync. A directory in the file-per-record
+ * layout of older builds (`ckpt-*.tomur`) is refused. Injected crash
+ * points throw SimulatedCrash; the log then holds what a kill would
+ * leave, and the store rescans it as a restart would.
  */
 
 #ifndef TOMUR_COMMON_CHECKPOINT_HH
@@ -45,23 +27,23 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.hh"
 
 namespace tomur {
 
-/** Where in the write protocol an injected crash fires. */
+/** Where in writeGeneration an injected crash fires. */
 enum class CheckpointCrashPoint
 {
     None,
-    BeforeTempWrite, ///< nothing written at all
-    MidTempWrite,    ///< truncated .tmp left behind
-    BeforeRename,    ///< complete .tmp left behind, no generation
-    BeforePrune,     ///< generation durable, old ones not yet pruned
+    BeforeAppend,     ///< nothing appended
+    TornAppend,       ///< half of the append written
+    BeforeGeneration, ///< blob frames appended, generation frame not
+    BeforeCompaction, ///< generation durable, compaction not run
 };
 
 /** Thrown by injected crash points (and the fault testbed's
@@ -77,9 +59,9 @@ class SimulatedCrash : public std::runtime_error
 
 struct CheckpointOptions
 {
-    /** Newest generations kept on disk after each write. */
+    /** Newest generations kept live after each write. */
     std::size_t generations = 3;
-    /** fsync file + directory on every write (tests may disable). */
+    /** Sync every append and compaction (tests may disable). */
     bool fsync = true;
     /** Injected crash point for chaos tests. */
     CheckpointCrashPoint crashPoint = CheckpointCrashPoint::None;
@@ -100,39 +82,33 @@ class CheckpointStore
     explicit CheckpointStore(std::string dir,
                              CheckpointOptions opts = {});
 
-    /**
-     * Durably persist `body` as the next generation, referencing the
-     * blobs `blobs` (which must already be stored), then prune
-     * generations beyond the retention limit and orphaned blobs.
-     * Returns an IoError Status on filesystem failure; throws
-     * SimulatedCrash when an injected crash point is armed.
-     */
+    /** Durably append `body` as the next generation, referencing
+     *  `blobs` (staged or in the log), then retire old generations and
+     *  compact when due. IoError on filesystem failure; SimulatedCrash
+     *  when a crash point is armed. */
     Status writeGeneration(const std::string &body,
                            const std::vector<std::uint64_t> &blobs = {});
 
-    /** True when a blob with this digest is on disk and its frame
-     *  verifies (checked once per digest, then remembered). */
-    bool hasBlob(std::uint64_t digest) const;
+    /** True when blob `digest` is staged or live in the log. */
+    bool
+    hasBlob(std::uint64_t digest) const
+    {
+        return blobs_.count(digest) > 0 || staged_.count(digest) > 0;
+    }
 
-    /**
-     * Durably store `bytes` as blob `digest` unless hasBlob(digest).
-     * The caller chooses the digest; the store only checks the frame.
-     */
+    /** Stage `bytes` as blob `digest` unless hasBlob(digest); the
+     *  next writeGeneration referencing it makes it durable. */
     Status writeBlob(std::uint64_t digest, const std::string &bytes);
 
-    /**
-     * Restore the newest generation whose frame verifies and whose
-     * referenced blobs all exist and verify. Corrupt or torn
-     * generations are skipped (warnEvent + metric) in favour of older
-     * valid ones. NotFound when the directory holds no generations;
-     * CorruptData when all of them fail verification.
-     */
+    /** Restore the newest generation whose frame and blobs verify,
+     *  skipping corrupt ones (warnEvent + metric). NotFound for an
+     *  empty log; CorruptData when nothing in it verifies. */
     Result<CheckpointRecord> loadLatestValid() const;
 
-    /** Existing generation numbers, ascending (ignores .tmp files). */
+    /** Live generation numbers, ascending. */
     std::vector<std::uint64_t> listGenerations() const;
 
-    /** Digests of the blobs on disk, ascending. */
+    /** Digests of the live blobs in the log, ascending. */
     std::vector<std::uint64_t> listBlobs() const;
 
     /** Generation number the next writeGeneration() will use. */
@@ -141,41 +117,55 @@ class CheckpointStore
     /** Arm/disarm the injected crash point. */
     void setCrashPoint(CheckpointCrashPoint p) { opts_.crashPoint = p; }
 
-    const std::string &dir() const { return dir_; }
+    /** Path of the log (exposed for tests that hand-corrupt it). */
+    std::string logPath() const { return dir_ + "/checkpoint.log"; }
 
-    /** Verify a framed record; ok() iff header+checksum check out.
-     *  On success `*body` (if non-null) receives the body bytes. */
+    /** Verify one framed record; on success `*body` (if non-null)
+     *  receives the payload. */
     static Status verifyFrame(const std::string &framed,
                               std::string *body);
 
     /** Frame `body` with the `tomur_ckpt 2 <bytes> <checksum>`
-     *  header (exposed for tests that hand-corrupt records). */
+     *  header. */
     static std::string frame(const std::string &body);
 
-    /** Path of blob `digest` (exposed for tests that hand-corrupt
-     *  blobs). */
-    std::string blobPath(std::uint64_t digest) const;
-
   private:
-    std::string generationPath(std::uint64_t gen) const;
-    void crash(CheckpointCrashPoint p) const;
-    /** Frame `payload` into `path` via tmp-write, fsync and rename;
-     *  the crash points fire only when `crashPoints` is set. */
-    Status writeFramed(const std::string &path,
-                       const std::string &payload, bool crashPoints);
-    /** Read and verify a framed file's payload. */
-    Result<std::string> readFramed(const std::string &path) const;
-    /** Verify generation `gen` and split its payload into the body
-     *  and the referenced digests. */
-    Status readGeneration(std::uint64_t gen, std::string *body,
-                          std::vector<std::uint64_t> *blobs) const;
-    void prune();
+    struct Frame
+    {
+        std::uint64_t offset = 0, size = 0;
+        std::vector<std::uint64_t> refs; ///< a generation's blobs
+    };
+
+    /** Rebuild the index from the log, as opening a store does. */
+    void scan();
+    /** Drop generations past the retention limit, then blobs before
+     *  `pendingFrom` that no live generation references. */
+    void retire(std::uint64_t pendingFrom);
+    /** Write `bytes` after the last valid frame. */
+    Status append(std::string_view bytes);
+    /** Write `bytes` at `offset` of `path` (cut there first when
+     *  `cut`) and fdatasync it when syncing is on. */
+    Status writeAt(const std::string &path, std::string_view bytes,
+                   std::uint64_t offset, bool cut) const;
+    Status syncDir() const;
+    Status compact();
+    Status readGeneration(std::uint64_t gen, const Frame &f,
+                          CheckpointRecord *rec) const;
+    void crash(CheckpointCrashPoint p);
 
     std::string dir_;
     CheckpointOptions opts_;
+    Status refused_; ///< a directory in another layout
     std::uint64_t nextGen_ = 1;
-    /** Blobs known to be on disk and intact. */
-    mutable std::set<std::uint64_t> knownBlobs_;
+    std::map<std::uint64_t, Frame> gens_, blobs_;
+    /** Framed blobs awaiting a generation that references them. */
+    std::map<std::uint64_t, std::string> staged_;
+    /** end_: where the next append goes (after the last valid frame);
+     *  fileBytes_: the file's size, above end_ after a torn append;
+     *  appended_: bytes appended since the last compaction. */
+    std::uint64_t end_ = 0, fileBytes_ = 0, appended_ = 0;
+    /** Complete frames the last scan could not verify. */
+    std::size_t corruptFrames_ = 0;
 };
 
 } // namespace tomur

@@ -6,7 +6,6 @@
 #include <cmath>
 #include <cstring>
 #include <istream>
-#include <ostream>
 #include <streambuf>
 
 #include "common/strutil.hh"
@@ -14,9 +13,8 @@
 namespace tomur {
 
 std::uint64_t
-fnv1a64(std::string_view bytes)
+fnv1a64(std::string_view bytes, std::uint64_t h)
 {
-    std::uint64_t h = 0xcbf29ce484222325ULL; // FNV-1a 64 basis
     for (unsigned char c : bytes) {
         h ^= c;
         h *= 0x100000001b3ULL; // FNV-1a 64 prime
@@ -25,7 +23,7 @@ fnv1a64(std::string_view bytes)
 }
 
 void
-writeSerialDouble(std::ostream &out, double v)
+appendSerialDouble(std::string &out, double v)
 {
     // to_chars(general, 17) follows printf's %.17g, which is what
     // ostream << setprecision(17) produced, without the locale and
@@ -33,7 +31,7 @@ writeSerialDouble(std::ostream &out, double v)
     char buf[32];
     auto res = std::to_chars(buf, buf + sizeof(buf), v,
                              std::chars_format::general, 17);
-    out.write(buf, res.ptr - buf);
+    out.append(buf, static_cast<std::size_t>(res.ptr - buf));
 }
 
 bool
@@ -48,7 +46,7 @@ void
 SerialWriter::separate()
 {
     if (!lineStart_)
-        out_.put(' ');
+        out_ += ' ';
     lineStart_ = false;
 }
 
@@ -56,20 +54,20 @@ void
 SerialWriter::token(std::string_view s)
 {
     separate();
-    out_.write(s.data(), static_cast<std::streamsize>(s.size()));
+    out_ += s;
 }
 
 void
 SerialWriter::real(double v)
 {
     separate();
-    writeSerialDouble(out_, v);
+    appendSerialDouble(out_, v);
 }
 
 void
 SerialWriter::endLine()
 {
-    out_.put('\n');
+    out_ += '\n';
     lineStart_ = true;
 }
 

@@ -56,13 +56,14 @@
 
 namespace tomur {
 
-/** FNV-1a 64-bit over a byte string (checksums, key digests). */
-std::uint64_t fnv1a64(std::string_view bytes);
+/** FNV-1a 64-bit over a byte string (checksums, key digests). Pass
+ *  a previous result as `h` to hash on across a second run. */
+std::uint64_t fnv1a64(std::string_view bytes,
+                      std::uint64_t h = 0xcbf29ce484222325ULL);
 
-/** Write a double with max_digits10 so a reload is bit-identical.
- *  The bytes equal `out << std::setprecision(17) << v`; the stream's
- *  own precision is left alone. */
-void writeSerialDouble(std::ostream &out, double v);
+/** Append a double with max_digits10 so a reload is bit-identical.
+ *  The bytes equal `stream << std::setprecision(17) << v`. */
+void appendSerialDouble(std::string &out, double v);
 
 /** Consume one whitespace-delimited token and require it to equal
  *  `token`; false on mismatch or stream failure. For the hand-read
@@ -122,12 +123,12 @@ class SerialOutput
     Out &out() { return static_cast<Out &>(*this); }
 };
 
-/** Writes a walk as text: tokens space-separated, endLine() a
- *  newline. */
+/** Appends a walk as text to a string: tokens space-separated,
+ *  endLine() a newline. */
 class SerialWriter : public SerialOutput<SerialWriter>
 {
   public:
-    explicit SerialWriter(std::ostream &out) : out_(out) {}
+    explicit SerialWriter(std::string &out) : out_(out) {}
 
     void tag(std::string_view t) { token(t); }
 
@@ -150,7 +151,7 @@ class SerialWriter : public SerialOutput<SerialWriter>
     void separate();
     void token(std::string_view s);
 
-    std::ostream &out_;
+    std::string &out_;
     bool lineStart_ = true;
 };
 

@@ -94,9 +94,11 @@ GradientBoostingRegressor::save(std::ostream &out) const
 {
     if (!fitted_)
         panic("GradientBoostingRegressor::save before fit");
-    SerialWriter w(out);
+    std::string text;
+    SerialWriter w(text);
     // The writer checks nothing, so any width will do.
     walk(*this, w, 0);
+    out << text;
 }
 
 bool

@@ -564,8 +564,10 @@ PredictionMonitor::walk(Self &self, Sink &s)
 void
 PredictionMonitor::serialize(std::ostream &out) const
 {
-    SerialWriter w(out);
+    std::string text;
+    SerialWriter w(text);
     walk(*this, w);
+    out << text;
 }
 
 Status

@@ -36,6 +36,7 @@ void
 TomurModel::markMemoryDegraded(const std::string &reason)
 {
     health_.memoryDegraded = true;
+    touch();
     warnEvent("predictor", "memory-model-degraded",
               {{"nf", nfName_}, {"reason", reason}});
 }
@@ -44,6 +45,7 @@ void
 TomurModel::markSoloDegraded(const std::string &reason)
 {
     health_.soloDegraded = true;
+    touch();
     warnEvent("predictor", "solo-model-degraded",
               {{"nf", nfName_}, {"reason", reason}});
 }
@@ -53,6 +55,7 @@ TomurModel::markAccelDegraded(hw::AccelKind kind,
                               const std::string &reason)
 {
     health_.accelDegraded[static_cast<int>(kind)] = true;
+    touch();
     warnEvent("predictor", "accel-model-degraded",
               {{"nf", nfName_},
                {"accel", hw::accelName(kind)},

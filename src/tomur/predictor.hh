@@ -172,6 +172,9 @@ class TomurModel
      */
     Status save(std::ostream &out) const;
 
+    /** save() appended to `out`, formatted in place with no stream. */
+    Status save(std::string &out) const;
+
     /**
      * Load from save() output. On error the model is left untouched
      * and the Status names the section that failed (header,
@@ -186,7 +189,8 @@ class TomurModel
      * fraction of save()'s cost). Two models digest equal exactly
      * when their save() bytes are equal, up to 64-bit collisions:
      * both run the same field walk. The autopilot's checkpoints key
-     * model blobs by it.
+     * model blobs by it. Cached until the next mutation, so it fills
+     * a cache: do not call it on one model from two threads at once.
      */
     std::uint64_t contentDigest() const;
 
@@ -197,6 +201,9 @@ class TomurModel
      *  contentDigest() all run it (common/serial.hh). */
     template <class Self, class Sink>
     static void walk(Self &self, Sink &sink);
+
+    /** Record a mutation: invalidates the cached contentDigest(). */
+    void touch() { ++mutations_; }
 
     std::string nfName_;
     framework::ExecutionPattern pattern_ =
@@ -212,6 +219,12 @@ class TomurModel
     /** Solo throughput vs traffic attributes (seed-averaged GBR). */
     std::vector<ml::GradientBoostingRegressor> soloModels_;
     std::optional<AccelQueueModel> accel_[hw::numAccelKinds];
+    /** Bumped by train, load and every mark*Degraded; copies carry
+     *  it with the cache, so a recalibration's assignment does too. */
+    std::uint64_t mutations_ = 0;
+    /** contentDigest() as of mutation count digestAt_. */
+    mutable std::uint64_t digestAt_ = ~std::uint64_t{0};
+    mutable std::uint64_t digest_ = 0;
 };
 
 } // namespace tomur::core

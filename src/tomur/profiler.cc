@@ -956,6 +956,7 @@ TomurTrainer::train(fw::NetworkFunction &nf,
     }
     pattern_span.field("pattern",
                        fw::patternName(model.pattern_));
+    model.touch(); // the fields above were written directly
     return model;
 }
 

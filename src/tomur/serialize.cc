@@ -86,8 +86,10 @@ MemoryModel::save(std::ostream &out) const
         return Status::failedPrecondition(
             "MemoryModel::save before fit");
     }
-    SerialWriter w(out);
+    std::string text;
+    SerialWriter w(text);
     walk(*this, w);
+    out << text;
     return Status::ok();
 }
 
@@ -148,13 +150,29 @@ TomurModel::walk(Self &self, Sink &s)
 std::uint64_t
 TomurModel::contentDigest() const
 {
-    SerialDigest d;
-    walk(*this, d);
-    return d.value();
+    if (digestAt_ != mutations_) {
+        SerialDigest d;
+        walk(*this, d);
+        digest_ = d.value();
+        digestAt_ = mutations_;
+    }
+    return digest_;
 }
 
 Status
 TomurModel::save(std::ostream &out) const
+{
+    std::string bytes;
+    if (Status st = save(bytes); !st.isOk())
+        return st;
+    out << bytes;
+    if (!out)
+        return Status::ioError("TomurModel::save: stream write failed");
+    return Status::ok();
+}
+
+Status
+TomurModel::save(std::string &out) const
 {
     // The sub-model preconditions, checked up front so the walk
     // below only formats.
@@ -175,19 +193,16 @@ TomurModel::save(std::ostream &out) const
             panic("GradientBoostingRegressor::save before fit");
     }
 
-    // Serialize the body first so the header can carry its length
-    // and checksum.
-    std::ostringstream body;
-    SerialWriter w(body);
+    // Format the body in place, then put the header that carries its
+    // length and checksum in front of it.
+    const std::size_t start = out.size();
+    SerialWriter w(out);
     walk(*this, w);
-
-    std::string bytes = body.str();
-    out << "tomur_model " << kFormatVersion << " " << bytes.size()
-        << " " << std::hex << modelBodyChecksum(bytes) << std::dec
-        << "\n";
-    out << bytes;
-    if (!out)
-        return Status::ioError("TomurModel::save: stream write failed");
+    std::string_view body(out.data() + start, out.size() - start);
+    out.insert(start, strf("tomur_model %d %zu %llx\n", kFormatVersion,
+                           body.size(),
+                           static_cast<unsigned long long>(
+                               modelBodyChecksum(body))));
     return Status::ok();
 }
 
@@ -257,6 +272,7 @@ TomurModel::load(std::istream &in)
     if (!r.ok())
         return r.status();
     *this = std::move(m);
+    touch();
     return Status::ok();
 }
 

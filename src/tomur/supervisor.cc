@@ -406,8 +406,10 @@ Supervisor::walk(Self &self, Sink &s)
 void
 Supervisor::serialize(std::ostream &out) const
 {
-    SerialWriter w(out);
+    std::string text;
+    SerialWriter w(text);
     walk(*this, w);
+    out << text;
 }
 
 Status
@@ -501,19 +503,20 @@ buildCheckpointBody(ReplayContext &ctx,
                     const Supervisor &supervisor,
                     std::size_t samplesDone, std::uint64_t modelDigest)
 {
-    std::ostringstream body;
+    std::ostringstream state;
+    monitor.serialize(state);
+    supervisor.serialize(state);
+    std::string body;
     SerialWriter w(body);
     const BodyHeader header{kAutopilotBodyVersion, samplesDone};
     walkBodyHeader(header, w);
-    body << "model_blob "
-         << strf("%016llx", (unsigned long long)modelDigest) << "\n";
-    monitor.serialize(body);
-    supervisor.serialize(body);
+    body += strf("model_blob %016llx\n", (unsigned long long)modelDigest);
+    body += state.str();
     RngStreams rng{ctx.soloBed->noiseState(), std::nullopt};
     if (ctx.measureBed)
         rng.fault = ctx.measureBed->faultRngState();
     walkRngStreams(std::as_const(rng), w);
-    return body.str();
+    return body;
 }
 
 /**
@@ -541,10 +544,9 @@ writeCheckpoint(ReplayContext &ctx, const PredictionMonitor &monitor,
         digest = ctx.model->contentDigest();
         std::size_t modelBytes = 0;
         if (!store.hasBlob(digest)) {
-            std::ostringstream model;
-            if (auto s = ctx.model->save(model); !s)
+            std::string bytes;
+            if (auto s = ctx.model->save(bytes); !s)
                 return s.withContext("autopilot checkpoint");
-            std::string bytes = model.str();
             modelBytes = bytes.size();
             wrote = store.writeBlob(digest, bytes);
         }

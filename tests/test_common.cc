@@ -248,11 +248,12 @@ TEST(Serial, DoubleBytesMatchPrintfAndStream)
             static_cast<std::int64_t>(rng.uniformInt(-1000000, 1000000))));
     }
     for (double v : corpus) {
-        std::ostringstream ours, stream;
-        writeSerialDouble(ours, v);
+        std::string ours;
+        appendSerialDouble(ours, v);
+        std::ostringstream stream;
         stream << std::setprecision(17) << v;
-        EXPECT_EQ(ours.str(), strf("%.17g", v));
-        EXPECT_EQ(ours.str(), stream.str());
+        EXPECT_EQ(ours, strf("%.17g", v));
+        EXPECT_EQ(ours, stream.str());
     }
 }
 

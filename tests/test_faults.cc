@@ -15,6 +15,8 @@
 #include <filesystem>
 #include <sstream>
 
+#include <unistd.h>
+
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
@@ -524,8 +526,14 @@ struct ReplayRig
     CheckpointRecord
     run(core::PredictionMonitor &monitor, core::Supervisor &supervisor)
     {
+        // One directory per test and process: ctest -j runs every
+        // test of this binary as its own process, concurrently.
         auto dir = std::filesystem::path(::testing::TempDir()) /
-                   "state_corpus";
+                   strf("state_corpus_%s_%d",
+                        ::testing::UnitTest::GetInstance()
+                            ->current_test_info()
+                            ->name(),
+                        (int)::getpid());
         std::filesystem::remove_all(dir);
         CheckpointOptions copts;
         copts.fsync = false;

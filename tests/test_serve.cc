@@ -986,8 +986,9 @@ TEST(ModelRegistry, FailedSwapKeepsPreviousVersionServing)
     EXPECT_FALSE(missing.isOk());
 
     // Corrupt file: valid path, garbage bytes.
-    std::string corrupt =
-        testing::TempDir() + "tomur_serve_corrupt.bin";
+    std::string corrupt = testing::TempDir() +
+                          strf("tomur_serve_corrupt_%d.bin",
+                               (int)::getpid());
     {
         std::ofstream out(corrupt, std::ios::binary);
         out << "not a model at all";
@@ -1042,8 +1043,9 @@ TEST(ModelRegistry, CorruptedModelCorpusNeverDisplacesServing)
 
     std::size_t fails = 0;
     for (const auto &c : corpus) {
-        std::string path = testing::TempDir() +
-                           strf("tomur_serve_corpus_%s.v2", c.name);
+        std::string path =
+            testing::TempDir() + strf("tomur_serve_corpus_%s_%d.v2",
+                                      c.name, (int)::getpid());
         {
             std::ofstream out(path, std::ios::binary);
             out.write(c.bytes.data(),
@@ -1330,8 +1332,9 @@ TEST(ModelServiceEndpoints, ReloadOfCorruptCorpusKeepsServing)
         metrics().counter("tomur_server_reload_failures_total");
 
     for (const auto &c : corpus) {
-        std::string path = testing::TempDir() +
-                           strf("tomur_reload_corpus_%s.v2", c.first);
+        std::string path =
+            testing::TempDir() + strf("tomur_reload_corpus_%s_%d.v2",
+                                      c.first, (int)::getpid());
         {
             std::ofstream out(path, std::ios::binary);
             out.write(c.second.data(),

@@ -78,14 +78,25 @@ writeFile(const std::string &path, const std::string &bytes)
     out << bytes;
 }
 
-/** Path of generation `gen` inside `dir` (mirrors the store's
- *  naming so tests can hand-corrupt records). */
-std::string
-genPath(const std::string &dir, unsigned gen)
+/** Offsets of the frames in a checkpoint log: each starts with the
+ *  magic, which the payloads these tests write never contain. */
+std::vector<std::size_t>
+frameStarts(const std::string &log)
 {
-    char name[32];
-    std::snprintf(name, sizeof(name), "ckpt-%08u.tomur", gen);
-    return (fs::path(dir) / name).string();
+    std::vector<std::size_t> starts;
+    for (auto at = log.find("tomur_ckpt "); at != std::string::npos;
+         at = log.find("tomur_ckpt ", at + 1))
+        starts.push_back(at);
+    return starts;
+}
+
+/** `log` without frame `i` (as if it had never been appended). */
+std::string
+withoutFrame(const std::string &log, std::size_t i)
+{
+    auto starts = frameStarts(log);
+    starts.push_back(log.size());
+    return log.substr(0, starts[i]) + log.substr(starts[i + 1]);
 }
 
 /** Store with fsync off: the tests exercise the protocol, not the
@@ -172,8 +183,11 @@ TEST(CheckpointCorruption, TruncatedLatestFallsBackToPrevious)
     auto store = makeStore(dir);
     ASSERT_TRUE(store.writeGeneration("good generation"));
     ASSERT_TRUE(store.writeGeneration("torn generation"));
-    auto bytes = readFile(genPath(dir, 2));
-    writeFile(genPath(dir, 2), bytes.substr(0, bytes.size() / 2));
+    auto log = readFile(store.logPath());
+    auto starts = frameStarts(log);
+    ASSERT_EQ(starts.size(), 2u);
+    // Cut the log halfway through generation 2's frame.
+    writeFile(store.logPath(), log.substr(0, (starts[1] + log.size()) / 2));
 
     resetWarnCount();
     auto rec = store.loadLatestValid();
@@ -189,9 +203,9 @@ TEST(CheckpointCorruption, FlippedChecksumByteFallsBack)
     auto store = makeStore(dir);
     ASSERT_TRUE(store.writeGeneration("good generation"));
     ASSERT_TRUE(store.writeGeneration("flipped generation"));
-    auto bytes = readFile(genPath(dir, 2));
-    bytes[bytes.size() / 2] ^= 0x10;
-    writeFile(genPath(dir, 2), bytes);
+    auto log = readFile(store.logPath());
+    log[(frameStarts(log)[1] + log.size()) / 2] ^= 0x10;
+    writeFile(store.logPath(), log);
 
     auto rec = store.loadLatestValid();
     ASSERT_TRUE(rec);
@@ -205,7 +219,8 @@ TEST(CheckpointCorruption, MissingLatestGenerationFallsBack)
     auto store = makeStore(dir);
     ASSERT_TRUE(store.writeGeneration("survivor"));
     ASSERT_TRUE(store.writeGeneration("deleted"));
-    fs::remove(genPath(dir, 2));
+    writeFile(store.logPath(),
+              withoutFrame(readFile(store.logPath()), 1));
 
     auto rec = store.loadLatestValid();
     ASSERT_TRUE(rec);
@@ -228,12 +243,166 @@ TEST(CheckpointCorruption, AllGenerationsCorruptIsCorruptData)
     auto store = makeStore(dir);
     ASSERT_TRUE(store.writeGeneration("one"));
     ASSERT_TRUE(store.writeGeneration("two"));
-    for (unsigned g = 1; g <= 2; ++g)
-        writeFile(genPath(dir, g), "not a checkpoint at all");
+    writeFile(store.logPath(), "not a checkpoint at all");
 
     auto rec = store.loadLatestValid();
     ASSERT_FALSE(rec);
     EXPECT_EQ(rec.status().code(), StatusCode::CorruptData);
+    // A reopened store finds no frame at all, which is still corrupt
+    // data, not an empty store.
+    rec = makeStore(dir).loadLatestValid();
+    ASSERT_FALSE(rec);
+    EXPECT_EQ(rec.status().code(), StatusCode::CorruptData);
+}
+
+// ---------------------------------------------------------------
+// Checkpoint store: the log's scan, truncation and compaction
+// ---------------------------------------------------------------
+
+TEST(CheckpointLog, TornTailIsTruncatedBeforeTheNextAppend)
+{
+    auto dir = freshDir("log_torn_tail");
+    std::string path;
+    {
+        auto store = makeStore(dir);
+        ASSERT_TRUE(store.writeGeneration("one"));
+        ASSERT_TRUE(store.writeGeneration("two"));
+        path = store.logPath();
+    }
+    const std::string valid = readFile(path);
+    // Half a frame of generation 3, as a kill mid-append leaves it.
+    std::string torn = CheckpointStore::frame("generation 3 blobs 0\nx");
+    writeFile(path, valid + torn.substr(0, torn.size() / 2));
+
+    auto store = makeStore(dir);
+    EXPECT_EQ(store.listGenerations(),
+              (std::vector<std::uint64_t>{1, 2}));
+    EXPECT_EQ(store.nextGeneration(), 3u);
+    auto rec = store.loadLatestValid();
+    ASSERT_TRUE(rec) << "a torn tail is not corruption";
+    EXPECT_EQ(rec.value().body, "two");
+
+    ASSERT_TRUE(store.writeGeneration("three"));
+    std::string log = readFile(path);
+    EXPECT_EQ(log.substr(0, valid.size()), valid);
+    auto starts = frameStarts(log);
+    ASSERT_EQ(starts.size(), 3u);
+    EXPECT_EQ(starts[2], valid.size())
+        << "the append must follow the last valid frame";
+    rec = makeStore(dir).loadLatestValid();
+    ASSERT_TRUE(rec);
+    EXPECT_EQ(rec.value().generation, 3u);
+    EXPECT_EQ(rec.value().body, "three");
+}
+
+TEST(CheckpointLog, BadFrameNeverHidesALaterGoodOne)
+{
+    auto dir = freshDir("log_resync");
+    {
+        auto store = makeStore(dir);
+        for (const char *body : {"one", "two", "three"})
+            ASSERT_TRUE(store.writeGeneration(body));
+    }
+    const std::string path = makeStore(dir).logPath();
+    const std::string log = readFile(path);
+    const std::size_t second = frameStarts(log)[1];
+    const std::size_t sizeAt = second + std::strlen("tomur_ckpt 2 ");
+    const std::size_t sizeEnd = log.find(' ', sizeAt);
+    const std::size_t size =
+        std::stoul(log.substr(sizeAt, sizeEnd - sizeAt));
+    auto withSize = [&](std::size_t declared) {
+        return log.substr(0, sizeAt) + std::to_string(declared) +
+               log.substr(sizeEnd);
+    };
+    std::string flipped = log;
+    flipped[frameStarts(log)[2] - 1] ^= 0x01; // generation 2's last byte
+
+    for (const std::string &bad :
+         {flipped, withSize(size + 1000), withSize(size - 3)}) {
+        writeFile(path, bad);
+        auto store = makeStore(dir);
+        EXPECT_EQ(store.listGenerations(),
+                  (std::vector<std::uint64_t>{1, 3}));
+        EXPECT_EQ(store.nextGeneration(), 4u);
+        auto rec = store.loadLatestValid();
+        ASSERT_TRUE(rec) << rec.status().toString();
+        EXPECT_EQ(rec.value().generation, 3u);
+        EXPECT_EQ(rec.value().body, "three");
+    }
+}
+
+TEST(CheckpointLog, LegacyDirectoryIsRefused)
+{
+    for (const char *legacy :
+         {"ckpt-00000001.tomur", "blob-00000000000000a1.tomur"}) {
+        auto dir = freshDir("log_legacy");
+        writeFile((fs::path(dir) / legacy).string(),
+                  CheckpointStore::frame("blobs 0\nold body"));
+        auto store = makeStore(dir);
+        auto rec = store.loadLatestValid();
+        ASSERT_FALSE(rec);
+        EXPECT_EQ(rec.status().code(), StatusCode::FailedPrecondition);
+        EXPECT_NE(rec.status().message().find(
+                      "resume from an empty checkpoint directory"),
+                  std::string::npos)
+            << rec.status().toString();
+        Status wrote = store.writeGeneration("new");
+        EXPECT_EQ(wrote.code(), StatusCode::FailedPrecondition);
+        EXPECT_TRUE(store.listGenerations().empty());
+        EXPECT_FALSE(fs::exists(store.logPath()));
+    }
+}
+
+TEST(CheckpointLog, LogStaysBoundedOverAThousandWrites)
+{
+    auto dir = freshDir("log_bounded");
+    auto store = makeStore(dir);
+    Counter &compactions =
+        metrics().counter("tomur_checkpoint_compactions_total");
+    const double before = compactions.value();
+    const std::string body(4096, 'b');
+    std::uintmax_t appended = 0, largest = 0;
+    for (int i = 0; i < 1000; ++i) {
+        // A new model every 50 generations, as a retrain makes one.
+        const std::uint64_t model = 0x100 + i / 50;
+        if (!store.hasBlob(model)) {
+            ASSERT_TRUE(store.writeBlob(model, std::string(20000, 'm')));
+            appended += 20000;
+        }
+        ASSERT_TRUE(store.writeGeneration(body + std::to_string(i),
+                                          {model}));
+        appended += body.size();
+        largest = std::max(largest, fs::file_size(store.logPath()));
+    }
+    // About 4.5 MB went in; the log holds the live tail plus at most
+    // the 1 MiB of dead frames that trigger a compaction.
+    EXPECT_GT(appended, 4u << 20);
+    EXPECT_LT(largest, 3u << 19);
+    EXPECT_GE(compactions.value() - before, 3.0);
+    auto rec = makeStore(dir).loadLatestValid();
+    ASSERT_TRUE(rec) << rec.status().toString();
+    EXPECT_EQ(rec.value().generation, 1000u);
+    EXPECT_EQ(rec.value().body, body + "999");
+    EXPECT_EQ(rec.value().blobs.at(0x100 + 19), std::string(20000, 'm'));
+}
+
+TEST(CheckpointLog, OneSyncPerGenerationWrite)
+{
+    auto dir = freshDir("log_syncs");
+    CheckpointStore store(dir); // fsync on, the default
+    Counter &syncs = metrics().counter("tomur_checkpoint_syncs_total");
+    double before = syncs.value();
+    ASSERT_TRUE(store.writeBlob(0xa1, "model one"));
+    ASSERT_TRUE(store.writeGeneration("one", {0xa1}));
+    // Creating the log also syncs the directory, once.
+    EXPECT_EQ(syncs.value() - before, 2.0);
+    for (std::uint64_t d = 0xb0; d < 0xb4; ++d) {
+        before = syncs.value();
+        ASSERT_TRUE(store.writeBlob(d, "model " + std::to_string(d)));
+        ASSERT_TRUE(store.writeGeneration("gen", {d}));
+        EXPECT_EQ(syncs.value() - before, 1.0)
+            << "one fdatasync covers the blob and the generation";
+    }
 }
 
 // ---------------------------------------------------------------
@@ -248,11 +417,11 @@ TEST(CheckpointCrash, EveryCrashPointLeavesARecoverableStore)
         std::uint64_t survivingGen; ///< after the simulated kill
         const char *survivingBody;
     } cases[] = {
-        {CheckpointCrashPoint::BeforeTempWrite, 1u, "stable"},
-        {CheckpointCrashPoint::MidTempWrite, 1u, "stable"},
-        {CheckpointCrashPoint::BeforeRename, 1u, "stable"},
-        // Rename already happened: the new generation is durable.
-        {CheckpointCrashPoint::BeforePrune, 2u, "doomed write"},
+        {CheckpointCrashPoint::BeforeAppend, 1u, "stable"},
+        {CheckpointCrashPoint::TornAppend, 1u, "stable"},
+        {CheckpointCrashPoint::BeforeGeneration, 1u, "stable"},
+        // The append is durable: the new generation survives.
+        {CheckpointCrashPoint::BeforeCompaction, 2u, "doomed write"},
     };
     for (const auto &c : cases) {
         auto dir = freshDir("ckpt_crash");
@@ -271,7 +440,7 @@ TEST(CheckpointCrash, EveryCrashPointLeavesARecoverableStore)
                          << static_cast<int>(c.point);
         EXPECT_EQ(rec.value().generation, c.survivingGen);
         EXPECT_EQ(rec.value().body, c.survivingBody);
-        // Leftover .tmp files are write debris, not generations.
+        // A torn tail is write debris, not a generation.
         for (auto g : reopened.listGenerations())
             EXPECT_LE(g, c.survivingGen);
     }
@@ -983,6 +1152,59 @@ TEST(CheckpointBlob, ContentDigestTracksSaveBytes)
     EXPECT_NE(stats.contentDigest(), flagged.contentDigest());
 }
 
+TEST(CheckpointBlob, CachedDigestFollowsEveryMutation)
+{
+    // contentDigest() is cached against the model's mutation count;
+    // after each kind of mutation it must equal a fresh walk, here
+    // the digest of a newly loaded copy that has no cache yet.
+    PoolWidth width(1);
+    auto fresh = [](const core::TomurModel &m) {
+        return loadBytes(saveBytes(m)).contentDigest();
+    };
+    AutoEnv env(/*trainInitial=*/true);
+    EXPECT_EQ(env.model.contentDigest(), fresh(env.model)) << "train";
+
+    core::TomurModel flagged = env.model;
+    const std::uint64_t clean = flagged.contentDigest();
+    flagged.markSoloDegraded("unit test");
+    EXPECT_NE(flagged.contentDigest(), clean);
+    EXPECT_EQ(flagged.contentDigest(), fresh(flagged)) << "solo";
+    std::uint64_t before = flagged.contentDigest();
+    flagged.markMemoryDegraded("unit test");
+    EXPECT_NE(flagged.contentDigest(), before);
+    EXPECT_EQ(flagged.contentDigest(), fresh(flagged)) << "memory";
+    before = flagged.contentDigest();
+    flagged.markAccelDegraded(hw::AccelKind::Regex, "unit test");
+    EXPECT_NE(flagged.contentDigest(), before);
+    EXPECT_EQ(flagged.contentDigest(), fresh(flagged)) << "accel";
+
+    // Load over a model whose digest is cached.
+    core::TomurModel loaded = env.model;
+    EXPECT_EQ(loaded.contentDigest(), clean);
+    std::istringstream in(saveBytes(flagged));
+    ASSERT_TRUE(loaded.load(in));
+    EXPECT_EQ(loaded.contentDigest(), flagged.contentDigest()) << "load";
+
+    // Recalibrate: the supervisor's hook assigns a retrained model.
+    ASSERT_TRUE(env.recalibrate()(0, nullptr));
+    EXPECT_EQ(env.model.contentDigest(), fresh(env.model))
+        << "recalibrate";
+
+    // And at the end of an autopilot pass, which digests the model
+    // at every checkpoint and retrains it once.
+    auto dir = freshDir("digest_cache");
+    auto ctx = env.ctx();
+    auto monitor = makeGoldenMonitor();
+    Supervisor sup(fastBreaker(), env.recalibrate());
+    auto store = makeStore(dir);
+    auto res = core::runAutopilot(ctx, goldenSchedule(), monitor, sup,
+                                  &store, goldenOptions());
+    ASSERT_TRUE(res) << res.status().toString();
+    EXPECT_EQ(res.value().supervisorSummary.recalibrationsSucceeded, 1u);
+    EXPECT_EQ(env.model.contentDigest(), fresh(env.model))
+        << "autopilot pass";
+}
+
 TEST(CheckpointBlob, PassWritesOneBlobPerModelVersion)
 {
     PoolWidth width(1);
@@ -1010,7 +1232,7 @@ TEST(CheckpointBlob, PassWritesOneBlobPerModelVersion)
     auto blobs = store.listBlobs();
     ASSERT_EQ(blobs.size(), versions);
     for (std::uint64_t d : blobs)
-        EXPECT_TRUE(fs::exists(store.blobPath(d)));
+        EXPECT_TRUE(store.hasBlob(d));
 
     // The newest generation references the serving model's blob.
     auto rec = store.loadLatestValid();
@@ -1036,7 +1258,9 @@ TEST(CheckpointBlob, MissingBlobFallsBackToOlderGeneration)
     auto dir = freshDir("blob_missing");
     auto store = makeStore(dir);
     writeTwoBlobGenerations(store);
-    fs::remove(store.blobPath(0xb2));
+    // Frames: blob a1, gen 1, blob b2, gen 2. Drop blob b2's.
+    writeFile(store.logPath(),
+              withoutFrame(readFile(store.logPath()), 2));
 
     auto rec = makeStore(dir).loadLatestValid();
     ASSERT_TRUE(rec) << rec.status().toString();
@@ -1051,10 +1275,11 @@ TEST(CheckpointBlob, BitFlippedBlobFallsBackToOlderGeneration)
     auto dir = freshDir("blob_flipped");
     auto store = makeStore(dir);
     writeTwoBlobGenerations(store);
-    std::string bytes = readFile(store.blobPath(0xb2));
-    ASSERT_FALSE(bytes.empty());
-    bytes.back() ^= 0x01; // last payload byte
-    writeFile(store.blobPath(0xb2), bytes);
+    std::string log = readFile(store.logPath());
+    auto starts = frameStarts(log);
+    ASSERT_EQ(starts.size(), 4u);
+    log[starts[3] - 1] ^= 0x01; // blob b2's last payload byte
+    writeFile(store.logPath(), log);
 
     auto rec = makeStore(dir).loadLatestValid();
     ASSERT_TRUE(rec) << rec.status().toString();
@@ -1076,8 +1301,8 @@ TEST(CheckpointBlob, PruneKeepsReferencedBlobsAcrossReopen)
         EXPECT_EQ(store.listBlobs(),
                   (std::vector<std::uint64_t>{0xb2}));
     }
-    // A reopened store knows nothing in memory: its prune must read
-    // the references back from the retained generations on disk.
+    // A reopened store knows nothing in memory: it must rebuild the
+    // references from the retained generations in the log.
     auto store = makeStore(dir, /*generations=*/2);
     ASSERT_TRUE(store.writeBlob(0xbeef, "orphan after reopen"));
     ASSERT_TRUE(store.writeBlob(0xc3, "model version three"));
@@ -1086,7 +1311,7 @@ TEST(CheckpointBlob, PruneKeepsReferencedBlobsAcrossReopen)
               (std::vector<std::uint64_t>{3, 4}));
     EXPECT_EQ(store.listBlobs(),
               (std::vector<std::uint64_t>{0xb2, 0xc3}));
-    EXPECT_FALSE(fs::exists(store.blobPath(0xbeef)));
+    EXPECT_FALSE(store.hasBlob(0xbeef));
     auto rec = store.loadLatestValid();
     ASSERT_TRUE(rec);
     EXPECT_EQ(rec.value().generation, 4u);
@@ -1100,10 +1325,10 @@ TEST(CheckpointBlob, CrashBetweenBlobAndGenerationResumes)
         auto store = makeStore(dir);
         ASSERT_TRUE(store.writeBlob(0xa1, "model version one"));
         ASSERT_TRUE(store.writeGeneration("gen one", {0xa1}));
-        // The next version's blob is durable, then the process dies
-        // before its generation exists.
+        // The next version's blob frame is appended, then the
+        // process dies before its generation frame is.
         ASSERT_TRUE(store.writeBlob(0xb2, "model version two"));
-        store.setCrashPoint(CheckpointCrashPoint::BeforeTempWrite);
+        store.setCrashPoint(CheckpointCrashPoint::BeforeGeneration);
         EXPECT_THROW((void)store.writeGeneration("gen two", {0xb2}),
                      SimulatedCrash);
     }
