@@ -205,18 +205,21 @@ BENCHMARK(BM_MonitorIngest);
 void
 BM_CheckpointFrame(benchmark::State &state)
 {
-    // Frame + verify of a model-sized body through the checkpoint
-    // log's frame code: the pure-CPU cost (checksum twice, no I/O) a
-    // blob frame pays once when staged and once when restored.
+    // Frame + read back of a model-sized body through the one frame
+    // codec (common/serial.hh) that model files and checkpoint log
+    // frames share: the pure-CPU cost (one FNV-1a pass each way, no
+    // I/O) a model blob pays once when staged and once when restored.
     std::string body(64 * 1024, '\0');
     for (std::size_t i = 0; i < body.size(); ++i)
         body[i] = static_cast<char>('a' + i % 26);
     for (auto _ : state) {
-        auto framed = CheckpointStore::frame(body);
-        std::string out;
-        if (!CheckpointStore::verifyFrame(framed, &out))
+        std::string framed;
+        appendFrame(framed, kCheckpointFrame, "blob 00000000000000a1\n",
+                    body);
+        FrameView f;
+        if (!readFrame(framed, kCheckpointFrame, &f))
             fatal("checkpoint frame failed to verify");
-        benchmark::DoNotOptimize(out);
+        benchmark::DoNotOptimize(f.payload);
     }
     state.SetBytesProcessed(
         static_cast<std::int64_t>(state.iterations()) *

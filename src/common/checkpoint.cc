@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <charconv>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -23,11 +22,6 @@ namespace tomur {
 
 namespace {
 
-constexpr std::string_view kMagic = "tomur_ckpt ";
-constexpr int kVersion = 2;
-constexpr std::size_t kMaxBodyBytes = 64ULL * 1024 * 1024;
-/** Past any header frame() writes: no newline by here is garbage. */
-constexpr std::size_t kMaxHeaderBytes = 80;
 /** Upper bound on one generation's blob references. */
 constexpr std::size_t kMaxBlobRefs = 64;
 /** Dead bytes the log may carry before a compaction is due. */
@@ -37,68 +31,6 @@ std::string
 digestHex(std::uint64_t d)
 {
     return strf("%016llx", static_cast<unsigned long long>(d));
-}
-
-/** Parse all of `s` in `base`; a digest (base 16) has 16 digits. */
-template <class T>
-bool
-parseNumber(std::string_view s, T *v, int base = 10)
-{
-    auto res = std::from_chars(s.data(), s.data() + s.size(), *v, base);
-    return !s.empty() && (base != 16 || s.size() == 16) &&
-           res.ec == std::errc() && res.ptr == s.data() + s.size();
-}
-
-/** Append the frame of payload `kind` + `body` to `out`. */
-void
-appendFrame(std::string &out, std::string_view kind,
-            std::string_view body)
-{
-    out += strf("%.*s%d %zu %s\n", static_cast<int>(kMagic.size()),
-                kMagic.data(), kVersion, kind.size() + body.size(),
-                digestHex(fnv1a64(body, fnv1a64(kind))).c_str());
-    out += kind;
-    out += body;
-}
-
-/** Verify the frame `bytes` starts with into its `size` and
- *  `payload`; `torn` when `bytes` ends inside a frame's start. */
-Status
-findFrame(std::string_view bytes, std::size_t *size,
-          std::string_view *payload, bool *torn)
-{
-    std::size_t nl = bytes.substr(0, kMaxHeaderBytes).find('\n');
-    if (nl == bytes.npos) {
-        *torn = bytes.size() < kMaxHeaderBytes &&
-                (bytes.starts_with(kMagic) || kMagic.starts_with(bytes));
-        return Status::corruptData("checkpoint header truncated");
-    }
-    auto f = split(std::string(bytes.substr(0, nl)), ' ');
-    int version = 0;
-    std::uint64_t checksum = 0;
-    if (f.size() != 4 || f[0] + ' ' != kMagic ||
-        !parseNumber(f[1], &version) || !parseNumber(f[2], size) ||
-        !parseNumber(f[3], &checksum, 16))
-        return Status::corruptData(
-            "checkpoint header malformed (bad magic)");
-    if (version != kVersion)
-        return Status::corruptData(strf(
-            "unsupported checkpoint version %d (this build reads "
-            "version %d, whose generations reference model blobs)",
-            version, kVersion));
-    if (*size > kMaxBodyBytes)
-        return Status::corruptData(
-            strf("checkpoint body size %zu exceeds limit", *size));
-    *payload = bytes.substr(nl + 1, *size);
-    *torn = payload->size() < *size;
-    if (*torn)
-        return Status::corruptData(strf(
-            "checkpoint body truncated: header says %zu bytes, found %zu",
-            *size, payload->size()));
-    if (fnv1a64(*payload) != checksum)
-        return Status::corruptData("checkpoint checksum mismatch");
-    *size += nl + 1;
-    return Status::ok();
 }
 
 /** A payload: a blob (key = its digest) or a generation (key = its
@@ -120,12 +52,13 @@ parseRecord(std::string_view payload, Record *r)
     if (nl == payload.npos || f.size() < 2 ||
         f.size() > (r->blob ? 2 : 2 + kMaxBlobRefs) ||
         !(r->blob || f[0] == "generation") ||
-        !parseNumber(f[1], &r->key, r->blob ? 16 : 10) ||
+        !(r->blob ? parseHexDigest(f[1], &r->key)
+                  : parseWhole(f[1], &r->key)) ||
         (!r->blob && r->key == 0))
         return false;
     r->refs.resize(f.size() - 2);
     for (std::size_t i = 2; i < f.size(); ++i)
-        if (!parseNumber(f[i], &r->refs[i - 2], 16))
+        if (!parseHexDigest(f[i], &r->refs[i - 2]))
             return false;
     r->bytes = payload.substr(nl + 1);
     return true;
@@ -182,32 +115,6 @@ CheckpointStore::CheckpointStore(std::string dir,
         scan();
 }
 
-std::string
-CheckpointStore::frame(const std::string &body)
-{
-    std::string out;
-    appendFrame(out, {}, body);
-    return out;
-}
-
-Status
-CheckpointStore::verifyFrame(const std::string &framed,
-                             std::string *body)
-{
-    std::size_t size = 0;
-    std::string_view payload;
-    bool torn = false;
-    if (Status st = findFrame(framed, &size, &payload, &torn); !st)
-        return st;
-    if (size != framed.size())
-        return Status::corruptData(
-            strf("checkpoint frame followed by %zu stray bytes",
-                 framed.size() - size));
-    if (body != nullptr)
-        body->assign(payload);
-    return Status::ok();
-}
-
 void
 CheckpointStore::scan()
 {
@@ -219,24 +126,37 @@ CheckpointStore::scan()
     const std::uintmax_t bytes = fs::file_size(logPath(), ec);
     const std::string log = readAt(logPath(), 0, ec ? 0 : bytes);
     fileBytes_ = log.size();
-    for (std::size_t pos = 0, size = 0; pos < log.size();) {
-        std::string_view rest = std::string_view(log).substr(pos), payload;
-        bool torn = false;
+    int otherVersion = 0;
+    for (std::size_t pos = 0; pos < log.size();) {
+        FrameView f;
         Record r;
-        if (findFrame(rest, &size, &payload, &torn).isOk() &&
-            parseRecord(payload, &r)) {
+        if (readFrame(std::string_view(log).substr(pos), kCheckpointFrame,
+                      &f)
+                .isOk() &&
+            parseRecord(f.payload, &r)) {
             // A later frame of a number wins: it was written after a
             // crash dropped the earlier one from the index.
-            (r.blob ? blobs_ : gens_)[r.key] = {pos, size, r.refs};
-            end_ = pos += size;
+            (r.blob ? blobs_ : gens_)[r.key] = {pos, f.size, r.refs};
+            end_ = pos += f.size;
             continue;
         }
+        if (f.version != kCheckpointFrame.version)
+            otherVersion = std::max(otherVersion, f.version);
         // Resync to the next magic, so a bad frame never hides a later
         // good one. A frame cut off by the log's end is a torn append.
-        std::size_t next = log.find(kMagic, pos + 1);
-        corruptFrames_ += next != log.npos || !torn;
+        std::size_t next = log.find(kCheckpointFrame.magic, pos + 1);
+        corruptFrames_ += next != log.npos || !f.torn;
         pos = next == log.npos ? log.size() : next;
     }
+    // A log with no frame of this version but frames of another is
+    // another build's log, not a corrupt one.
+    if (gens_.empty() && blobs_.empty() && otherVersion != 0)
+        refused_ = Status::failedPrecondition(strf(
+            "checkpoint log %s holds version %d frames of another build "
+            "(this build reads version %d, whose model blobs hold the "
+            "model body alone); resume from an empty checkpoint "
+            "directory",
+            logPath().c_str(), otherVersion, kCheckpointFrame.version));
     nextGen_ = gens_.empty() ? 1 : gens_.rbegin()->first + 1;
     // Blobs after the newest generation await the one that never
     // landed: a resumed run references them.
@@ -342,7 +262,7 @@ CheckpointStore::writeGeneration(const std::string &body,
     }
     staged_.clear();
     const std::size_t blobBytes = bytes.size();
-    appendFrame(bytes, kind + '\n', body);
+    appendFrame(bytes, kCheckpointFrame, kind + '\n', body);
     gens_[gen] = {end_ + blobBytes, bytes.size() - blobBytes, blobs};
 
     crash(CheckpointCrashPoint::BeforeAppend);
@@ -407,8 +327,8 @@ CheckpointStore::writeBlob(std::uint64_t digest,
         return refused_;
     TraceSpan span("checkpoint.blob_write");
     span.field("bytes", static_cast<double>(bytes.size()));
-    appendFrame(staged_[digest], "blob " + digestHex(digest) + "\n",
-                bytes);
+    appendFrame(staged_[digest], kCheckpointFrame,
+                "blob " + digestHex(digest) + "\n", bytes);
     metrics().counter("tomur_checkpoint_blob_writes_total").inc();
     return Status::ok();
 }
@@ -435,13 +355,14 @@ CheckpointStore::readGeneration(std::uint64_t gen, const Frame &f,
     // changed under the index.
     auto read = [&](const Frame &at, std::uint64_t key, bool blob,
                     std::string *bytes) {
-        std::string payload;
+        const std::string framed = readAt(logPath(), at.offset, at.size);
+        FrameView f;
         Record r;
-        Status st = verifyFrame(readAt(logPath(), at.offset, at.size),
-                                &payload);
-        if (st.isOk() &&
-            (!parseRecord(payload, &r) || r.blob != blob || r.key != key))
-            st = Status::corruptData("record line malformed");
+        Status st = readFrame(framed, kCheckpointFrame, &f);
+        if (st.isOk() && (f.size != framed.size() ||
+                          !parseRecord(f.payload, &r) || r.blob != blob ||
+                          r.key != key))
+            st = Status::corruptData("frame does not match the index");
         if (st.isOk())
             bytes->assign(r.bytes);
         return st;

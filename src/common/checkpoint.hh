@@ -2,10 +2,11 @@
  * @file
  * Crash-safe generational checkpoint store: one append-only log.
  *
- * `<dir>/checkpoint.log` holds frames, each a checksummed
- * `tomur_ckpt 2 <bytes> <fnv1a64-hex>` header line and its payload:
- * `blob <digest>\n<bytes>` (content-addressed state, the autopilot's
- * model) or `generation <n> <digest>...\n<body>`. writeBlob() stages
+ * `<dir>/checkpoint.log` holds frames of the shared frame codec
+ * (common/serial.hh), each a checksummed `tomur_ckpt 3 <bytes>
+ * <fnv1a64-hex>` header line and its payload: `blob <digest>\n<bytes>`
+ * (content-addressed state; the autopilot's is a model body) or
+ * `generation <n> <digest>...\n<body>`. writeBlob() stages
  * a frame; writeGeneration() appends the staged frames it references
  * and its own in one write, covered by one fdatasync. Opening scans
  * the log into an index (generation -> offset and references, digest
@@ -17,7 +18,8 @@
  * appended since the last compaction reach the live bytes (and a
  * 1 MiB floor), the live frames are rewritten via tmp-write, fsync,
  * rename and a directory fsync. A directory in the file-per-record
- * layout of older builds (`ckpt-*.tomur`) is refused. Injected crash
+ * layout of older builds (`ckpt-*.tomur`), or a log whose frames are
+ * all of another version, is refused. Injected crash
  * points throw SimulatedCrash; the log then holds what a kill would
  * leave, and the store rescans it as a restart would.
  */
@@ -32,9 +34,15 @@
 #include <string_view>
 #include <vector>
 
+#include "common/serial.hh"
 #include "common/status.hh"
 
 namespace tomur {
+
+/** A log frame: `tomur_ckpt 3 <bytes> <fnv1a64-hex>`, then a payload
+ *  of at most 64 MiB. */
+inline constexpr FrameFormat kCheckpointFrame{"tomur_ckpt", 3, 64u << 20,
+                                              "checkpoint"};
 
 /** Where in writeGeneration an injected crash fires. */
 enum class CheckpointCrashPoint
@@ -120,15 +128,6 @@ class CheckpointStore
     /** Path of the log (exposed for tests that hand-corrupt it). */
     std::string logPath() const { return dir_ + "/checkpoint.log"; }
 
-    /** Verify one framed record; on success `*body` (if non-null)
-     *  receives the payload. */
-    static Status verifyFrame(const std::string &framed,
-                              std::string *body);
-
-    /** Frame `body` with the `tomur_ckpt 2 <bytes> <checksum>`
-     *  header. */
-    static std::string frame(const std::string &body);
-
   private:
     struct Frame
     {
@@ -155,7 +154,7 @@ class CheckpointStore
 
     std::string dir_;
     CheckpointOptions opts_;
-    Status refused_; ///< a directory in another layout
+    Status refused_; ///< another layout, or a log of another version
     std::uint64_t nextGen_ = 1;
     std::map<std::uint64_t, Frame> gens_, blobs_;
     /** Framed blobs awaiting a generation that references them. */

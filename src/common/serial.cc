@@ -35,11 +35,78 @@ appendSerialDouble(std::string &out, double v)
 }
 
 bool
-expectToken(std::istream &in, const char *token)
+parseHexDigest(std::string_view s, std::uint64_t *v)
 {
-    std::string got;
-    in >> got;
-    return static_cast<bool>(in) && got == token;
+    return s.size() == 16 &&
+           s.find_first_not_of("0123456789abcdef") == s.npos &&
+           parseWhole(s, v, 16);
+}
+
+void
+appendFrame(std::string &out, const FrameFormat &format,
+            std::string_view head, std::string_view body)
+{
+    out += strf("%.*s %d %zu %llx\n", static_cast<int>(format.magic.size()),
+                format.magic.data(), format.version,
+                head.size() + body.size(),
+                static_cast<unsigned long long>(
+                    fnv1a64(body, fnv1a64(head))));
+    out += head;
+    out += body;
+}
+
+Status
+readFrame(std::string_view bytes, const FrameFormat &format,
+          FrameView *frame)
+{
+    *frame = {};
+    const char *name = format.name;
+    const std::size_t nl = bytes.substr(0, kMaxFrameHeaderBytes).find('\n');
+    if (nl == bytes.npos) {
+        frame->torn = bytes.size() < kMaxFrameHeaderBytes &&
+                      (bytes.starts_with(format.magic) ||
+                       format.magic.starts_with(bytes));
+        return Status::corruptData(strf("%s header truncated", name));
+    }
+    // Exactly four tokens, one space apart, each parsed whole.
+    const auto tok = split(std::string(bytes.substr(0, nl)), ' ');
+    int version = 0;
+    if (tok.size() != 4 || tok[0] != format.magic ||
+        !parseWhole(tok[1], &version))
+        return Status::corruptData(strf(
+            "%s header malformed (expected '%.*s <version> <bytes> "
+            "<checksum>')",
+            name, static_cast<int>(format.magic.size()),
+            format.magic.data()));
+    frame->version = version;
+    if (version != format.version)
+        return Status::corruptData(
+            strf("unsupported %s version %d (this build reads version %d)",
+                 name, version, format.version));
+    std::size_t size = 0;
+    std::uint64_t checksum = 0;
+    if (!parseWhole(tok[2], &size) || !parseWhole(tok[3], &checksum, 16))
+        return Status::corruptData(
+            strf("%s header: bad length or checksum token", name));
+    if (size == 0 || size > format.maxBytes)
+        return Status::corruptData(
+            strf("%s header: payload length %zu outside [1, %zu]", name,
+                 size, format.maxBytes));
+    frame->payload = bytes.substr(nl + 1, size);
+    if (frame->payload.size() < size) {
+        frame->torn = true;
+        return Status::corruptData(
+            strf("%s payload truncated: header says %zu bytes, found %zu",
+                 name, size, frame->payload.size()));
+    }
+    if (std::uint64_t got = fnv1a64(frame->payload); got != checksum)
+        return Status::corruptData(strf(
+            "%s checksum mismatch: payload hashes to %llx, header says "
+            "%llx (damaged in transit or storage)",
+            name, static_cast<unsigned long long>(got),
+            static_cast<unsigned long long>(checksum)));
+    frame->size = nl + 1 + size;
+    return Status::ok();
 }
 
 void
@@ -62,6 +129,13 @@ SerialWriter::real(double v)
 {
     separate();
     appendSerialDouble(out_, v);
+}
+
+void
+SerialWriter::hexDigest(std::uint64_t v)
+{
+    separate();
+    out_ += strf("%016llx", static_cast<unsigned long long>(v));
 }
 
 void
@@ -164,6 +238,13 @@ SerialReader::text(std::string &s)
 {
     if (token())
         s = tok_ == "-" ? std::string() : tok_;
+}
+
+void
+SerialReader::hexDigest(std::uint64_t &v)
+{
+    if (token() && !parseHexDigest(tok_, &v))
+        failToken("a 16-digit hex digest");
 }
 
 void

@@ -22,7 +22,8 @@
  * flag() / text() for values, text() being one whitespace-free token
  * (the empty string travels as "-"); line() for the rest of a line
  * (spaces allowed); enumerated() / keyword() for an enum written as
- * its index / as a name; count() then elements() for a sequence;
+ * its index / as a name; hexDigest() for a 64-bit digest, written as
+ * 16 lowercase hex digits; count() then elements() for a sequence;
  * check() for a validity rule; endLine() after each line. loaded()
  * sets a field a load derives (fitted flags) and present() opens an
  * optional sub-object; both only act when reading.
@@ -65,10 +66,75 @@ std::uint64_t fnv1a64(std::string_view bytes,
  *  The bytes equal `stream << std::setprecision(17) << v`. */
 void appendSerialDouble(std::string &out, double v);
 
-/** Consume one whitespace-delimited token and require it to equal
- *  `token`; false on mismatch or stream failure. For the hand-read
- *  frame headers; bodies go through SerialReader. */
-bool expectToken(std::istream &in, const char *token);
+/** Parse all of `s` into `*v` with from_chars(`fmt`...); false, and
+ *  `*v` untouched, unless the whole of `s` is one in-range number. */
+template <class T, class... Fmt>
+bool
+parseWhole(std::string_view s, T *v, Fmt... fmt)
+{
+    T parsed{};
+    const char *end = s.data() + s.size();
+    auto res = std::from_chars(s.data(), end, parsed, fmt...);
+    if (s.empty() || res.ec != std::errc() || res.ptr != end)
+        return false;
+    *v = parsed;
+    return true;
+}
+
+/** Parse a digest as SerialWriter::hexDigest() writes it: exactly 16
+ *  lowercase hex digits. */
+bool parseHexDigest(std::string_view s, std::uint64_t *v);
+
+/**
+ * One kind of checksummed frame: a header line
+ *
+ *     <magic> <version> <payload-bytes> <fnv1a64-hex>
+ *
+ * then exactly <payload-bytes> bytes of payload. Model files and
+ * checkpoint log frames are both frames; appendFrame() writes one
+ * and readFrame() reads and verifies one, for every kind.
+ */
+struct FrameFormat
+{
+    std::string_view magic;
+    /** The one version this build writes and reads. */
+    int version = 0;
+    /** Bound on a declared payload length, checked before anything
+     *  is sized from it. */
+    std::size_t maxBytes = 0;
+    /** Names the kind in errors ("model", "checkpoint"). */
+    const char *name = "";
+};
+
+/** Past any header appendFrame() writes: a frame whose first
+ *  newline is not within this many bytes is not a frame. */
+constexpr std::size_t kMaxFrameHeaderBytes = 80;
+
+/** Append the frame of the payload `head` + `body` to `out`. The two
+ *  parts are hashed as one run, so nothing joins them first. */
+void appendFrame(std::string &out, const FrameFormat &format,
+                 std::string_view head, std::string_view body = {});
+
+/** A frame readFrame() found at the start of some bytes. */
+struct FrameView
+{
+    /** The payload (valid only when readFrame() returned ok). */
+    std::string_view payload;
+    /** Header and payload bytes. */
+    std::size_t size = 0;
+    /** The header's version when its magic and version parsed, else
+     *  0; a frame of another version fails, but reports it here. */
+    int version = 0;
+    /** The bytes end inside the frame (a torn append). */
+    bool torn = false;
+};
+
+/** Read and verify the frame `bytes` starts with: each header token
+ *  whole, the version, the length against the bound, the payload's
+ *  presence and its checksum. CorruptData naming the kind otherwise.
+ *  Bytes after the frame are not looked at. */
+Status readFrame(std::string_view bytes, const FrameFormat &format,
+                 FrameView *frame);
 
 /** The ops SerialWriter and SerialDigest share: composites over
  *  their integer() / text() and the reader-only ops as no-ops. */
@@ -144,6 +210,7 @@ class SerialWriter : public SerialOutput<SerialWriter>
     void real(double v);
     void text(std::string_view s) { token(s.empty() ? "-" : s); }
     void line(std::string_view s) { token(s); }
+    void hexDigest(std::uint64_t v);
     void endLine();
 
   private:
@@ -177,6 +244,7 @@ class SerialDigest : public SerialOutput<SerialDigest>
     void real(double v);
     void text(std::string_view s) { line(s.empty() ? "-" : s); }
     void line(std::string_view s);
+    void hexDigest(std::uint64_t v) { mix(v); }
     void endLine() {}
 
     std::uint64_t value() const { return h_; }
@@ -222,6 +290,7 @@ class SerialReader
     void flag(bool &b);
     void text(std::string &s);
     void line(std::string &s);
+    void hexDigest(std::uint64_t &v);
     void endLine() {}
 
     template <class E>
@@ -308,11 +377,7 @@ class SerialReader
     void
     number(T &v, const char *expected)
     {
-        if (!token())
-            return;
-        const char *end = tok_.data() + tok_.size();
-        auto res = std::from_chars(tok_.data(), end, v);
-        if (res.ec != std::errc() || res.ptr != end)
+        if (token() && !parseWhole(tok_, &v))
             failToken(expected);
     }
 

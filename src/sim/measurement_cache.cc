@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "common/serial.hh"
 #include "common/telemetry.hh"
 
 namespace tomur::sim {
@@ -101,14 +100,6 @@ deploymentKey(const TestbedOptions &opts,
             putDouble(key, v);
     }
     return key;
-}
-
-std::uint64_t
-fnv1a64(const std::string &bytes)
-{
-    // Thin delegate kept for source compatibility; the shared
-    // implementation lives in common/serial.hh.
-    return tomur::fnv1a64(std::string_view(bytes));
 }
 
 MeasurementCache::MeasurementCache()

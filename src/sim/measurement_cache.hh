@@ -44,9 +44,6 @@ std::string
 deploymentKey(const TestbedOptions &opts,
               const std::vector<framework::WorkloadProfile> &w);
 
-/** FNV-1a 64-bit over a byte string (logging / key digests). */
-std::uint64_t fnv1a64(const std::string &bytes);
-
 /** Memoized noise-free measurement batches, keyed by deploymentKey. */
 class MeasurementCache
 {

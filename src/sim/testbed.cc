@@ -5,6 +5,7 @@
 
 #include "common/deadline.hh"
 #include "common/logging.hh"
+#include "common/serial.hh"
 #include "common/strutil.hh"
 #include "common/telemetry.hh"
 #include "common/threadpool.hh"
@@ -134,7 +135,7 @@ Testbed::solve(const std::vector<fw::WorkloadProfile> &w) const
         }
         span.field("deployment", names);
         span.field("key", strf("%016llx",
-                               (unsigned long long)fnv1a64(
+                               (unsigned long long)tomur::fnv1a64(
                                    deploymentKey(opts_, w))));
         span.field("n", static_cast<std::uint64_t>(n));
     }
@@ -407,7 +408,7 @@ Testbed::solveCached(const std::vector<fw::WorkloadProfile> &w) const
     if (span.active()) {
         span.field("key",
                    strf("%016llx",
-                        (unsigned long long)fnv1a64(key)));
+                        (unsigned long long)tomur::fnv1a64(key)));
     }
     std::vector<Measurement> out;
     if (cache_->lookup(key, &out)) {

@@ -15,6 +15,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/serial.hh"
 #include "common/status.hh"
 #include "framework/nf.hh"
 #include "tomur/accel_model.hh"
@@ -84,8 +85,10 @@ struct ModelHealth
     }
 };
 
-/** FNV-1a 64 over the serialized model body (the save() checksum). */
-std::uint64_t modelBodyChecksum(std::string_view body);
+/** The model file's frame: `tomur_model 2 <bytes> <fnv1a64-hex>`,
+ *  then the body; a body longer than 16 MiB is a corrupt header. */
+inline constexpr FrameFormat kModelFrame{"tomur_model", 2, 16u << 20,
+                                         "model"};
 
 /**
  * A trained predictive model for one NF.
@@ -172,8 +175,9 @@ class TomurModel
      */
     Status save(std::ostream &out) const;
 
-    /** save() appended to `out`, formatted in place with no stream. */
-    Status save(std::string &out) const;
+    /** The model body alone (a model file's payload, and what an
+     *  autopilot checkpoint's model blob holds), appended to `out`. */
+    Status saveBody(std::string &out) const;
 
     /**
      * Load from save() output. On error the model is left untouched
@@ -182,6 +186,9 @@ class TomurModel
      * Contextually convertible to bool: ok == loaded.
      */
     Status load(std::istream &in);
+
+    /** load() of a body saveBody() wrote, with no frame around it. */
+    Status loadBody(std::string_view body);
 
     /**
      * 64-bit digest of exactly the fields save() writes, hashed from

@@ -4,9 +4,9 @@
  * the expensive step (testbed co-runs); persisted models let online
  * components (placement, diagnosis) start instantly.
  *
- * Format (version 2): a header line
+ * Format: a model file is one frame of kModelFrame (common/serial.hh)
  *
- *     tomur_model <version> <body-bytes> <fnv1a64-checksum-hex>
+ *     tomur_model 2 <body-bytes> <fnv1a64-checksum-hex>
  *
  * followed by exactly <body-bytes> bytes of body. The length +
  * checksum let load() reject truncated or bit-flipped files with a
@@ -15,13 +15,13 @@
  * contentDigest() run the same walks, every section is validated
  * against named bounds, and a parse failure names the section so a
  * corrupt model file is diagnosable. Loading never mutates the
- * destination model until the whole file has been validated.
+ * destination model until the whole file has been validated. An
+ * autopilot checkpoint frames the body alone (saveBody/loadBody).
  */
 
 #include <istream>
 #include <ostream>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 
 #include "common/logging.hh"
@@ -33,9 +33,6 @@ namespace tomur::core {
 
 namespace {
 
-/** Serialization format version save() writes and load() accepts. */
-constexpr int kFormatVersion = 2;
-
 /** Upper bound on seed-averaged ensemble sizes (memory and solo
  *  model sections). Real ensembles hold 3 models (§7.1); anything
  *  beyond this is a corrupt or hostile count. */
@@ -45,21 +42,10 @@ constexpr std::size_t kMaxEnsembleModels = 64;
  *  calibration clamps estimates to (0, 64) (accel_model.cc). */
 constexpr int kMaxAccelQueues = 64;
 
-/** Upper bound on the serialized body size (16 MiB). A trained
- *  model is a few hundred KiB; a larger declared length means a
- *  corrupt header and must not drive an allocation. */
-constexpr std::size_t kMaxBodyBytes = 16u << 20;
-
 /** Execution patterns by name, indexed by ExecutionPattern. */
 constexpr const char *kPatternNames[] = {"pl", "rtc"};
 
 } // namespace
-
-std::uint64_t
-modelBodyChecksum(std::string_view body)
-{
-    return fnv1a64(body);
-}
 
 template <class Self, class Sink>
 void
@@ -162,17 +148,18 @@ TomurModel::contentDigest() const
 Status
 TomurModel::save(std::ostream &out) const
 {
-    std::string bytes;
-    if (Status st = save(bytes); !st.isOk())
+    std::string body, file;
+    if (Status st = saveBody(body); !st.isOk())
         return st;
-    out << bytes;
+    appendFrame(file, kModelFrame, body);
+    out << file;
     if (!out)
         return Status::ioError("TomurModel::save: stream write failed");
     return Status::ok();
 }
 
 Status
-TomurModel::save(std::string &out) const
+TomurModel::saveBody(std::string &out) const
 {
     // The sub-model preconditions, checked up front so the walk
     // below only formats.
@@ -192,80 +179,32 @@ TomurModel::save(std::string &out) const
         if (!m.fitted())
             panic("GradientBoostingRegressor::save before fit");
     }
-
-    // Format the body in place, then put the header that carries its
-    // length and checksum in front of it.
-    const std::size_t start = out.size();
     SerialWriter w(out);
     walk(*this, w);
-    std::string_view body(out.data() + start, out.size() - start);
-    out.insert(start, strf("tomur_model %d %zu %llx\n", kFormatVersion,
-                           body.size(),
-                           static_cast<unsigned long long>(
-                               modelBodyChecksum(body))));
     return Status::ok();
 }
 
 Status
 TomurModel::load(std::istream &in)
 {
-    // ---- Header: magic, version, body length, checksum ----
-    if (!expectToken(in, "tomur_model")) {
-        return Status::corruptData(
-            "header section: missing 'tomur_model' tag");
-    }
-    int version = 0;
-    in >> version;
-    if (!in || version != kFormatVersion) {
-        return Status::corruptData(strf(
-            "header section: unsupported format version %d "
-            "(expected %d)",
-            version, kFormatVersion));
-    }
-    std::size_t body_bytes = 0;
-    std::string checksum_hex;
-    in >> body_bytes >> checksum_hex;
-    if (!in) {
-        return Status::corruptData(
-            "header section: unreadable length/checksum");
-    }
-    if (body_bytes == 0 || body_bytes > kMaxBodyBytes) {
-        return Status::corruptData(
-            strf("header section: body length %zu outside [1, %zu]",
-                 body_bytes, kMaxBodyBytes));
-    }
-    std::uint64_t declared = 0;
-    try {
-        std::size_t pos = 0;
-        declared = std::stoull(checksum_hex, &pos, 16);
-        if (pos != checksum_hex.size())
-            throw std::invalid_argument(checksum_hex);
-    } catch (const std::exception &) {
-        return Status::corruptData(
-            strf("header section: bad checksum token '%s'",
-                 checksum_hex.c_str()));
-    }
-    in.get(); // the newline ending the header line
+    // A frame is at most its header and the body bound long, so a
+    // huge input is read no further than that.
+    const std::size_t cap = kMaxFrameHeaderBytes + kModelFrame.maxBytes;
+    std::string bytes;
+    char chunk[1 << 16];
+    while (bytes.size() < cap && in.read(chunk, sizeof chunk).gcount() > 0)
+        bytes.append(chunk, static_cast<std::size_t>(in.gcount()));
+    FrameView frame;
+    if (Status st = readFrame(bytes, kModelFrame, &frame); !st.isOk())
+        return st.withContext("header section");
+    return loadBody(frame.payload);
+}
 
-    std::string bytes(body_bytes, '\0');
-    in.read(bytes.data(), static_cast<std::streamsize>(body_bytes));
-    if (in.gcount() != static_cast<std::streamsize>(body_bytes)) {
-        return Status::corruptData(
-            strf("header section: truncated body (%zd of %zu bytes)",
-                 static_cast<std::ptrdiff_t>(in.gcount()),
-                 body_bytes));
-    }
-    std::uint64_t actual = modelBodyChecksum(bytes);
-    if (actual != declared) {
-        return Status::corruptData(strf(
-            "checksum mismatch: body hashes to %llx, header says "
-            "%llx (file damaged in transit or storage)",
-            static_cast<unsigned long long>(actual),
-            static_cast<unsigned long long>(declared)));
-    }
-
-    // ---- Body: parse into a temporary, commit only on success ----
-    std::istringstream body(std::move(bytes));
+Status
+TomurModel::loadBody(std::string_view bytes)
+{
+    // Parse into a temporary, commit only on success.
+    std::istringstream body{std::string(bytes)};
     TomurModel m;
     SerialReader r(body);
     walk(m, r);

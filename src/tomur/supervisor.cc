@@ -437,13 +437,15 @@ namespace {
  *  contentDigest() instead of embedding it. */
 constexpr int kAutopilotBodyVersion = 2;
 
-/** The body's first lines: format version and sample cursor. A
- *  body of another version stops after the version, which the reader
- *  refuses with FailedPrecondition rather than as corrupt data. */
+/** The body's first lines: format version, sample cursor and the
+ *  model blob's digest. A body of another version stops after the
+ *  version, which the reader refuses with FailedPrecondition rather
+ *  than as corrupt data. */
 struct BodyHeader
 {
     int version = kAutopilotBodyVersion;
     std::size_t samplesDone = 0;
+    std::uint64_t modelDigest = 0;
 };
 
 template <class Self, class Sink>
@@ -457,6 +459,9 @@ walkBodyHeader(Self &h, Sink &s)
         return;
     s.tag("sample");
     s.integer(h.samplesDone);
+    s.endLine();
+    s.tag("model_blob");
+    s.hexDigest(h.modelDigest);
     s.endLine();
 }
 
@@ -508,9 +513,9 @@ buildCheckpointBody(ReplayContext &ctx,
     supervisor.serialize(state);
     std::string body;
     SerialWriter w(body);
-    const BodyHeader header{kAutopilotBodyVersion, samplesDone};
+    const BodyHeader header{kAutopilotBodyVersion, samplesDone,
+                            modelDigest};
     walkBodyHeader(header, w);
-    body += strf("model_blob %016llx\n", (unsigned long long)modelDigest);
     body += state.str();
     RngStreams rng{ctx.soloBed->noiseState(), std::nullopt};
     if (ctx.measureBed)
@@ -545,7 +550,7 @@ writeCheckpoint(ReplayContext &ctx, const PredictionMonitor &monitor,
         std::size_t modelBytes = 0;
         if (!store.hasBlob(digest)) {
             std::string bytes;
-            if (auto s = ctx.model->save(bytes); !s)
+            if (auto s = ctx.model->saveBody(bytes); !s)
                 return s.withContext("autopilot checkpoint");
             modelBytes = bytes.size();
             wrote = store.writeBlob(digest, bytes);
@@ -564,33 +569,22 @@ writeCheckpoint(ReplayContext &ctx, const PredictionMonitor &monitor,
     return Status::ok();
 }
 
-/** Read the body header and the model blob digest it references. */
+/** Read the body header, refusing a body of another version. */
 Status
-readBodyHeader(std::istream &in, std::size_t *samplesDone,
-               std::uint64_t *modelDigest)
+readBodyHeader(std::istream &in, BodyHeader *header)
 {
-    BodyHeader header;
     SerialReader r(in);
-    walkBodyHeader(header, r);
+    walkBodyHeader(*header, r);
     if (!r.ok())
         return r.status().withContext("autopilot checkpoint");
-    if (header.version != kAutopilotBodyVersion) {
+    if (header->version != kAutopilotBodyVersion) {
         return Status::failedPrecondition(strf(
             "autopilot checkpoint: unsupported body version %d (this "
             "build reads version %d, which keeps the model in a "
             "content-addressed blob); resume from an empty "
             "checkpoint directory",
-            header.version, kAutopilotBodyVersion));
+            header->version, kAutopilotBodyVersion));
     }
-    *samplesDone = header.samplesDone;
-    std::string hex;
-    if (!expectToken(in, "model_blob") || !(in >> hex) ||
-        hex.size() != 16 ||
-        hex.find_first_not_of("0123456789abcdef") != std::string::npos)
-        return Status::corruptData("autopilot checkpoint: model_blob "
-                                   "section: missing or malformed "
-                                   "reference");
-    *modelDigest = std::stoull(hex, nullptr, 16);
     return Status::ok();
 }
 
@@ -607,9 +601,8 @@ resolveModelBlob(const CheckpointRecord &rec, std::uint64_t digest)
             (unsigned long long)rec.generation,
             (unsigned long long)digest));
     }
-    std::istringstream in(blob->second);
     TomurModel model;
-    if (auto s = model.load(in); !s)
+    if (auto s = model.loadBody(blob->second); !s)
         return s.withContext("autopilot checkpoint model blob");
     if (std::uint64_t got = model.contentDigest(); got != digest) {
         return Status::corruptData(strf(
@@ -626,11 +619,10 @@ Result<TomurModel>
 loadCheckpointModel(const CheckpointRecord &rec)
 {
     std::istringstream in(rec.body);
-    std::size_t samplesDone = 0;
-    std::uint64_t digest = 0;
-    if (auto s = readBodyHeader(in, &samplesDone, &digest); !s)
+    BodyHeader header;
+    if (auto s = readBodyHeader(in, &header); !s)
         return s;
-    return resolveModelBlob(rec, digest);
+    return resolveModelBlob(rec, header.modelDigest);
 }
 
 Result<std::size_t>
@@ -638,11 +630,10 @@ restoreCheckpoint(ReplayContext &ctx, PredictionMonitor &monitor,
                   Supervisor &supervisor, const CheckpointRecord &rec)
 {
     std::istringstream in(rec.body);
-    std::size_t samplesDone = 0;
-    std::uint64_t digest = 0;
-    if (auto s = readBodyHeader(in, &samplesDone, &digest); !s)
+    BodyHeader header;
+    if (auto s = readBodyHeader(in, &header); !s)
         return s;
-    auto model = resolveModelBlob(rec, digest);
+    auto model = resolveModelBlob(rec, header.modelDigest);
     if (!model.isOk())
         return model.status();
     PredictionMonitor parsedMonitor = monitor;
@@ -673,7 +664,7 @@ restoreCheckpoint(ReplayContext &ctx, PredictionMonitor &monitor,
     ctx.soloBed->setNoiseState(rng.noise);
     if (ctx.measureBed)
         ctx.measureBed->setFaultRngState(*rng.fault);
-    return samplesDone;
+    return header.samplesDone;
 }
 
 Result<AutopilotResult>

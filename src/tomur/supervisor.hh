@@ -282,7 +282,7 @@ struct AutopilotResult
  * resume=true produces a monitor+supervisor event stream
  * byte-identical to an uninterrupted run. The body (`tomur_autopilot
  * 2`) names the model by its contentDigest() on a `model_blob` line;
- * the model itself is a store blob, serialized only when the store
+ * the model body itself is a store blob, serialized only when the store
  * lacks that digest, i.e. once per model version.
  *
  * This is the only replay loop. With maxRecalibrations = 0 and a

@@ -17,8 +17,10 @@
 
 #include <unistd.h>
 
+#include "common/checkpoint.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "common/serial.hh"
 #include "common/stats.hh"
 #include "common/status.hh"
 #include "common/strutil.hh"
@@ -289,11 +291,9 @@ craftValidBody()
 std::string
 wrapV2(const std::string &body)
 {
-    std::ostringstream out;
-    out << "tomur_model 2 " << body.size() << " " << std::hex
-        << core::modelBodyChecksum(body) << "\n"
-        << body;
-    return out.str();
+    std::string out;
+    appendFrame(out, core::kModelFrame, body);
+    return out;
 }
 
 /** Expect load() to fail cleanly: error status with a message, and
@@ -330,28 +330,56 @@ TEST(CorruptModelCorpus, ValidCraftedFileLoads)
     EXPECT_TRUE(std::isfinite(m.soloThroughput(p)));
 }
 
+/** Damaged headers for frames of `format`, `valid` being one of its
+ *  well-formed frames: each must be refused. */
+std::vector<std::pair<std::string, std::string>>
+headerCorpus(const FrameFormat &format, const std::string &valid)
+{
+    const std::string magic(format.magic);
+    const std::string version = std::to_string(format.version);
+    const std::string older = std::to_string(format.version - 1);
+    return {
+        {"wrong magic", "not_a_model " + version + " 10 abc\nxxxxxxxxxx"},
+        // The upgrade path from an older version is an explicit error.
+        {"old version", magic + " " + older + " 10 abc\nxxxxxxxxxx"},
+        {"future version", magic + " 99 10 abc\nxxxxxxxxxx"},
+        // Unparseable checksum token.
+        {"bad checksum token", magic + " " + version + " 10 zzzz\nxxxxxxxxxx"},
+        // Hostile body length: must be rejected before any allocation.
+        {"huge declared length", magic + " " + version + " 999999999999 abc\n"},
+        {"zero length", magic + " " + version + " 0 abc\n"},
+        // Declared length larger than the actual body (truncated file).
+        {"body shorter than declared", valid.substr(0, valid.size() / 2)},
+    };
+}
+
 TEST(CorruptModelCorpus, HeaderCorruptions)
 {
-    std::string valid = wrapV2(craftValidBody());
-    // Wrong magic.
-    expectCleanRejection("not_a_model 2 10 abc\nxxxxxxxxxx",
-                         "wrong magic");
-    // Wrong version (the v1 upgrade path is an explicit error).
-    expectCleanRejection("tomur_model 1 10 abc\nxxxxxxxxxx",
-                         "old version");
-    expectCleanRejection("tomur_model 99 10 abc\nxxxxxxxxxx",
-                         "future version");
-    // Unparseable checksum token.
-    expectCleanRejection("tomur_model 2 10 zzzz\nxxxxxxxxxx",
-                         "bad checksum token");
-    // Hostile body length: must be rejected before any allocation.
-    expectCleanRejection("tomur_model 2 999999999999 abc\n",
-                         "huge declared length");
-    expectCleanRejection("tomur_model 2 0 abc\n", "zero length");
-    // Declared length larger than the actual body (truncated file).
-    {
-        auto cut = valid.substr(0, valid.size() / 2);
-        expectCleanRejection(cut, "body shorter than declared");
+    for (const auto &[label, bytes] :
+         headerCorpus(core::kModelFrame, wrapV2(craftValidBody())))
+        expectCleanRejection(bytes, label);
+}
+
+TEST(CorruptModelCorpus, HeaderCorpusRefusedForBothFrameKinds)
+{
+    // The same corpus through the one frame reader, for model files
+    // and for checkpoint log frames.
+    std::string checkpoint;
+    appendFrame(checkpoint, kCheckpointFrame, "generation 1\nbody");
+    const std::pair<const FrameFormat *, std::string> kinds[] = {
+        {&core::kModelFrame, wrapV2(craftValidBody())},
+        {&kCheckpointFrame, checkpoint},
+    };
+    for (const auto &[format, valid] : kinds) {
+        FrameView f;
+        ASSERT_TRUE(readFrame(valid, *format, &f)) << format->name;
+        for (const auto &[label, bytes] : headerCorpus(*format, valid)) {
+            Status st = readFrame(bytes, *format, &f);
+            EXPECT_EQ(st.code(), StatusCode::CorruptData)
+                << format->name << ": " << label;
+            EXPECT_NE(st.message().find(format->name), std::string::npos)
+                << st.toString();
+        }
     }
 }
 

@@ -480,7 +480,7 @@ TEST(ScheduleFuzz, HostileTokensAreRejectedNotAccepted)
     // all-or-nothing per stream).
     static const char *const poison[] = {
         "nan", "inf", "-inf", "1e999",   "1.5.2", "12ab",
-        "--5", "+",   ".",    "1e",      "-0.5",  "\x7f7",
+        "--5", "+",   ".",    "1e",      "-0.5",  "\x7f" "7",
         "2,5",
     };
     static const char *const keys[] = {"flows", "size", "mtbr",

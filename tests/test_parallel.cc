@@ -27,6 +27,7 @@
 #include <thread>
 
 #include "common/rng.hh"
+#include "common/serial.hh"
 #include "common/threadpool.hh"
 #include "framework/profile.hh"
 #include "ml/gbr.hh"
@@ -505,8 +506,8 @@ TEST(ParallelCache, KeyDiscriminatesDeployments)
     noisy.seed = 1;
     EXPECT_EQ(k1, sim::deploymentKey(noisy, {w_small}));
 
-    EXPECT_NE(sim::fnv1a64(k1),
-              sim::fnv1a64(sim::deploymentKey(opts, {w_large})));
+    EXPECT_NE(tomur::fnv1a64(k1),
+              tomur::fnv1a64(sim::deploymentKey(opts, {w_large})));
 }
 
 TEST(ParallelCache, CloneSharesPhysicsNotNoise)

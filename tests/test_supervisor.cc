@@ -29,6 +29,7 @@
 #include "common/deadline.hh"
 #include "common/logging.hh"
 #include "common/serial.hh"
+#include "common/strutil.hh"
 #include "common/telemetry.hh"
 #include "common/threadpool.hh"
 #include "nfs/registry.hh"
@@ -99,6 +100,15 @@ withoutFrame(const std::string &log, std::size_t i)
     return log.substr(0, starts[i]) + log.substr(starts[i + 1]);
 }
 
+/** `payload` as one checkpoint log frame. */
+std::string
+frame(std::string_view payload)
+{
+    std::string out;
+    appendFrame(out, kCheckpointFrame, payload);
+    return out;
+}
+
 /** Store with fsync off: the tests exercise the protocol, not the
  *  disk, and single-core CI appreciates the difference. */
 CheckpointStore
@@ -158,17 +168,18 @@ TEST(Checkpoint, NumbersContinueAcrossReopen)
 
 TEST(Checkpoint, FrameVerifiesAndRejects)
 {
-    std::string framed = CheckpointStore::frame("payload");
-    std::string body;
-    ASSERT_TRUE(CheckpointStore::verifyFrame(framed, &body));
-    EXPECT_EQ(body, "payload");
+    std::string framed = frame("payload");
+    FrameView f;
+    ASSERT_TRUE(readFrame(framed, kCheckpointFrame, &f));
+    EXPECT_EQ(f.payload, "payload");
+    EXPECT_EQ(f.size, framed.size());
 
-    EXPECT_FALSE(CheckpointStore::verifyFrame("random bytes", nullptr));
+    EXPECT_FALSE(readFrame("random bytes", kCheckpointFrame, &f));
 
     // Flip one body byte: the FNV-1a checksum must catch it.
     std::string flipped = framed;
     flipped.back() ^= 0x01;
-    auto st = CheckpointStore::verifyFrame(flipped, nullptr);
+    auto st = readFrame(flipped, kCheckpointFrame, &f);
     ASSERT_FALSE(st);
     EXPECT_EQ(st.code(), StatusCode::CorruptData);
 }
@@ -271,7 +282,7 @@ TEST(CheckpointLog, TornTailIsTruncatedBeforeTheNextAppend)
     }
     const std::string valid = readFile(path);
     // Half a frame of generation 3, as a kill mid-append leaves it.
-    std::string torn = CheckpointStore::frame("generation 3 blobs 0\nx");
+    std::string torn = frame("generation 3 blobs 0\nx");
     writeFile(path, valid + torn.substr(0, torn.size() / 2));
 
     auto store = makeStore(dir);
@@ -306,7 +317,7 @@ TEST(CheckpointLog, BadFrameNeverHidesALaterGoodOne)
     const std::string path = makeStore(dir).logPath();
     const std::string log = readFile(path);
     const std::size_t second = frameStarts(log)[1];
-    const std::size_t sizeAt = second + std::strlen("tomur_ckpt 2 ");
+    const std::size_t sizeAt = second + std::strlen("tomur_ckpt 3 ");
     const std::size_t sizeEnd = log.find(' ', sizeAt);
     const std::size_t size =
         std::stoul(log.substr(sizeAt, sizeEnd - sizeAt));
@@ -337,7 +348,7 @@ TEST(CheckpointLog, LegacyDirectoryIsRefused)
          {"ckpt-00000001.tomur", "blob-00000000000000a1.tomur"}) {
         auto dir = freshDir("log_legacy");
         writeFile((fs::path(dir) / legacy).string(),
-                  CheckpointStore::frame("blobs 0\nold body"));
+                  frame("blobs 0\nold body"));
         auto store = makeStore(dir);
         auto rec = store.loadLatestValid();
         ASSERT_FALSE(rec);
@@ -1243,6 +1254,52 @@ TEST(CheckpointBlob, PassWritesOneBlobPerModelVersion)
               env.model.contentDigest());
 }
 
+TEST(CheckpointBlob, BlobFrameHoldsTheModelBodyFramedOnce)
+{
+    // The staged model blob, read back from the log: one frame whose
+    // payload is the record line and exactly the model's body, with
+    // no model file header nested inside. A reopened store restores
+    // the model from it.
+    PoolWidth width(1);
+    auto dir = freshDir("blob_body");
+    AutoEnv env(/*trainInitial=*/true);
+    auto ctx = env.ctx();
+    auto monitor = makeGoldenMonitor();
+    Supervisor sup(fastBreaker(), env.recalibrate());
+    auto store = makeStore(dir);
+    auto res = core::runAutopilot(ctx, goldenSchedule(), monitor, sup,
+                                  &store, goldenOptions());
+    ASSERT_TRUE(res) << res.status().toString();
+
+    const std::uint64_t digest = env.model.contentDigest();
+    std::string body;
+    ASSERT_TRUE(env.model.saveBody(body));
+    const std::string recordLine =
+        strf("blob %016llx\n", (unsigned long long)digest);
+    const std::string log = readFile(store.logPath());
+    std::size_t serving = 0;
+    for (std::size_t at : frameStarts(log)) {
+        FrameView f;
+        ASSERT_TRUE(readFrame(std::string_view(log).substr(at),
+                              kCheckpointFrame, &f));
+        EXPECT_EQ(f.payload.find(core::kModelFrame.magic), std::string::npos);
+        if (f.payload.starts_with(recordLine)) {
+            ++serving;
+            EXPECT_TRUE(f.payload == recordLine + body);
+        }
+    }
+    EXPECT_EQ(serving, 1u);
+
+    auto rec = makeStore(dir).loadLatestValid();
+    ASSERT_TRUE(rec) << rec.status().toString();
+    auto restored = core::loadCheckpointModel(rec.value());
+    ASSERT_TRUE(restored) << restored.status().toString();
+    EXPECT_EQ(restored.value().contentDigest(), digest);
+    std::string restoredBody;
+    ASSERT_TRUE(restored.value().saveBody(restoredBody));
+    EXPECT_TRUE(restoredBody == body);
+}
+
 /** Two generations, each referencing its own blob. */
 void
 writeTwoBlobGenerations(CheckpointStore &store)
@@ -1350,15 +1407,40 @@ TEST(CheckpointBlob, CrashBetweenBlobAndGenerationResumes)
 TEST(CheckpointBlob, VersionOneRecordsAreRefusedWithAClearStatus)
 {
     // A v1 frame (the model nested in the body, no blob list).
-    std::string v1 = CheckpointStore::frame("body");
-    v1.replace(0, std::strlen("tomur_ckpt 2"), "tomur_ckpt 1");
-    Status frame = CheckpointStore::verifyFrame(v1, nullptr);
-    EXPECT_EQ(frame.code(), StatusCode::CorruptData);
-    EXPECT_NE(frame.message().find("unsupported checkpoint version 1"),
+    std::string v1 = frame("body");
+    v1.replace(0, std::strlen("tomur_ckpt 3"), "tomur_ckpt 1");
+    FrameView f;
+    Status st = readFrame(v1, kCheckpointFrame, &f);
+    EXPECT_EQ(st.code(), StatusCode::CorruptData);
+    EXPECT_NE(st.message().find("unsupported checkpoint version 1"),
               std::string::npos)
-        << frame.toString();
+        << st.toString();
 
-    // A v1 autopilot body inside a valid v2 frame.
+    // A log of the previous build (v2 frames, whose model blobs nest a
+    // whole model file) is refused when the store opens, by version.
+    auto dir = freshDir("blob_v2_log");
+    std::string v2log;
+    for (const char *payload :
+         {"blob 00000000000000a1\nmodel", "generation 1 00000000000000a1\nx"}) {
+        std::string v2 = frame(payload);
+        v2.replace(0, std::strlen("tomur_ckpt 3"), "tomur_ckpt 2");
+        v2log += v2;
+    }
+    writeFile(dir + "/checkpoint.log", v2log);
+    auto store = makeStore(dir);
+    auto restored = store.loadLatestValid();
+    ASSERT_FALSE(restored);
+    EXPECT_EQ(restored.status().code(), StatusCode::FailedPrecondition);
+    for (const char *needle :
+         {"version 2", "resume from an empty checkpoint directory"})
+        EXPECT_NE(restored.status().message().find(needle),
+                  std::string::npos)
+            << restored.status().toString();
+    EXPECT_EQ(store.writeGeneration("new").code(),
+              StatusCode::FailedPrecondition);
+    EXPECT_EQ(readFile(store.logPath()), v2log) << "a refused log is kept";
+
+    // A v1 autopilot body inside a valid frame.
     CheckpointRecord rec;
     rec.generation = 1;
     rec.body = "tomur_autopilot 1\nsample 5\n";

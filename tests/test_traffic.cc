@@ -486,7 +486,7 @@ TEST(ScenarioDsl, HostileValuesAreRejectedNotAccepted)
     // parse (parseScenario is all-or-nothing per script).
     static const char *const poison[] = {
         "nan", "inf", "-inf", "1e999", "1.5.2", "12ab",
-        "--5", "+",   ".",    "1e",    "-7",    "\x7f7",
+        "--5", "+",   ".",    "1e",    "-7",    "\x7f" "7",
         "2,5",
     };
     static const char *const keys[] = {"flows", "size", "mtbr"};
