@@ -1,14 +1,13 @@
 #include "chaos/plan.hh"
 
 #include <algorithm>
-#include <cerrno>
-#include <cmath>
-#include <cstdlib>
 #include <sstream>
 
+#include "common/directive.hh"
 #include "common/rng.hh"
 #include "common/strutil.hh"
 #include "common/threadpool.hh"
+#include "sim/faults.hh"
 
 namespace tomur::chaos {
 
@@ -21,73 +20,44 @@ const char *const kActionNames[numActionKinds] = {
     "drain_drill",
 };
 
+/** Past any sample or step a plan can reach: keeps at + span far
+ *  from overflow. */
+constexpr std::size_t kMaxActionSample = 1000000000000;
+/** Extra requests one queue-storm step may post. */
+constexpr double kMaxStormRequests = 1024;
+
+/** What parsePlan accepts in each kind's fields, indexed like
+ *  kActionNames (ActionKind says what each field means). A field the
+ *  kind does not use is pinned to FaultAction's default. */
+struct ActionRanges
+{
+    double magnitudeLo, magnitudeHi;
+    std::size_t spanHi; ///< span is at least 1
+    int variantLo, variantHi;
+};
+
+const ActionRanges kActionRanges[numActionKinds] = {
+    // fault_burst: variant -1 is every mode, else one sim::FaultMode
+    {0, 1, kMaxActionSample, -1, sim::numFaultModes - 1},
+    // bias
+    {sim::kMinBiasFactor, sim::kMaxBiasFactor, kMaxActionSample, 0, 0},
+    {0, 1, kMaxActionSample, 0, 0},                 // degraded_accel
+    {0, 0, 1, 0, 0},                                // crash
+    {0, 0, 1, 1, 4},                                // ckpt_crash
+    {0, 0, kMaxActionSample, 0, 0},                 // recal_pressure
+    {0, 1, kMaxActionSample, 0, 3},                 // transport_fault
+    {0, 0, 1, 0, 2},                                // corrupt_reload
+    {0, kMaxStormRequests, kMaxActionSample, 0, 0}, // queue_storm
+    {0, 0, 1, 0, 0},                                // drain_drill
+};
+
+const char *const kTargetNames[] = {"autopilot", "serve"};
+
 /** Base traffic profile every generated scenario starts from. */
 traffic::TrafficProfile
 basePlanProfile()
 {
     return traffic::TrafficProfile::defaults();
-}
-
-/** key=value parsing shared by the plan/action lines. */
-struct KvLine
-{
-    std::string directive;
-    std::vector<std::pair<std::string, std::string>> kv;
-};
-
-Result<KvLine>
-splitKvLine(const std::string &line)
-{
-    KvLine out;
-    std::istringstream in(line);
-    in >> out.directive;
-    std::string tok;
-    while (in >> tok) {
-        auto eq = tok.find('=');
-        if (eq == std::string::npos || eq == 0 ||
-            eq + 1 >= tok.size()) {
-            return Status::invalidArgument(
-                "malformed key=value token '" + tok + "'");
-        }
-        out.kv.emplace_back(tok.substr(0, eq), tok.substr(eq + 1));
-    }
-    return out;
-}
-
-Result<double>
-parseNum(const std::string &key, const std::string &value)
-{
-    std::size_t pos = 0;
-    double v = 0.0;
-    try {
-        v = std::stod(value, &pos);
-    } catch (const std::exception &) {
-        pos = 0;
-    }
-    if (pos != value.size() || !std::isfinite(v)) {
-        return Status::invalidArgument("bad numeric value for '" +
-                                       key + "': '" + value + "'");
-    }
-    return v;
-}
-
-/** Exact u64 parse (seeds do not survive a double round trip). */
-Result<std::uint64_t>
-parseU64(const std::string &key, const std::string &value)
-{
-    if (value.empty() ||
-        value.find_first_not_of("0123456789") != std::string::npos) {
-        return Status::invalidArgument(
-            "bad unsigned value for '" + key + "': '" + value + "'");
-    }
-    errno = 0;
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-    if (errno == ERANGE || end != value.c_str() + value.size()) {
-        return Status::invalidArgument(
-            "bad unsigned value for '" + key + "': '" + value + "'");
-    }
-    return static_cast<std::uint64_t>(v);
 }
 
 } // namespace
@@ -98,32 +68,10 @@ actionKindName(ActionKind kind)
     return kActionNames[static_cast<int>(kind)];
 }
 
-Result<ActionKind>
-actionKindByName(const std::string &name)
-{
-    for (int i = 0; i < numActionKinds; ++i) {
-        if (name == kActionNames[i])
-            return static_cast<ActionKind>(i);
-    }
-    return Status::invalidArgument("unknown action kind '" + name +
-                                   "'");
-}
-
 const char *
 planTargetName(PlanTarget target)
 {
-    return target == PlanTarget::Autopilot ? "autopilot" : "serve";
-}
-
-Result<PlanTarget>
-planTargetByName(const std::string &name)
-{
-    if (name == "autopilot")
-        return PlanTarget::Autopilot;
-    if (name == "serve")
-        return PlanTarget::Serve;
-    return Status::invalidArgument("unknown plan target '" + name +
-                                   "'");
+    return kTargetNames[static_cast<int>(target)];
 }
 
 std::size_t
@@ -157,104 +105,61 @@ parsePlan(std::istream &in)
 {
     FaultPlan plan;
     bool sawHeader = false;
+    // Scenario lines go to the DSL parser, so repro files can embed
+    // any shape the scenario language can express. Every other line
+    // leaves an empty one, so the line numbers match the file's.
     std::string scenarioText;
+    bool sawScenario = false;
     std::string line;
     int lineno = 0;
     while (std::getline(in, line)) {
         ++lineno;
-        std::string trimmed = line;
-        auto hash = trimmed.find('#');
-        if (hash != std::string::npos)
-            trimmed.erase(hash);
-        if (trimmed.find_first_not_of(" \t\r") == std::string::npos)
+        DirectiveArgs args("plan", lineno, line);
+        const std::string &d = args.directive();
+        if (d != "plan" && d != "action") {
+            scenarioText += line;
+            scenarioText += '\n';
+            sawScenario |= !d.empty();
             continue;
-
-        auto kvline = splitKvLine(trimmed);
-        if (!kvline) {
-            return kvline.status().withContext(
-                strf("plan line %d", lineno));
         }
-        const auto &d = kvline.value().directive;
+        scenarioText += '\n';
         if (d == "plan") {
             if (sawHeader) {
                 return Status::invalidArgument(
-                    strf("line %d: duplicate plan header", lineno));
+                    strf("plan line %d: duplicate plan header",
+                         lineno));
             }
             sawHeader = true;
-            for (const auto &[k, v] : kvline.value().kv) {
-                if (k == "seed") {
-                    auto n = parseU64(k, v);
-                    if (!n)
-                        return n.status();
-                    plan.seed = n.value();
-                } else if (k == "target") {
-                    auto t = planTargetByName(v);
-                    if (!t)
-                        return t.status();
-                    plan.target = t.value();
-                } else {
-                    return Status::invalidArgument(
-                        strf("line %d: unknown plan key '%s'",
-                             lineno, k.c_str()));
-                }
-            }
-        } else if (d == "action") {
+            plan.seed = args.number("seed", std::uint64_t{0}, 0,
+                                    UINT64_MAX);
+            plan.target = static_cast<PlanTarget>(
+                args.name("target", 0, kTargetNames));
+        } else {
             if (!sawHeader) {
                 return Status::invalidArgument(
-                    strf("line %d: action before plan header",
+                    strf("plan line %d: action before plan header",
                          lineno));
             }
             FaultAction a;
-            bool sawKind = false;
-            for (const auto &[k, v] : kvline.value().kv) {
-                if (k == "kind") {
-                    auto kind = actionKindByName(v);
-                    if (!kind)
-                        return kind.status();
-                    a.kind = kind.value();
-                    sawKind = true;
-                    continue;
-                }
-                auto n = parseNum(k, v);
-                if (!n)
-                    return n.status().withContext(
-                        strf("plan line %d", lineno));
-                if (k == "at") {
-                    if (n.value() < 0)
-                        return Status::invalidArgument(
-                            "action at must be >= 0");
-                    a.at = static_cast<std::size_t>(n.value());
-                } else if (k == "magnitude") {
-                    a.magnitude = n.value();
-                } else if (k == "span") {
-                    if (n.value() < 1)
-                        return Status::invalidArgument(
-                            "action span must be >= 1");
-                    a.span = static_cast<std::size_t>(n.value());
-                } else if (k == "variant") {
-                    a.variant = static_cast<int>(n.value());
-                } else {
-                    return Status::invalidArgument(
-                        strf("line %d: unknown action key '%s'",
-                             lineno, k.c_str()));
-                }
-            }
-            if (!sawKind) {
-                return Status::invalidArgument(
-                    strf("line %d: action without kind", lineno));
+            int kind = args.name("kind", -1, kActionNames);
+            if (kind >= 0) {
+                const ActionRanges &r = kActionRanges[kind];
+                a.kind = static_cast<ActionKind>(kind);
+                a.at = args.number("at", a.at, 0, kMaxActionSample);
+                a.magnitude = args.number("magnitude", a.magnitude,
+                                          r.magnitudeLo, r.magnitudeHi);
+                a.span = args.number("span", a.span, 1, r.spanHi);
+                a.variant = args.number("variant", a.variant,
+                                        r.variantLo, r.variantHi);
             }
             plan.actions.push_back(a);
-        } else {
-            // Anything else is a traffic scenario directive; defer
-            // to the DSL parser so repro files can embed any shape
-            // the scenario language can express.
-            scenarioText += trimmed;
-            scenarioText += '\n';
         }
+        if (auto st = args.finish(); !st)
+            return st;
     }
     if (!sawHeader)
         return Status::invalidArgument("missing plan header line");
-    if (!scenarioText.empty()) {
+    if (sawScenario) {
         std::istringstream sin(scenarioText);
         auto steps = traffic::parseScenario(sin);
         if (!steps)

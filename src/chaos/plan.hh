@@ -78,9 +78,6 @@ constexpr int numActionKinds = 10;
 /** Wire name ("fault_burst", ...). */
 const char *actionKindName(ActionKind kind);
 
-/** Inverse of actionKindName. */
-Result<ActionKind> actionKindByName(const std::string &name);
-
 /** One scheduled fault action. `at` is a 0-based autopilot sample
  *  index (autopilot plans) or driver step index (serve plans). */
 struct FaultAction
@@ -102,7 +99,6 @@ enum class PlanTarget
 };
 
 const char *planTargetName(PlanTarget target);
-Result<PlanTarget> planTargetByName(const std::string &name);
 
 /** One composed fault plan. */
 struct FaultPlan
@@ -133,9 +129,11 @@ struct FaultPlan
  */
 std::string emitPlan(const FaultPlan &plan);
 
-/** Parse emitPlan() output (or a hand-written repro file).
- *  All-or-nothing: any unknown key, bad number, out-of-range field,
- *  or unsorted action list rejects the whole input. */
+/** Parse emitPlan() output (or a hand-written repro file) through
+ *  the common key=value reader (common/directive.hh). All-or-nothing:
+ *  an unknown or repeated key, a number outside the grammar or its
+ *  kind's range (a field the kind ignores must hold its default), or
+ *  an unsorted action list rejects the whole input. */
 Result<FaultPlan> parsePlan(std::istream &in);
 
 /** Total autopilot samples of the plan's scenario. */

@@ -81,6 +81,23 @@ parseWhole(std::string_view s, T *v, Fmt... fmt)
     return true;
 }
 
+/** The number grammar of every text input (scenario and plan values,
+ *  CLI flags, environment variables): all of `s` parses into T by
+ *  parseWhole() (so no leading '+', no hex, no spaces; an integer
+ *  type takes no fraction or exponent), and lo <= value <= hi. With
+ *  finite bounds that also refuses NaN and infinities. False, and
+ *  `*v` untouched, otherwise. */
+template <class T>
+bool
+readNumber(std::string_view s, T lo, T hi, T *v)
+{
+    T parsed{};
+    if (!parseWhole(s, &parsed) || !(parsed >= lo && parsed <= hi))
+        return false;
+    *v = parsed;
+    return true;
+}
+
 /** Parse a digest as SerialWriter::hexDigest() writes it: exactly 16
  *  lowercase hex digits. */
 bool parseHexDigest(std::string_view s, std::uint64_t *v);

@@ -9,6 +9,7 @@
 #include "common/deadline.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "common/serial.hh"
 #include "common/telemetry.hh"
 #include "common/trace.hh"
 
@@ -117,8 +118,8 @@ int
 configuredThreadCount()
 {
     if (const char *env = std::getenv("TOMUR_THREADS")) {
-        int n = std::atoi(env);
-        if (n >= 1)
+        int n = 0;
+        if (readNumber(env, 1, kMaxConfiguredThreads, &n))
             return n;
         warnEvent("threadpool", "bad-TOMUR_THREADS",
                   {{"value", env}});

@@ -74,9 +74,14 @@ class ThreadPool
     bool stopping_ = false;
 };
 
+/** The most workers TOMUR_THREADS may ask for. */
+constexpr int kMaxConfiguredThreads = 1024;
+
 /**
- * Worker count the global pool uses: TOMUR_THREADS when set (clamped
- * to >= 1), otherwise std::thread::hardware_concurrency().
+ * Worker count the global pool uses: TOMUR_THREADS when it is an
+ * integer in [1, kMaxConfiguredThreads] (common/serial.hh
+ * readNumber()), otherwise std::thread::hardware_concurrency(); a set
+ * but refused value logs a bad-TOMUR_THREADS warn event.
  */
 int configuredThreadCount();
 

@@ -44,6 +44,11 @@ constexpr int numFaultModes = 7;
 /** Fault mode name for reports. */
 const char *faultModeName(FaultMode mode);
 
+/** The bias factors a text input (a CLI flag, a chaos repro file)
+ *  may set FaultConfig::biasFactor to. */
+constexpr double kMinBiasFactor = 0.01;
+constexpr double kMaxBiasFactor = 100.0;
+
 /** Per-mode injection probabilities (all independent, per sample). */
 struct FaultConfig
 {

@@ -53,6 +53,13 @@ struct TrafficProfile
     bool operator==(const TrafficProfile &o) const = default;
 };
 
+/** Bounds on what a text input (scenario script, CLI flag) may set
+ *  an attribute to: generous, meant to refuse garbage that lexes as
+ *  a number, not to police realistic traffic. */
+constexpr double kMaxFlows = 1e9;
+constexpr double kMaxPacketSize = 1e6;
+constexpr double kMaxMtbr = 1e12;
+
 /** Valid ranges for each attribute, used by adaptive profiling. */
 struct AttributeRange
 {

@@ -2,29 +2,23 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <istream>
-#include <map>
-#include <set>
-#include <sstream>
 
+#include "common/directive.hh"
 #include "common/strutil.hh"
 
 namespace tomur::traffic {
 
 namespace {
 
-/** Sanity bounds on profile values and repeats: generous, meant to
+/** Sanity bounds on repeats and phase lengths: generous, meant to
  *  reject garbage that lexes as a number — and to stop a fuzzer from
- *  smuggling in a profile or repeat count that melts the replay —
- *  not to police realistic traffic. */
-constexpr double kMaxFlows = 1e9;
-constexpr double kMaxPacketSize = 1e6;
-constexpr double kMaxMtbr = 1e12;
-constexpr double kMaxRepeats = 1e6;
+ *  smuggling in a repeat count that melts the replay — not to police
+ *  realistic traffic. */
+constexpr int kMaxRepeats = 1000000;
 /** Steps per phase directive (period, ramp, hold, decay, churn). */
-constexpr double kMaxPhaseSteps = 4096;
-constexpr double kMaxCycles = 64;
+constexpr int kMaxPhaseSteps = 4096;
+constexpr int kMaxCycles = 64;
 constexpr double kMaxPeak = 1000.0;
 /** Whole-scenario step budget: bounds the compiled vector (and with
  *  kMaxRepeats the total sample count) no matter what the script
@@ -49,112 +43,6 @@ withFlows(const TrafficProfile &base, double flows)
     return base.withAttribute(Attribute::FlowCount,
                               clampFlows(flows));
 }
-
-/** Strict full-token numeric parse: the whole token must be one
- *  finite number (no trailing junk, no partial reads). */
-bool
-parseNumberToken(const std::string &token, double *out)
-{
-    const char *begin = token.c_str();
-    char *end = nullptr;
-    double v = std::strtod(begin, &end);
-    if (end == begin || *end != '\0' || !std::isfinite(v))
-        return false;
-    *out = v;
-    return true;
-}
-
-/** The key=value arguments of one directive line, with range-checked
- *  typed accessors that accumulate the first error. */
-class DirectiveArgs
-{
-  public:
-    DirectiveArgs(int lineno, std::string directive)
-        : lineno_(lineno), directive_(std::move(directive))
-    {
-    }
-
-    Status add(const std::string &token)
-    {
-        auto eq = token.find('=');
-        if (eq == std::string::npos || eq == 0) {
-            return Status::invalidArgument(
-                strf("scenario line %d: expected key=value, "
-                     "found '%s'",
-                     lineno_, token.c_str()));
-        }
-        std::string key = token.substr(0, eq);
-        std::string val = token.substr(eq + 1);
-        if (values_.count(key)) {
-            return Status::invalidArgument(
-                strf("scenario line %d: duplicate key '%s'",
-                     lineno_, key.c_str()));
-        }
-        double v = 0.0;
-        if (!parseNumberToken(val, &v)) {
-            return Status::invalidArgument(
-                strf("scenario line %d: %s value '%s' is not a "
-                     "finite number",
-                     lineno_, key.c_str(), val.c_str()));
-        }
-        values_[key] = v;
-        return Status::ok();
-    }
-
-    /** Range-checked fetch; absent keys yield the default. */
-    double num(const char *key, double def, double lo, double hi)
-    {
-        auto it = values_.find(key);
-        double v = it == values_.end() ? def : it->second;
-        if (!error_.isOk())
-            return v;
-        if (v < lo || v > hi) {
-            error_ = Status::invalidArgument(
-                strf("scenario line %d: %s %s out of range "
-                     "[%g, %g]",
-                     lineno_, directive_.c_str(), key, lo, hi));
-        }
-        consumed_.insert(key);
-        return v;
-    }
-
-    /** Like num() but requires an integral value. */
-    int integer(const char *key, int def, double lo, double hi)
-    {
-        double v = num(key, static_cast<double>(def), lo, hi);
-        if (error_.isOk() && v != std::floor(v)) {
-            error_ = Status::invalidArgument(
-                strf("scenario line %d: %s %s must be an integer",
-                     lineno_, directive_.c_str(), key));
-        }
-        return static_cast<int>(v);
-    }
-
-    /** First range/type error, or an unknown-key error: every key on
-     *  the line must have been consumed by an accessor. */
-    Status finish() const
-    {
-        if (!error_.isOk())
-            return error_;
-        for (const auto &kv : values_) {
-            if (!consumed_.count(kv.first)) {
-                return Status::invalidArgument(
-                    strf("scenario line %d: %s does not take "
-                         "key '%s'",
-                         lineno_, directive_.c_str(),
-                         kv.first.c_str()));
-            }
-        }
-        return Status::ok();
-    }
-
-  private:
-    int lineno_;
-    std::string directive_;
-    std::map<std::string, double> values_;
-    std::set<std::string> consumed_;
-    Status error_ = Status::ok();
-};
 
 } // namespace
 
@@ -295,8 +183,76 @@ parseScenario(std::istream &in)
     TrafficProfile base = TrafficProfile::defaults();
     std::string line;
     int lineno = 0;
+    while (std::getline(in, line)) {
+        ++lineno;
+        DirectiveArgs args("scenario", lineno, line);
+        const std::string &directive = args.directive();
+        if (directive.empty())
+            continue; // blank / comment-only line
+        auto repeats = [&] {
+            return args.number("repeats", 1, 1, kMaxRepeats);
+        };
 
-    auto append = [&](std::vector<SynthStep> more) -> Status {
+        std::vector<SynthStep> more;
+        if (directive == "base" || directive == "step") {
+            double flows = args.number(
+                "flows", static_cast<double>(base.flowCount), 1.0,
+                kMaxFlows);
+            double size = args.number(
+                "size", static_cast<double>(base.packetSize), 1.0,
+                kMaxPacketSize);
+            double mtbr = args.number("mtbr", base.mtbr, 0.0, kMaxMtbr);
+            TrafficProfile p =
+                base.withAttribute(Attribute::FlowCount, flows)
+                    .withAttribute(Attribute::PacketSize, size)
+                    .withAttribute(Attribute::Mtbr, mtbr);
+            if (directive == "base")
+                base = p;
+            else
+                more = {{p, repeats()}};
+        } else if (directive == "steady") {
+            more = steadySteps(base,
+                               args.number("n", 20, 1, kMaxRepeats));
+        } else if (directive == "diurnal") {
+            DiurnalOptions o;
+            o.base = base;
+            o.amplitude = args.number("amplitude", 0.5, 0.0, 0.99);
+            o.period = args.number("period", 32, 2, kMaxPhaseSteps);
+            o.cycles = args.number("cycles", 1, 1, kMaxCycles);
+            o.repeats = repeats();
+            more = diurnalSteps(o);
+        } else if (directive == "flash") {
+            FlashCrowdOptions o;
+            o.base = base;
+            o.peak = args.number("peak", 8.0, 1.0, kMaxPeak);
+            o.ramp = args.number("ramp", 4, 1, kMaxPhaseSteps);
+            o.hold = args.number("hold", 8, 1, kMaxPhaseSteps);
+            o.decay = args.number("decay", 4, 1, kMaxPhaseSteps);
+            o.repeats = repeats();
+            more = flashCrowdSteps(o);
+        } else if (directive == "churn") {
+            FlowChurnOptions o;
+            o.base = base;
+            o.fromFlows = args.number("from", 4000.0, 1.0, kMaxFlows);
+            o.toFlows = args.number("to", 256000.0, 1.0, kMaxFlows);
+            o.steps = args.number("steps", 16, 2, kMaxPhaseSteps);
+            o.repeats = repeats();
+            more = flowChurnSteps(o);
+        } else if (directive == "mtbr_spike") {
+            MtbrSpikeOptions o;
+            o.base = base;
+            o.mtbr = args.number("mtbr", 1100.0, 0.0, kMaxMtbr);
+            o.ramp = args.number("ramp", 2, 1, kMaxPhaseSteps);
+            o.hold = args.number("hold", 8, 1, kMaxPhaseSteps);
+            o.repeats = repeats();
+            more = mtbrSpikeSteps(o);
+        } else {
+            return Status::invalidArgument(
+                strf("scenario line %d: unknown directive '%s'",
+                     lineno, directive.c_str()));
+        }
+        if (auto st = args.finish(); !st)
+            return st;
         if (steps.size() + more.size() > kMaxScenarioSteps) {
             return Status::invalidArgument(
                 strf("scenario line %d: compiled scenario exceeds "
@@ -304,132 +260,6 @@ parseScenario(std::istream &in)
                      lineno, kMaxScenarioSteps));
         }
         steps.insert(steps.end(), more.begin(), more.end());
-        return Status::ok();
-    };
-
-    while (std::getline(in, line)) {
-        ++lineno;
-        auto hash = line.find('#');
-        if (hash != std::string::npos)
-            line.resize(hash);
-        std::istringstream ss(line);
-        std::vector<std::string> tokens;
-        std::string tok;
-        while (ss >> tok)
-            tokens.push_back(tok);
-        if (tokens.empty())
-            continue; // blank / comment-only line
-
-        DirectiveArgs args(lineno, tokens[0]);
-        for (std::size_t i = 1; i < tokens.size(); ++i) {
-            if (auto st = args.add(tokens[i]); !st)
-                return st;
-        }
-
-        const std::string &directive = tokens[0];
-        Status appended = Status::ok();
-        if (directive == "base") {
-            double flows =
-                args.num("flows",
-                         static_cast<double>(base.flowCount), 1.0,
-                         kMaxFlows);
-            double size =
-                args.num("size",
-                         static_cast<double>(base.packetSize), 1.0,
-                         kMaxPacketSize);
-            double mtbr =
-                args.num("mtbr", base.mtbr, 0.0, kMaxMtbr);
-            if (auto st = args.finish(); !st)
-                return st;
-            base = base.withAttribute(Attribute::FlowCount, flows)
-                       .withAttribute(Attribute::PacketSize, size)
-                       .withAttribute(Attribute::Mtbr, mtbr);
-        } else if (directive == "steady") {
-            int n = args.integer("n", 20, 1.0, kMaxRepeats);
-            if (auto st = args.finish(); !st)
-                return st;
-            appended = append(steadySteps(base, n));
-        } else if (directive == "diurnal") {
-            DiurnalOptions o;
-            o.base = base;
-            o.amplitude = args.num("amplitude", 0.5, 0.0, 0.99);
-            o.period = args.integer("period", 32, 2.0,
-                                    kMaxPhaseSteps);
-            o.cycles = args.integer("cycles", 1, 1.0, kMaxCycles);
-            o.repeats =
-                args.integer("repeats", 1, 1.0, kMaxRepeats);
-            if (auto st = args.finish(); !st)
-                return st;
-            appended = append(diurnalSteps(o));
-        } else if (directive == "flash") {
-            FlashCrowdOptions o;
-            o.base = base;
-            o.peak = args.num("peak", 8.0, 1.0, kMaxPeak);
-            o.ramp =
-                args.integer("ramp", 4, 1.0, kMaxPhaseSteps);
-            o.hold =
-                args.integer("hold", 8, 1.0, kMaxPhaseSteps);
-            o.decay =
-                args.integer("decay", 4, 1.0, kMaxPhaseSteps);
-            o.repeats =
-                args.integer("repeats", 1, 1.0, kMaxRepeats);
-            if (auto st = args.finish(); !st)
-                return st;
-            appended = append(flashCrowdSteps(o));
-        } else if (directive == "churn") {
-            FlowChurnOptions o;
-            o.base = base;
-            o.fromFlows = args.num("from", 4000.0, 1.0, kMaxFlows);
-            o.toFlows = args.num("to", 256000.0, 1.0, kMaxFlows);
-            o.steps =
-                args.integer("steps", 16, 2.0, kMaxPhaseSteps);
-            o.repeats =
-                args.integer("repeats", 1, 1.0, kMaxRepeats);
-            if (auto st = args.finish(); !st)
-                return st;
-            appended = append(flowChurnSteps(o));
-        } else if (directive == "mtbr_spike") {
-            MtbrSpikeOptions o;
-            o.base = base;
-            o.mtbr = args.num("mtbr", 1100.0, 0.0, kMaxMtbr);
-            o.ramp =
-                args.integer("ramp", 2, 1.0, kMaxPhaseSteps);
-            o.hold =
-                args.integer("hold", 8, 1.0, kMaxPhaseSteps);
-            o.repeats =
-                args.integer("repeats", 1, 1.0, kMaxRepeats);
-            if (auto st = args.finish(); !st)
-                return st;
-            appended = append(mtbrSpikeSteps(o));
-        } else if (directive == "step") {
-            double flows =
-                args.num("flows",
-                         static_cast<double>(base.flowCount), 1.0,
-                         kMaxFlows);
-            double size =
-                args.num("size",
-                         static_cast<double>(base.packetSize), 1.0,
-                         kMaxPacketSize);
-            double mtbr =
-                args.num("mtbr", base.mtbr, 0.0, kMaxMtbr);
-            int repeats =
-                args.integer("repeats", 1, 1.0, kMaxRepeats);
-            if (auto st = args.finish(); !st)
-                return st;
-            SynthStep step;
-            step.profile =
-                base.withAttribute(Attribute::FlowCount, flows)
-                    .withAttribute(Attribute::PacketSize, size)
-                    .withAttribute(Attribute::Mtbr, mtbr);
-            step.repeats = repeats;
-            appended = append({step});
-        } else {
-            return Status::invalidArgument(
-                strf("scenario line %d: unknown directive '%s'",
-                     lineno, directive.c_str()));
-        }
-        if (!appended)
-            return appended;
     }
     if (steps.empty())
         return Status::invalidArgument("scenario has no steps");

@@ -123,9 +123,12 @@ defaultComposite(const TrafficProfile &base);
  *   mtbr_spike mtbr=1100 ramp=2 hold=8 [repeats=1]
  *   step flows=F size=S mtbr=M [repeats=1]   # one literal step
  *
- * All-or-nothing: any unknown directive/key, non-numeric value, or
- * out-of-range argument rejects the whole script with a descriptive
- * Status. A script that emits no steps is an error.
+ * Lines are read by common/directive.hh's DirectiveArgs and numbers
+ * by readNumber() (no '+', no hex; counts are plain integers).
+ * All-or-nothing: any unknown directive, unknown or repeated key,
+ * value outside the grammar, or out-of-range argument rejects the
+ * whole script with a descriptive Status. A script that emits no
+ * steps is an error.
  */
 Result<std::vector<SynthStep>> parseScenario(std::istream &in);
 

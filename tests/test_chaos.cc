@@ -27,6 +27,8 @@
 #include "chaos/plan.hh"
 #include "chaos/runner.hh"
 #include "chaos/shrink.hh"
+#include "common/rng.hh"
+#include "common/strutil.hh"
 #include "common/telemetry.hh"
 #include "common/threadpool.hh"
 
@@ -97,13 +99,14 @@ parseText(const std::string &text)
 
 TEST(ChaosPlan, GeneratedPlansRoundTripThroughReproFormat)
 {
-    for (std::size_t i = 0; i < 24; ++i) {
-        auto target = i % 3 == 2 ? PlanTarget::Serve
-                                 : PlanTarget::Autopilot;
-        FaultPlan plan = chaos::randomPlan(7, i, target);
-        auto back = parseText(chaos::emitPlan(plan));
-        ASSERT_TRUE(back) << back.status().toString();
-        EXPECT_EQ(plan, back.value()) << "index " << i;
+    // Every plan a campaign can draw lies inside parsePlan's ranges.
+    for (std::size_t i = 0; i < 500; ++i) {
+        for (auto target : {PlanTarget::Autopilot, PlanTarget::Serve}) {
+            FaultPlan plan = chaos::randomPlan(7, i, target);
+            auto back = parseText(chaos::emitPlan(plan));
+            ASSERT_TRUE(back) << back.status().toString();
+            EXPECT_EQ(plan, back.value()) << "index " << i;
+        }
     }
     for (const auto &plan : chaos::modePairPlans(7)) {
         auto back = parseText(chaos::emitPlan(plan));
@@ -173,9 +176,86 @@ TEST(ChaosPlan, RejectionCorpus)
         // autopilot plan without a scenario
         "plan seed=1 target=autopilot\n"
         "action kind=crash at=3 magnitude=0 span=1 variant=0\n",
+        // a storm of 10^12 requests in one step
+        "plan seed=1 target=serve\n"
+        "action kind=queue_storm at=1 magnitude=1e12 span=1 "
+        "variant=0\n",
+        // a negative storm count
+        "plan seed=1 target=serve\n"
+        "action kind=queue_storm at=1 magnitude=-4 span=1 "
+        "variant=0\n",
+        // fractional at, span and variant (no truncation)
+        "plan seed=1 target=serve\n"
+        "action kind=queue_storm at=2.9 magnitude=4 span=1 "
+        "variant=0\n",
+        "plan seed=1 target=serve\n"
+        "action kind=queue_storm at=2 magnitude=4 span=1.5 "
+        "variant=0\n",
+        "plan seed=1 target=serve\n"
+        "action kind=transport_fault at=2 magnitude=0.1 span=1 "
+        "variant=2.7\n",
+        // repeated keys
+        "plan seed=1 target=serve\n"
+        "action kind=queue_storm at=2 at=9 magnitude=4 span=1 "
+        "variant=0\n",
+        "plan seed=1 seed=2 target=serve\n",
+        "plan seed=1 target=autopilot target=serve\n",
+        // a transport fault that does not exist
+        "plan seed=1 target=serve\n"
+        "action kind=transport_fault at=2 magnitude=0.1 span=1 "
+        "variant=99\n",
+        // hex
+        "plan seed=1 target=serve\n"
+        "action kind=queue_storm at=2 magnitude=0x10 span=1 "
+        "variant=0\n",
     };
     for (const char *text : bad)
         EXPECT_FALSE(parseText(text)) << text;
+}
+
+TEST(ChaosPlan, HostileValuesAreRejectedNotAccepted)
+{
+    // Structured fuzz: a generated action's fields, each poisoned
+    // with probability 0.3 from the scenario DSL's poison pool. Any
+    // poisoned line must fail the whole parse; an untouched one must
+    // parse back to the action.
+    static const char *const poison[] = {
+        "nan", "inf", "-inf", "1e999", "1.5.2", "12ab",
+        "--5", "+",   ".",    "1e",    "-7",    "\x7f" "7",
+        "2,5",
+    };
+    Rng rng(778);
+    for (std::size_t iter = 0; iter < 500; ++iter) {
+        auto target = iter % 2 ? PlanTarget::Serve
+                               : PlanTarget::Autopilot;
+        FaultPlan plan = chaos::randomPlan(11, iter, target);
+        const FaultAction a = plan.actions.front();
+        plan.actions = {a};
+        bool poisoned = false;
+        auto field = [&](const std::string &valid) {
+            if (rng.uniform() >= 0.3)
+                return valid;
+            poisoned = true;
+            return std::string(poison[rng.uniformInt(
+                std::uint64_t(sizeof(poison) / sizeof(poison[0])))]);
+        };
+        std::string text = chaos::emitPlan(plan);
+        text.resize(text.rfind("action "));
+        text += "action kind=" + std::string(chaos::actionKindName(a.kind));
+        text += " at=" + field(std::to_string(a.at));
+        text += " magnitude=" + field(strf("%.17g", a.magnitude));
+        text += " span=" + field(std::to_string(a.span));
+        text += " variant=" + field(std::to_string(a.variant));
+        text += '\n';
+        auto parsed = parseText(text);
+        if (poisoned) {
+            EXPECT_FALSE(parsed) << "accepted poison: " << text;
+        } else {
+            ASSERT_TRUE(parsed)
+                << text << ": " << parsed.status().toString();
+            EXPECT_EQ(parsed.value(), plan) << text;
+        }
+    }
 }
 
 TEST(ChaosPlan, GenerationIsDeterministic)

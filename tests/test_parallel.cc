@@ -133,6 +133,31 @@ TEST(ParallelPool, GlobalWidthIsAdjustable)
     EXPECT_EQ(globalThreadCount(), 1);
 }
 
+TEST(ParallelPool, ThreadsEnvTakesOneWholeNumberInRange)
+{
+    // Reads the width only: no pool is built from a refused value.
+    const char *set = std::getenv("TOMUR_THREADS");
+    const std::string saved = set ? set : "";
+    unsetenv("TOMUR_THREADS");
+    const int fallback = configuredThreadCount();
+    EXPECT_GE(fallback, 1);
+    setenv("TOMUR_THREADS", "8", 1);
+    EXPECT_EQ(configuredThreadCount(), 8);
+    const std::string max = std::to_string(kMaxConfiguredThreads);
+    setenv("TOMUR_THREADS", max.c_str(), 1);
+    EXPECT_EQ(configuredThreadCount(), kMaxConfiguredThreads);
+    const std::string over = std::to_string(kMaxConfiguredThreads + 1);
+    for (const char *bad : {"12abc", "100000", over.c_str(), "0", "-3",
+                            "+4", "0x8", "4.0", " 4", ""}) {
+        setenv("TOMUR_THREADS", bad, 1);
+        EXPECT_EQ(configuredThreadCount(), fallback) << bad;
+    }
+    if (set)
+        setenv("TOMUR_THREADS", saved.c_str(), 1);
+    else
+        unsetenv("TOMUR_THREADS");
+}
+
 TEST(ParallelPool, DeriveSeedIsStatelessAndDistinct)
 {
     std::set<std::uint64_t> seen;

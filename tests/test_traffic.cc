@@ -348,6 +348,8 @@ TEST(ScenarioDsl, RejectsMalformedScripts)
         "step mtbr=-1\n",              // negative mtbr
         "steady =5\n",                 // empty key
         "steady 5\n",                  // bare token, no key=
+        "steady n=+5\n",               // leading '+'
+        "step flows=0x10\n",           // hex
     };
     for (const char *script : bad) {
         auto parsed = parseText(script);

@@ -3,8 +3,12 @@
 #
 #   1. Tier-1: regular build + full ctest suite (the contract every
 #      PR is held to).
-#   2. Serve smoke: start the real daemon on an ephemeral port with
-#      an access log, hit /healthz + /predict + /metrics plus the
+#   2. Serve smoke: flag values outside the number grammar or their
+#      range must be refused (exit 2, naming the flag) before
+#      anything starts. Then train a model file and start the real
+#      daemon on it the way perfbench does (--model, --port 0,
+#      --port-file, --drain-ms 2000) plus an access log, hit
+#      /healthz + /predict + /metrics plus the
 #      /debug/vars and /debug/slo introspection views over actual
 #      sockets, then SIGTERM it and assert a clean drain (exit 0)
 #      that flushed at least one access-log record. The in-memory
@@ -24,7 +28,9 @@
 #      chaos` must pass with zero violations, and a planted
 #      regression (--plant registry-no-commit) must be caught,
 #      shrunk to a tiny repro, and replay deterministically — the
-#      detect/shrink/replay loop proven live on every merge.
+#      detect/shrink/replay loop proven live on every merge. A
+#      hostile repro (a storm of 10^12 requests) must be refused
+#      with exit 2 before it runs.
 #   5. Sanitizers: tools/run_sanitized_tests.sh (ASan+UBSan full
 #      suite, TSan on the parallel-engine tests).
 #
@@ -48,16 +54,40 @@ ctest --test-dir "$build_dir" --output-on-failure -j "$jobs"
 echo ""
 echo "=== Tier 2: serve smoke (daemon + graceful drain) ==="
 smoke_dir=$(mktemp -d)
+trap 'rm -rf "$smoke_dir"' EXIT
+# Every flag reads one number grammar into its own type and range.
+for bad in "--port 1e10" "--quota -5" "--quota 1e300" \
+    "--seed 18446744073709551616" "--faults +0.5" "--drain-ms nan"; do
+    flag_status=0
+    # shellcheck disable=SC2086  # the flag and its value are two words
+    "$build_dir/tools/tomur_cli" serve FlowStats $bad \
+        > "$smoke_dir/flag.log" 2>&1 || flag_status=$?
+    if [ "$flag_status" -ne 2 ] ||
+        ! grep -q -- "option '${bad%% *}'" "$smoke_dir/flag.log"; then
+        echo "serve smoke: 'serve FlowStats $bad' exited" \
+            "$flag_status, not 2 naming the flag" >&2
+        exit 1
+    fi
+done
+echo "serve smoke: out-of-grammar and out-of-range flags refused"
+
+"$build_dir/tools/tomur_cli" train FlowMonitor \
+    --out "$smoke_dir/m.model" > "$smoke_dir/train.log" 2>&1 || {
+    echo "serve smoke: training the daemon's model failed" >&2
+    cat "$smoke_dir/train.log" >&2
+    exit 1
+}
 port_file="$smoke_dir/port"
-"$build_dir/tools/tomur_cli" serve FlowMonitor --port 0 \
-    --port-file "$port_file" \
+"$build_dir/tools/tomur_cli" serve FlowMonitor \
+    --model "$smoke_dir/m.model" --port 0 \
+    --port-file "$port_file" --drain-ms 2000 \
     --access-log "$smoke_dir/access.jsonl" \
     > "$smoke_dir/serve.log" 2>&1 &
 serve_pid=$!
 trap 'kill "$serve_pid" 2>/dev/null || true; rm -rf "$smoke_dir"' \
     EXIT
 
-# The daemon trains before it binds; wait for the port file.
+# Wait for the daemon to load its model, bind and publish its port.
 i=0
 while [ ! -s "$port_file" ]; do
     if ! kill -0 "$serve_pid" 2>/dev/null; then
@@ -288,10 +318,22 @@ fi
     cat "$chaos_dir/replay2.log" >&2
     exit 1
 }
+# A repro outside its kind's ranges is refused before it runs.
+printf 'plan seed=1 target=serve\naction kind=queue_storm at=1 %s\n' \
+    'magnitude=1e12 span=1 variant=0' > "$chaos_dir/hostile.chaos"
+hostile_status=0
+"$build_dir/tools/tomur_cli" chaos --replay "$chaos_dir/hostile.chaos" \
+    > "$chaos_dir/hostile.log" 2>&1 || hostile_status=$?
+if [ "$hostile_status" -ne 2 ]; then
+    echo "chaos smoke: hostile repro exited $hostile_status" >&2
+    cat "$chaos_dir/hostile.log" >&2
+    exit 1
+fi
 trap - EXIT
 rm -rf "$chaos_dir"
 echo "chaos smoke: clean campaign green; planted regression" \
-    "caught, shrunk ($actions actions), replayed"
+    "caught, shrunk ($actions actions), replayed; hostile repro" \
+    "refused"
 
 echo ""
 echo "=== Tier 5: sanitizer passes ==="

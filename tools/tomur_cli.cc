@@ -47,6 +47,7 @@
  */
 
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -61,6 +62,7 @@
 #include "chaos/campaign.hh"
 #include "common/checkpoint.hh"
 #include "common/deadline.hh"
+#include "common/directive.hh"
 #include "common/logging.hh"
 #include "common/report.hh"
 #include "common/strutil.hh"
@@ -83,6 +85,11 @@
 using namespace tomur;
 
 namespace {
+
+/** Bounds on the CLI's counts and durations: far past any real run,
+ *  they refuse a value that lexes as a number but means nothing. */
+constexpr std::size_t kMaxCount = 1000000000;
+constexpr double kMaxMs = 1e9; ///< about 11.6 days
 
 /** Distinct exit codes so scripts can tell failure classes apart. */
 enum ExitCode
@@ -194,26 +201,6 @@ usage()
     std::exit(kExitUsage);
 }
 
-double
-numArg(int argc, char **argv, int &i)
-{
-    if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: option '%s' needs a value\n",
-                     argv[i]);
-        usage();
-    }
-    const char *text = argv[++i];
-    char *end = nullptr;
-    double v = std::strtod(text, &end);
-    if (end == text || *end != '\0') {
-        std::fprintf(stderr,
-                     "error: option '%s' needs a number, got '%s'\n",
-                     argv[i - 1], text);
-        usage();
-    }
-    return v;
-}
-
 std::string
 strArg(int argc, char **argv, int &i)
 {
@@ -223,6 +210,34 @@ strArg(int argc, char **argv, int &i)
         usage();
     }
     return argv[++i];
+}
+
+/** Read flag argv[i]'s value into `field` by the number grammar every
+ *  text input shares (readNumber(): no '+', no hex, finite), within
+ *  [lo, hi]; a usage error naming the flag otherwise. */
+template <class T>
+void
+numArg(int argc, char **argv, int &i, T &field,
+       std::type_identity_t<T> lo, std::type_identity_t<T> hi)
+{
+    const char *flag = argv[i];
+    std::string text = strArg(argc, argv, i);
+    if (!readNumber<T>(text, lo, hi, &field)) {
+        std::fprintf(stderr, "error: option '%s' needs %s, got '%s'\n",
+                     flag, expectedNumber<T>(lo, hi).c_str(),
+                     text.c_str());
+        usage();
+    }
+}
+
+/** Like numArg() for a traffic attribute of cli.profile. */
+void
+attributeArg(int argc, char **argv, int &i, Cli &cli,
+             traffic::Attribute a, double lo, double hi)
+{
+    double v = 0.0;
+    numArg(argc, argv, i, v, lo, hi);
+    cli.profile = cli.profile.withAttribute(a, v);
 }
 
 /** Reject unknown NF names before any heavy setup, with the catalog
@@ -269,18 +284,18 @@ parse(int argc, char **argv)
     for (; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg == "--flows") {
-            cli.profile = cli.profile.withAttribute(
-                traffic::Attribute::FlowCount, numArg(argc, argv, i));
+            attributeArg(argc, argv, i, cli,
+                         traffic::Attribute::FlowCount, 1.0,
+                         traffic::kMaxFlows);
         } else if (arg == "--size") {
-            cli.profile = cli.profile.withAttribute(
-                traffic::Attribute::PacketSize,
-                numArg(argc, argv, i));
+            attributeArg(argc, argv, i, cli,
+                         traffic::Attribute::PacketSize, 1.0,
+                         traffic::kMaxPacketSize);
         } else if (arg == "--mtbr") {
-            cli.profile = cli.profile.withAttribute(
-                traffic::Attribute::Mtbr, numArg(argc, argv, i));
+            attributeArg(argc, argv, i, cli, traffic::Attribute::Mtbr,
+                         0.0, traffic::kMaxMtbr);
         } else if (arg == "--quota") {
-            cli.quota = static_cast<std::size_t>(
-                numArg(argc, argv, i));
+            numArg(argc, argv, i, cli.quota, 1, kMaxCount);
         } else if (arg == "--with") {
             cli.competitors = split(strArg(argc, argv, i), ',');
         } else if (arg == "--model") {
@@ -298,71 +313,44 @@ parse(int argc, char **argv)
         } else if (arg == "--events-out") {
             cli.eventsOut = strArg(argc, argv, i);
         } else if (arg == "--bias") {
-            cli.biasFactor = numArg(argc, argv, i);
-            if (cli.biasFactor <= 0.0) {
-                std::fprintf(stderr,
-                             "error: --bias expects a positive "
-                             "factor, got %g\n",
-                             cli.biasFactor);
-                usage();
-            }
+            numArg(argc, argv, i, cli.biasFactor, sim::kMinBiasFactor,
+                   sim::kMaxBiasFactor);
         } else if (arg == "--bias-at") {
-            cli.biasAt = static_cast<long>(numArg(argc, argv, i));
+            numArg(argc, argv, i, cli.biasAt, -1, kMaxCount);
         } else if (arg == "--checkpoint-dir") {
             cli.checkpointDir = strArg(argc, argv, i);
         } else if (arg == "--resume") {
             cli.resume = true;
         } else if (arg == "--checkpoint-every") {
-            cli.checkpointEvery =
-                static_cast<std::size_t>(numArg(argc, argv, i));
+            numArg(argc, argv, i, cli.checkpointEvery, 0, kMaxCount);
         } else if (arg == "--deadline-ms") {
-            cli.deadlineMs = numArg(argc, argv, i);
-            if (cli.deadlineMs < 0.0) {
-                std::fprintf(stderr,
-                             "error: --deadline-ms expects a "
-                             "non-negative budget, got %g\n",
-                             cli.deadlineMs);
-                usage();
-            }
+            numArg(argc, argv, i, cli.deadlineMs, 0.0, kMaxMs);
         } else if (arg == "--max-recalibrations") {
-            cli.maxRecalibrations =
-                static_cast<std::size_t>(numArg(argc, argv, i));
+            numArg(argc, argv, i, cli.maxRecalibrations, 0, kMaxCount);
         } else if (arg == "--crash-after") {
-            cli.crashAfter =
-                static_cast<long>(numArg(argc, argv, i));
+            numArg(argc, argv, i, cli.crashAfter, -1, kMaxCount);
         } else if (arg == "--port") {
-            cli.port = static_cast<int>(numArg(argc, argv, i));
-            if (cli.port < 0 || cli.port > 65535) {
-                std::fprintf(stderr,
-                             "error: --port expects 0..65535, "
-                             "got %d\n",
-                             cli.port);
-                usage();
-            }
+            numArg(argc, argv, i, cli.port, 0, 65535);
         } else if (arg == "--bind") {
             cli.bindAddress = strArg(argc, argv, i);
         } else if (arg == "--port-file") {
             cli.portFile = strArg(argc, argv, i);
         } else if (arg == "--max-connections") {
-            cli.maxConnections =
-                static_cast<std::size_t>(numArg(argc, argv, i));
+            numArg(argc, argv, i, cli.maxConnections, 0, kMaxCount);
         } else if (arg == "--queue-depth") {
-            cli.queueDepth =
-                static_cast<std::size_t>(numArg(argc, argv, i));
+            numArg(argc, argv, i, cli.queueDepth, 0, kMaxCount);
         } else if (arg == "--drain-ms") {
-            cli.drainMs = numArg(argc, argv, i);
+            numArg(argc, argv, i, cli.drainMs, 0.0, kMaxMs);
         } else if (arg == "--rate") {
-            cli.rate = numArg(argc, argv, i);
+            numArg(argc, argv, i, cli.rate, 0.0, kMaxCount);
         } else if (arg == "--burst") {
-            cli.burst = numArg(argc, argv, i);
+            numArg(argc, argv, i, cli.burst, 0.0, kMaxCount);
         } else if (arg == "--access-log") {
             cli.accessLogPath = strArg(argc, argv, i);
         } else if (arg == "--seed") {
-            cli.chaosSeed =
-                static_cast<std::uint64_t>(numArg(argc, argv, i));
+            numArg(argc, argv, i, cli.chaosSeed, 0, UINT64_MAX);
         } else if (arg == "--runs") {
-            cli.chaosRuns =
-                static_cast<std::size_t>(numArg(argc, argv, i));
+            numArg(argc, argv, i, cli.chaosRuns, 0, kMaxCount);
         } else if (arg == "--repro-out") {
             cli.reproOut = strArg(argc, argv, i);
         } else if (arg == "--replay") {
@@ -386,14 +374,7 @@ parse(int argc, char **argv)
         } else if (arg == "--html") {
             cli.reportHtml = true;
         } else if (arg == "--faults") {
-            cli.faultRate = numArg(argc, argv, i);
-            if (cli.faultRate < 0.0 || cli.faultRate > 1.0) {
-                std::fprintf(stderr,
-                             "error: --faults expects a rate in "
-                             "[0, 1], got %g\n",
-                             cli.faultRate);
-                usage();
-            }
+            numArg(argc, argv, i, cli.faultRate, 0.0, 1.0);
         } else {
             std::fprintf(stderr, "error: unknown option '%s'\n",
                          arg.c_str());
