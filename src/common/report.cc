@@ -1,11 +1,11 @@
 #include "common/report.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <map>
 #include <sstream>
 
 #include "common/json.hh"
+#include "common/serial.hh"
 #include "common/strutil.hh"
 #include "common/table.hh"
 
@@ -40,15 +40,6 @@ const char *const kSupervisorEventNames[9] = {
 
 /** Most recent raw event lines kept in the digest. */
 constexpr std::size_t kLastEvents = 8;
-
-} // namespace
-
-const char *const kVerdictNames[7] = {
-    "ok", "shed", "throttled", "deadline",
-    "error", "parse", "dropped",
-};
-
-namespace {
 
 /** Each line of `body` that parses as a JSON object, with its raw
  *  text; other lines are skipped — a report over partial artifacts
@@ -88,9 +79,12 @@ num(const JsonValue &obj, std::string_view key)
     const JsonValue *v = obj.find(key);
     if (v == nullptr)
         return 0.0;
+    double x = 0.0;
     if (v->isString())
-        return std::strtod(v->asString().c_str(), nullptr);
-    return v->asNumber();
+        parseWhole(v->asString(), &x);
+    else
+        x = v->asNumber();
+    return x;
 }
 
 /** Member `key` is `true` or a non-zero number. */
@@ -153,7 +147,7 @@ htmlEscape(const std::string &s)
 } // namespace
 
 std::vector<MetricSample>
-parseMetricsText(const std::string &body)
+parseMetricsText(const std::string &body, std::size_t *skipped)
 {
     std::vector<MetricSample> out;
     std::istringstream in(body);
@@ -166,11 +160,15 @@ parseMetricsText(const std::string &body)
         if (line.find("_bucket{") != std::string::npos)
             continue;
         auto space = line.rfind(' ');
-        if (space == std::string::npos || space == 0)
-            continue;
         MetricSample s;
+        if (space == std::string::npos || space == 0 ||
+            !parseWhole(std::string_view(line).substr(space + 1),
+                        &s.value)) {
+            if (skipped != nullptr)
+                ++*skipped;
+            continue;
+        }
         s.name = line.substr(0, space);
-        s.value = std::strtod(line.c_str() + space + 1, nullptr);
         out.push_back(std::move(s));
     }
     return out;
@@ -387,7 +385,9 @@ buildSections(const ReportArtifacts &artifacts)
     auto access = parseAccessJsonl(artifacts.accessJsonl);
     auto chaos = parseChaosJsonl(artifacts.chaosJsonl);
     auto traces = parseTraceJsonl(artifacts.traceJsonl);
-    auto metrics = parseMetricsText(artifacts.metricsText);
+    std::size_t metricsSkipped = 0;
+    auto metrics =
+        parseMetricsText(artifacts.metricsText, &metricsSkipped);
 
     std::vector<Section> out;
     auto table = [&](std::string title,
@@ -458,7 +458,7 @@ buildSections(const ReportArtifacts &artifacts)
             if (access.statusClass[k] > 0)
                 log.rows.push_back({cls[k], count(access.statusClass[k])});
         }
-        for (int k = 0; k < 7; ++k) {
+        for (std::size_t k = 0; k < kVerdictCount; ++k) {
             if (access.verdictCounts[k] > 0)
                 log.rows.push_back(
                     {std::string("verdict ") + kVerdictNames[k],
@@ -515,13 +515,15 @@ buildSections(const ReportArtifacts &artifacts)
     }
     // Lines the digests above could not read, so a report over a
     // truncated or foreign artifact says what it left out.
+    std::vector<std::vector<std::string>> skipped;
+    if (metricsSkipped > 0)
+        skipped.push_back({"metrics", count(metricsSkipped)});
     const std::pair<const char *, const std::string *> streams[] = {
         {"trace", &artifacts.traceJsonl},
         {"monitor", &artifacts.monitorJsonl},
         {"SLO", &artifacts.sloJsonl},
         {"access", &artifacts.accessJsonl},
         {"chaos", &artifacts.chaosJsonl}};
-    std::vector<std::vector<std::string>> skipped;
     for (const auto &[name, body] : streams) {
         std::size_t n = forEachObjectLine(
             *body, [](const JsonValue &, const std::string &) {});
@@ -529,7 +531,7 @@ buildSections(const ReportArtifacts &artifacts)
             skipped.push_back({name, count(n)});
     }
     if (!skipped.empty())
-        table("Lines skipped (not a JSON object)", {"artifact", "lines"})
+        table("Lines skipped (unreadable)", {"artifact", "lines"})
             .rows = std::move(skipped);
     return out;
 }

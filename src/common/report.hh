@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "common/slo.hh"
 #include "common/status.hh"
 
 namespace tomur {
@@ -110,7 +111,7 @@ struct AccessDigest
     std::size_t records = 0;
     /** [0]=no answer (status 0), [1..5]=1xx..5xx responses. */
     std::size_t statusClass[6] = {};
-    std::size_t verdictCounts[7] = {}; ///< by kVerdictNames order
+    std::size_t verdictCounts[kVerdictCount] = {}; ///< by Verdict
     std::size_t deadlineMisses = 0;
     double totalHandleMs = 0.0; ///< summed over answered requests
 };
@@ -140,11 +141,11 @@ struct ChaosDigest
     std::vector<std::string> violatingLines; ///< raw, most recent
 };
 
-/** Access-log verdict wire names, in AccessDigest counter order. */
-extern const char *const kVerdictNames[7];
-
-/** Parse a metrics dump body (skips comments and bucket series). */
-std::vector<MetricSample> parseMetricsText(const std::string &body);
+/** Parse a metrics dump body (skips comments and bucket series). A
+ *  line whose value is not one whole number is left out and, when
+ *  `skipped` is given, counted there. */
+std::vector<MetricSample> parseMetricsText(const std::string &body,
+                                           std::size_t *skipped = nullptr);
 
 /** Aggregate a trace JSONL export by record name. */
 std::vector<TraceNameStats> parseTraceJsonl(const std::string &body);

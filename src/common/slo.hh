@@ -77,6 +77,28 @@ struct SloObjective
     std::size_t recoverStable = 16;
 };
 
+/** How the serve core settled one request: the access log's
+ *  `verdict`. The server books outcomes by this enum; the report
+ *  renderer tallies access logs by its wire names below. */
+enum class Verdict
+{
+    Ok,        ///< the service answered
+    Shed,      ///< 503 at the queue cap or while draining
+    Throttled, ///< 429 from the client's token bucket
+    Deadline,  ///< 504: the request's deadline tripped
+    Error,     ///< 500: the handler threw
+    Parse,     ///< 4xx: the byte stream did not parse
+    Dropped,   ///< admitted, but the connection went first
+};
+
+constexpr std::size_t kVerdictCount = 7;
+
+/** Verdict wire names, in Verdict order: their only spelling. */
+inline constexpr const char *kVerdictNames[kVerdictCount] = {
+    "ok", "shed", "throttled", "deadline",
+    "error", "parse", "dropped",
+};
+
 /** One request outcome fed to the fold. */
 struct SloOutcome
 {

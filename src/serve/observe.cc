@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "common/strutil.hh"
-#include "common/telemetry.hh"
 
 namespace tomur::serve {
 
@@ -63,8 +62,8 @@ AccessLog::formatRecord(const AccessRecord &rec, bool canonical)
                      rec.queueWaitMs, rec.handleMs);
     }
     line += strf(",\"verdict\":\"%s\",\"deadline_miss\":%s}",
-                 jsonEscape(rec.verdict).c_str(),
-                 rec.deadlineMiss ? "true" : "false");
+                 kVerdictNames[static_cast<std::size_t>(rec.verdict)],
+                 rec.verdict == Verdict::Deadline ? "true" : "false");
     return line;
 }
 
@@ -121,10 +120,6 @@ ServerObservatory::ServerObservatory(
     std::vector<SloObjective> objectives, AccessLogOptions log_opts)
     : accessLog(log_opts), slo(std::move(objectives))
 {
-    // Eager registration: the log-pressure counters show up (at
-    // zero) in every dump, like the server families.
-    metrics().counter("tomur_server_access_records_total");
-    metrics().counter("tomur_server_access_dropped_total");
 }
 
 } // namespace tomur::serve

@@ -52,9 +52,8 @@ struct AccessRecord
     /** Wall-clock measurements (omitted from canonical export). */
     double queueWaitMs = 0.0;
     double handleMs = 0.0;
-    /** ok|shed|throttled|deadline|error|parse|dropped. */
-    std::string verdict = "ok";
-    bool deadlineMiss = false;
+    /** Exported by wire name, with `deadline_miss` = Deadline. */
+    Verdict verdict = Verdict::Ok;
 };
 
 /** Access-log tuning. */

@@ -1,6 +1,7 @@
 #include "serve/server.hh"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <exception>
 #include <optional>
@@ -23,23 +24,42 @@ constexpr std::size_t kReadChunkBytes = 4096;
  *  starve the others within a step). */
 constexpr std::size_t kMaxReadsPerConnPerStep = 16;
 
+/** What booking one outcome bumps, by Verdict: a ServerStats field,
+ *  its tomur_server_* counter, and whether the request reached the
+ *  service (only those are timed into tomur_server_request_ms). */
+struct VerdictBook
+{
+    std::size_t ServerStats::*stat;
+    const char *counter;
+    bool handled;
+};
+
+constexpr VerdictBook kVerdictBooks[kVerdictCount] = {
+    {&ServerStats::requestsHandled, "tomur_server_handled_total", true},
+    {&ServerStats::shed, "tomur_server_shed_total", false},
+    {&ServerStats::throttled, "tomur_server_throttled_total", false},
+    {&ServerStats::deadlineMisses,
+     "tomur_server_deadline_misses_total", true},
+    {&ServerStats::internalErrors,
+     "tomur_server_internal_errors_total", true},
+    {&ServerStats::parseErrors, "tomur_server_parse_errors_total",
+     false},
+    {&ServerStats::droppedRequests,
+     "tomur_server_dropped_requests_total", false},
+};
+
 struct ServerMetrics
 {
     Counter &accepted;
     Counter &acceptFailures;
-    Counter &parseErrors;
     Counter &requests;
-    Counter &handled;
-    Counter &shed;
-    Counter &throttled;
-    Counter &deadlineMisses;
-    Counter &internalErrors;
-    Counter &dropped;
+    Counter &shed; ///< also the Shed verdict's counter
     Counter &accessRecords;
     Counter &accessDropped;
     Gauge &connections;
     Gauge &queueDepth;
     Histogram &latencyMs;
+    std::array<Counter *, kVerdictCount> verdicts; ///< by Verdict
 };
 
 ServerMetrics &
@@ -48,14 +68,8 @@ serverMetrics()
     static ServerMetrics m = {
         metrics().counter("tomur_server_accepted_total"),
         metrics().counter("tomur_server_accept_failures_total"),
-        metrics().counter("tomur_server_parse_errors_total"),
         metrics().counter("tomur_server_requests_total"),
-        metrics().counter("tomur_server_handled_total"),
         metrics().counter("tomur_server_shed_total"),
-        metrics().counter("tomur_server_throttled_total"),
-        metrics().counter("tomur_server_deadline_misses_total"),
-        metrics().counter("tomur_server_internal_errors_total"),
-        metrics().counter("tomur_server_dropped_requests_total"),
         metrics().counter("tomur_server_access_records_total"),
         metrics().counter("tomur_server_access_dropped_total"),
         metrics().gauge("tomur_server_connections"),
@@ -63,6 +77,12 @@ serverMetrics()
         metrics().histogram(
             "tomur_server_request_ms",
             Histogram::exponentialBounds(0.01, 4.0, 10)),
+        [] {
+            std::array<Counter *, kVerdictCount> out{};
+            for (std::size_t v = 0; v < kVerdictCount; ++v)
+                out[v] = &metrics().counter(kVerdictBooks[v].counter);
+            return out;
+        }(),
     };
     return m;
 }
@@ -109,10 +129,35 @@ Server::setObservatory(ServerObservatory *observatory)
 }
 
 void
-Server::logAccess(AccessRecord rec)
+Server::book(AccessRecord rec, double latency_ms)
 {
+    auto v = static_cast<std::size_t>(rec.verdict);
+    const VerdictBook &entry = kVerdictBooks[v];
+    ++(stats_.*entry.stat);
+    serverMetrics().verdicts[v]->inc();
+    if (entry.handled)
+        serverMetrics().latencyMs.observe(latency_ms);
     if (observatory_ == nullptr)
         return;
+    if (rec.status != 0) {
+        SloOutcome outcome;
+        outcome.path = rec.path;
+        outcome.status = rec.status;
+        outcome.latencyMs = latency_ms;
+        outcome.deadlineMiss = rec.verdict == Verdict::Deadline;
+        for (const SloEvent &ev : observatory_->slo.ingest(outcome)) {
+            // Mirror budget transitions into the trace ring so a
+            // burn lines up with the requests around it.
+            tracePoint("slo.event",
+                       {{"event", ev.kind == SloEventKind::Burn
+                                      ? "SLO_BURN"
+                                      : "SLO_RECOVERED"},
+                        {"objective", ev.objective},
+                        {"fast_burn", traceFormat(ev.fastBurn)},
+                        {"slow_burn", traceFormat(ev.slowBurn)}},
+                       static_cast<std::int64_t>(ev.sample));
+        }
+    }
     if (observatory_->accessSink)
         observatory_->accessSink(rec);
     std::uint64_t dropped_before = observatory_->accessLog.dropped();
@@ -122,29 +167,21 @@ Server::logAccess(AccessRecord rec)
         serverMetrics().accessDropped.inc();
 }
 
-void
-Server::ingestSlo(const std::string &path, int status,
-                  double latency_ms, bool deadline_miss)
+AccessRecord
+Server::pendingRecord(const Pending &p, Verdict verdict,
+                      std::uint64_t wait_end_ns) const
 {
-    if (observatory_ == nullptr)
-        return;
-    SloOutcome outcome;
-    outcome.path = path;
-    outcome.status = status;
-    outcome.latencyMs = latency_ms;
-    outcome.deadlineMiss = deadline_miss;
-    for (const SloEvent &ev : observatory_->slo.ingest(outcome)) {
-        // Mirror budget transitions into the trace ring so a burn
-        // lines up with the requests around it.
-        tracePoint("slo.event",
-                   {{"event", ev.kind == SloEventKind::Burn
-                                  ? "SLO_BURN"
-                                  : "SLO_RECOVERED"},
-                    {"objective", ev.objective},
-                    {"fast_burn", traceFormat(ev.fastBurn)},
-                    {"slow_burn", traceFormat(ev.slowBurn)}},
-                   static_cast<std::int64_t>(ev.sample));
-    }
+    AccessRecord rec;
+    rec.id = p.rid;
+    rec.peer = p.conn->clientId;
+    rec.method = p.request.method;
+    rec.path = p.request.path();
+    rec.step = stepIndex_;
+    rec.waitSteps = stepIndex_ - p.admittedStep;
+    rec.queueWaitMs =
+        static_cast<double>(wait_end_ns - p.enqueuedNs) / 1e6;
+    rec.verdict = verdict;
+    return rec;
 }
 
 void
@@ -255,75 +292,47 @@ void
 Server::admit(const std::shared_ptr<Connection> &conn)
 {
     while (conn->parser.hasRequest()) {
-        HttpRequest req = conn->parser.takeRequest();
         ++stats_.requestsAdmitted; // admission *attempts*
         serverMetrics().requests.inc();
-        std::string rid = strf("c%llu-r%llu",
-                               (unsigned long long)conn->id,
-                               (unsigned long long)++conn->requestSeq);
+        Pending p;
+        p.conn = conn;
+        p.request = conn->parser.takeRequest();
+        p.enqueuedNs = nowNs();
+        p.rid = strf("c%llu-r%llu", (unsigned long long)conn->id,
+                     (unsigned long long)++conn->requestSeq);
+        p.admittedStep = stepIndex_;
 
-        // Refusals are answered inline (never queued): respond,
-        // log the outcome under the request's correlation id, and
-        // charge the SLO budget — a shed request is exactly the
-        // availability loss the burn rate must see.
-        auto refuse = [&](HttpResponse resp, const char *verdict) {
-            resp.extraHeaders.push_back("X-Request-Id: " + rid);
-            AccessRecord rec;
-            rec.id = rid;
-            rec.peer = conn->clientId;
-            rec.method = req.method;
-            rec.path = req.path();
-            rec.status = resp.status;
+        // Refusals are answered inline (never queued) and booked
+        // under the request's correlation id — a shed request is
+        // exactly the availability loss the burn rate must see.
+        auto refuse = [&](Verdict verdict, int status, bool close,
+                          const char *why) {
+            HttpResponse resp;
+            resp.status = status;
+            resp.close = close;
+            resp.extraHeaders.push_back("Retry-After: 1");
+            resp.extraHeaders.push_back("X-Request-Id: " + p.rid);
+            resp.body = errorBody(why);
+            AccessRecord rec = pendingRecord(p, verdict, p.enqueuedNs);
+            rec.status = status;
             rec.bodyBytes = resp.body.size();
-            rec.step = stepIndex_;
-            rec.verdict = verdict;
             respond(conn, std::move(resp));
-            ingestSlo(rec.path, rec.status, 0.0, false);
-            logAccess(std::move(rec));
+            book(std::move(rec), 0.0);
         };
 
         if (draining_) {
-            ++stats_.shed;
-            serverMetrics().shed.inc();
-            HttpResponse resp;
-            resp.status = 503;
-            resp.close = true;
-            resp.extraHeaders.push_back("Retry-After: 1");
-            resp.body = errorBody("draining");
-            refuse(std::move(resp), "shed");
-            continue;
+            refuse(Verdict::Shed, 503, true, "draining");
+        } else if (!admitBucket(conn->clientId)) {
+            refuse(Verdict::Throttled, 429, !p.request.keepAlive,
+                   "client over admission budget");
+        } else if (ready_.size() >= opts_.maxQueueDepth) {
+            refuse(Verdict::Shed, 503, !p.request.keepAlive,
+                   "request queue is full");
+        } else {
+            ready_.push_back(std::move(p));
+            ++conn->inflight;
+            didWork_ = true;
         }
-        if (!admitBucket(conn->clientId)) {
-            ++stats_.throttled;
-            serverMetrics().throttled.inc();
-            HttpResponse resp;
-            resp.status = 429;
-            resp.close = !req.keepAlive;
-            resp.extraHeaders.push_back("Retry-After: 1");
-            resp.body = errorBody("client over admission budget");
-            refuse(std::move(resp), "throttled");
-            continue;
-        }
-        if (ready_.size() >= opts_.maxQueueDepth) {
-            ++stats_.shed;
-            serverMetrics().shed.inc();
-            HttpResponse resp;
-            resp.status = 503;
-            resp.close = !req.keepAlive;
-            resp.extraHeaders.push_back("Retry-After: 1");
-            resp.body = errorBody("request queue is full");
-            refuse(std::move(resp), "shed");
-            continue;
-        }
-        Pending p;
-        p.conn = conn;
-        p.request = std::move(req);
-        p.enqueuedNs = nowNs();
-        p.rid = std::move(rid);
-        p.admittedStep = stepIndex_;
-        ready_.push_back(std::move(p));
-        ++conn->inflight;
-        didWork_ = true;
     }
     serverMetrics().queueDepth.set(
         static_cast<double>(ready_.size()));
@@ -362,17 +371,15 @@ Server::readPhase(const std::shared_ptr<Connection> &conn)
         }
         bytesRead += r.n;
         if (Status st = conn->parser.feed(buf, r.n); !st) {
-            ++stats_.parseErrors;
-            serverMetrics().parseErrors.inc();
             conn->parseErrorPending = true;
             conn->parseErrorResp.status =
                 conn->parser.httpErrorStatus();
             conn->parseErrorResp.close = true;
             conn->parseErrorResp.body = errorBody(st.toString());
             parseSpan->field("error", st.toString());
-            // Parser poison has no request to number; it still gets
-            // an access line (and an SLO fold — a 4xx is not an
-            // availability loss, but the stream stays complete).
+            // Parser poison has no request to number; it is still
+            // booked (and folded — a 4xx is not an availability loss,
+            // but the stream stays complete).
             AccessRecord rec;
             rec.id = strf("c%llu-parse",
                           (unsigned long long)conn->id);
@@ -380,9 +387,8 @@ Server::readPhase(const std::shared_ptr<Connection> &conn)
             rec.status = conn->parseErrorResp.status;
             rec.bodyBytes = conn->parseErrorResp.body.size();
             rec.step = stepIndex_;
-            rec.verdict = "parse";
-            ingestSlo("", rec.status, 0.0, false);
-            logAccess(std::move(rec));
+            rec.verdict = Verdict::Parse;
+            book(std::move(rec), 0.0);
             break;
         }
     }
@@ -426,64 +432,42 @@ Server::handlePhase()
         didWork_ = true;
         if (p.conn->dead) {
             // The client hung up after admission; the work is moot.
-            ++stats_.droppedRequests;
-            serverMetrics().dropped.inc();
-            AccessRecord rec;
-            rec.id = p.rid;
-            rec.peer = p.conn->clientId;
-            rec.method = p.request.method;
-            rec.path = p.request.path();
-            rec.status = 0;
-            rec.step = stepIndex_;
-            rec.waitSteps = stepIndex_ - p.admittedStep;
-            rec.queueWaitMs =
-                static_cast<double>(nowNs() - p.enqueuedNs) / 1e6;
-            rec.verdict = "dropped";
-            logAccess(std::move(rec));
+            book(pendingRecord(p, Verdict::Dropped, nowNs()), 0.0);
             continue;
         }
         --p.conn->inflight;
 
         std::uint64_t handleStartNs = nowNs();
         TraceSpan span("server.request");
-        std::string path;
+        AccessRecord rec;
         {
             TraceSpan route("server.route");
-            path = p.request.path();
-            route.field("path", path);
+            rec = pendingRecord(p, Verdict::Ok, handleStartNs);
+            route.field("path", rec.path);
         }
         if (span.active()) {
             span.field("request_id", p.rid);
             span.field("peer", p.conn->clientId);
             span.field("method", p.request.method);
-            span.field("path", path);
+            span.field("path", rec.path);
         }
 
         HttpResponse resp;
         resp.close = !p.request.keepAlive;
-        const char *verdict = "ok";
-        bool deadlineMiss = false;
         try {
             TraceSpan handleSpan("server.handle");
             ServiceReply reply = invokeService(p.request);
             resp.status = reply.status;
             resp.contentType = reply.contentType;
             resp.body = std::move(reply.body);
-            ++stats_.requestsHandled;
-            serverMetrics().handled.inc();
         } catch (const DeadlineExceeded &e) {
             resp.status = 504;
             resp.body = errorBody(e.what());
-            ++stats_.deadlineMisses;
-            serverMetrics().deadlineMisses.inc();
-            verdict = "deadline";
-            deadlineMiss = true;
+            rec.verdict = Verdict::Deadline;
         } catch (const std::exception &e) {
             resp.status = 500;
             resp.body = errorBody("internal error");
-            ++stats_.internalErrors;
-            serverMetrics().internalErrors.inc();
-            verdict = "error";
+            rec.verdict = Verdict::Error;
             warnEvent("server", "handler-exception",
                       {{"target", p.request.target},
                        {"what", e.what()}});
@@ -491,25 +475,10 @@ Server::handlePhase()
         span.field("status",
                    static_cast<std::int64_t>(resp.status));
         std::uint64_t doneNs = nowNs();
-        double latencyMs =
-            static_cast<double>(doneNs - p.enqueuedNs) / 1e6;
-        serverMetrics().latencyMs.observe(latencyMs);
-
-        AccessRecord rec;
-        rec.id = p.rid;
-        rec.peer = p.conn->clientId;
-        rec.method = p.request.method;
-        rec.path = path;
         rec.status = resp.status;
         rec.bodyBytes = resp.body.size();
-        rec.step = stepIndex_;
-        rec.waitSteps = stepIndex_ - p.admittedStep;
-        rec.queueWaitMs =
-            static_cast<double>(handleStartNs - p.enqueuedNs) / 1e6;
         rec.handleMs =
             static_cast<double>(doneNs - handleStartNs) / 1e6;
-        rec.verdict = verdict;
-        rec.deadlineMiss = deadlineMiss;
         {
             TraceSpan writeSpan("server.write");
             writeSpan.field(
@@ -518,8 +487,8 @@ Server::handlePhase()
             resp.extraHeaders.push_back("X-Request-Id: " + p.rid);
             respond(p.conn, std::move(resp));
         }
-        ingestSlo(path, rec.status, latencyMs, deadlineMiss);
-        logAccess(std::move(rec));
+        book(std::move(rec),
+             static_cast<double>(doneNs - p.enqueuedNs) / 1e6);
     }
     serverMetrics().queueDepth.set(
         static_cast<double>(ready_.size()));
@@ -637,25 +606,11 @@ Server::drained() const
 void
 Server::abortConnections()
 {
-    for (auto &conn : conns_) {
-        if (!conn->dead) {
-            std::size_t pending = conn->inflight;
-            stats_.droppedRequests += pending;
-            killConnection(conn);
-        }
-    }
-    for (const Pending &p : ready_) {
-        AccessRecord rec;
-        rec.id = p.rid;
-        rec.peer = p.conn->clientId;
-        rec.method = p.request.method;
-        rec.path = p.request.path();
-        rec.status = 0;
-        rec.step = stepIndex_;
-        rec.waitSteps = stepIndex_ - p.admittedStep;
-        rec.verdict = "dropped";
-        logAccess(std::move(rec));
-    }
+    for (auto &conn : conns_)
+        killConnection(conn);
+    std::uint64_t now = nowNs();
+    for (const Pending &p : ready_)
+        book(pendingRecord(p, Verdict::Dropped, now), 0.0);
     ready_.clear();
     conns_.clear();
     serverMetrics().connections.set(0.0);

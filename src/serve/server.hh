@@ -81,8 +81,8 @@ struct ServeOptions
     double bucketCapacity = 0.0;
 };
 
-/** Monotonic serving counters (also mirrored into tomur_server_*
- *  metrics; these are the test-facing copies). */
+/** Monotonic serving counters, mirrored into tomur_server_*
+ *  metrics. Server::book alone moves the per-Verdict fields. */
 struct ServerStats
 {
     std::size_t accepted = 0;
@@ -205,9 +205,14 @@ class Server
     ServiceReply invokeService(const HttpRequest &req);
     bool admitBucket(const std::string &client_id);
     void killConnection(const std::shared_ptr<Connection> &conn);
-    void logAccess(AccessRecord rec);
-    void ingestSlo(const std::string &path, int status,
-                   double latency_ms, bool deadline_miss);
+    /** Book one request outcome, by rec.verdict: its ServerStats
+     *  field and counter, request_ms when handled, the SLO fold when
+     *  answered, then the access sink and ring (DESIGN §14). */
+    void book(AccessRecord rec, double latency_ms);
+    /** The record of a queued request's outcome, its queue wait
+     *  measured up to `wait_end_ns`. */
+    AccessRecord pendingRecord(const Pending &p, Verdict verdict,
+                               std::uint64_t wait_end_ns) const;
 
     ServeOptions opts_;
     Service &service_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "common/deadline.hh"
 #include "common/json.hh"
@@ -246,31 +247,25 @@ ModelService::profileFromBody(const std::string &body) const
     if (!doc)
         return doc.status();
     auto profile = traffic::TrafficProfile::defaults();
-    struct
-    {
-        const char *key;
-        traffic::Attribute attr;
-        double min, max;
-    } fields[] = {
-        {"flows", traffic::Attribute::FlowCount, 1.0, 1e9},
-        {"size", traffic::Attribute::PacketSize, 64.0, 1e6},
-        {"mtbr", traffic::Attribute::Mtbr, 0.0, 1e7},
-    };
-    for (const auto &f : fields) {
-        const JsonValue *v = doc.value().find(f.key);
+    for (auto [key, attr] :
+         {std::pair{"flows", traffic::Attribute::FlowCount},
+          std::pair{"size", traffic::Attribute::PacketSize},
+          std::pair{"mtbr", traffic::Attribute::Mtbr}}) {
+        const JsonValue *v = doc.value().find(key);
         if (v == nullptr)
             continue;
         if (!v->isNumber()) {
             return Status::invalidArgument(
-                strf("field '%s' is not a number", f.key));
+                strf("field '%s' is not a number", key));
         }
         double x = v->asNumber();
-        if (x < f.min || x > f.max) {
+        traffic::AttributeRange r = traffic::inputBounds(attr);
+        if (!(x >= r.min && x <= r.max)) {
             return Status::invalidArgument(
-                strf("field '%s' = %g is outside [%g, %g]", f.key, x,
-                     f.min, f.max));
+                strf("field '%s' = %g is outside [%g, %g]", key, x,
+                     r.min, r.max));
         }
-        profile = profile.withAttribute(f.attr, x);
+        profile = profile.withAttribute(attr, x);
     }
     return profile;
 }

@@ -53,19 +53,28 @@ struct TrafficProfile
     bool operator==(const TrafficProfile &o) const = default;
 };
 
-/** Bounds on what a text input (scenario script, CLI flag) may set
- *  an attribute to: generous, meant to refuse garbage that lexes as
- *  a number, not to police realistic traffic. */
-constexpr double kMaxFlows = 1e9;
-constexpr double kMaxPacketSize = 1e6;
-constexpr double kMaxMtbr = 1e12;
-
-/** Valid ranges for each attribute, used by adaptive profiling. */
+/** A closed range of attribute values. */
 struct AttributeRange
 {
     double min = 0.0;
     double max = 0.0;
 };
+
+/** What a text input (a /predict or /diagnose body, a scenario
+ *  script, a CLI flag) may set each attribute to, by Attribute:
+ *  generous, meant to refuse garbage that lexes as a number, not to
+ *  police realistic traffic. */
+constexpr AttributeRange kInputBounds[numAttributes] = {
+    {1.0, 1e9},  // flows
+    {1.0, 1e6},  // packet size, bytes
+    {0.0, 1e12}, // mtbr
+};
+
+constexpr AttributeRange
+inputBounds(Attribute a)
+{
+    return kInputBounds[static_cast<int>(a)];
+}
 
 /** Default exploration ranges per attribute (paper §7: up to 500 K
  *  flows, 64-1500 B packets, 0-1100 matches/MB). */

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <istream>
+#include <utility>
 
 #include "common/directive.hh"
 #include "common/strutil.hh"
@@ -25,23 +26,29 @@ constexpr double kMaxPeak = 1000.0;
  *  says. */
 constexpr std::size_t kMaxScenarioSteps = 100000;
 
-double
-clampFlows(double flows)
+/** `base` with attribute `a` set to `v` clamped into its input
+ *  bounds. */
+TrafficProfile
+withClamped(const TrafficProfile &base, Attribute a, double v)
 {
-    return std::clamp(flows, 1.0, kMaxFlows);
-}
-
-double
-clampMtbr(double mtbr)
-{
-    return std::clamp(mtbr, 0.0, kMaxMtbr);
+    AttributeRange r = inputBounds(a);
+    return base.withAttribute(a, std::clamp(v, r.min, r.max));
 }
 
 TrafficProfile
 withFlows(const TrafficProfile &base, double flows)
 {
-    return base.withAttribute(Attribute::FlowCount,
-                              clampFlows(flows));
+    return withClamped(base, Attribute::FlowCount, flows);
+}
+
+/** Directive value `key` for attribute `a`, within its input
+ *  bounds. */
+double
+attributeValue(DirectiveArgs &args, const char *key,
+               Attribute a, double def)
+{
+    AttributeRange r = inputBounds(a);
+    return args.number(key, def, r.min, r.max);
 }
 
 } // namespace
@@ -119,8 +126,7 @@ mtbrSpikeSteps(const MtbrSpikeOptions &opts)
     std::vector<SynthStep> out;
     double base = opts.base.mtbr;
     auto at = [&](double mtbr) {
-        return SynthStep{opts.base.withAttribute(Attribute::Mtbr,
-                                                 clampMtbr(mtbr)),
+        return SynthStep{withClamped(opts.base, Attribute::Mtbr, mtbr),
                          opts.repeats};
     };
     for (int i = 1; i <= opts.ramp; ++i) {
@@ -195,17 +201,14 @@ parseScenario(std::istream &in)
 
         std::vector<SynthStep> more;
         if (directive == "base" || directive == "step") {
-            double flows = args.number(
-                "flows", static_cast<double>(base.flowCount), 1.0,
-                kMaxFlows);
-            double size = args.number(
-                "size", static_cast<double>(base.packetSize), 1.0,
-                kMaxPacketSize);
-            double mtbr = args.number("mtbr", base.mtbr, 0.0, kMaxMtbr);
-            TrafficProfile p =
-                base.withAttribute(Attribute::FlowCount, flows)
-                    .withAttribute(Attribute::PacketSize, size)
-                    .withAttribute(Attribute::Mtbr, mtbr);
+            TrafficProfile p = base;
+            for (auto [key, a] :
+                 {std::pair{"flows", Attribute::FlowCount},
+                  std::pair{"size", Attribute::PacketSize},
+                  std::pair{"mtbr", Attribute::Mtbr}}) {
+                p = p.withAttribute(
+                    a, attributeValue(args, key, a, base.attribute(a)));
+            }
             if (directive == "base")
                 base = p;
             else
@@ -233,15 +236,17 @@ parseScenario(std::istream &in)
         } else if (directive == "churn") {
             FlowChurnOptions o;
             o.base = base;
-            o.fromFlows = args.number("from", 4000.0, 1.0, kMaxFlows);
-            o.toFlows = args.number("to", 256000.0, 1.0, kMaxFlows);
+            o.fromFlows =
+                attributeValue(args, "from", Attribute::FlowCount, 4000.0);
+            o.toFlows =
+                attributeValue(args, "to", Attribute::FlowCount, 256000.0);
             o.steps = args.number("steps", 16, 2, kMaxPhaseSteps);
             o.repeats = repeats();
             more = flowChurnSteps(o);
         } else if (directive == "mtbr_spike") {
             MtbrSpikeOptions o;
             o.base = base;
-            o.mtbr = args.number("mtbr", 1100.0, 0.0, kMaxMtbr);
+            o.mtbr = attributeValue(args, "mtbr", Attribute::Mtbr, 1100.0);
             o.ramp = args.number("ramp", 2, 1, kMaxPhaseSteps);
             o.hold = args.number("hold", 8, 1, kMaxPhaseSteps);
             o.repeats = repeats();

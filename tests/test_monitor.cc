@@ -771,17 +771,33 @@ TEST(MonitorState, HostileEventCountIsCorruptData)
 
 TEST(Report, ParsesMetricsSkippingCommentsAndBuckets)
 {
+    // A value that is not one whole number is not read as its
+    // numeric prefix (12) or as 0: the line is skipped and counted.
     std::string body = "# TYPE tomur_x_total counter\n"
                        "tomur_x_total 42\n"
+                       "tomur_server_requests_total 12abc\n"
+                       "tomur_bogus banana\n"
                        "# TYPE tomur_h histogram\n"
                        "tomur_h_bucket{le=\"1\"} 3\n"
                        "tomur_h_sum 1.5\n"
                        "tomur_h_count 3\n";
-    auto samples = parseMetricsText(body);
+    std::size_t skipped = 0;
+    auto samples = parseMetricsText(body, &skipped);
     ASSERT_EQ(samples.size(), 3u);
     EXPECT_EQ(samples[0].name, "tomur_x_total");
     EXPECT_DOUBLE_EQ(samples[0].value, 42.0);
     EXPECT_EQ(samples[1].name, "tomur_h_sum");
+    EXPECT_EQ(skipped, 2u);
+
+    ReportArtifacts artifacts;
+    artifacts.metricsText = body;
+    auto text = renderReport(artifacts);
+    ASSERT_TRUE(text);
+    EXPECT_EQ(text.value().find("tomur_bogus"), std::string::npos);
+    EXPECT_EQ(text.value().find("tomur_server_requests_total"),
+              std::string::npos);
+    EXPECT_NE(text.value().find("Metrics (3 series)"), std::string::npos);
+    EXPECT_NE(text.value().find("Lines skipped"), std::string::npos);
 }
 
 TEST(Report, AggregatesTraceByName)

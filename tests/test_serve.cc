@@ -17,11 +17,13 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/deadline.hh"
@@ -42,6 +44,7 @@
 #include "serve/transport.hh"
 #include "sim/faults.hh"
 #include "tomur/profiler.hh"
+#include "traffic/profile.hh"
 
 namespace tomur {
 namespace {
@@ -1163,6 +1166,34 @@ TEST(ModelServiceEndpoints, PredictValidatesProfile)
     EXPECT_EQ(h.roundTrip(simplePost("/predict", "not json")), 400);
     // An object without fields does mean "the default profile".
     EXPECT_EQ(h.roundTrip(simplePost("/predict", "{}")), 200);
+
+    // /predict shares the attribute bounds of every text input: a
+    // value on an edge gets a readable body with a finite
+    // prediction, the next double outside it gets 400.
+    for (auto [key, attr] :
+         {std::pair{"flows", traffic::Attribute::FlowCount},
+          std::pair{"size", traffic::Attribute::PacketSize},
+          std::pair{"mtbr", traffic::Attribute::Mtbr}}) {
+        traffic::AttributeRange r = traffic::inputBounds(attr);
+        for (double edge : {r.min, r.max}) {
+            std::string body = strf("{\"%s\":%.17g}", key, edge);
+            ASSERT_EQ(h.roundTrip(simplePost("/predict", body)), 200)
+                << body << " -> " << h.body;
+            auto doc = parseJson(h.body);
+            ASSERT_TRUE(doc) << body << " -> " << h.body;
+            const JsonValue *pps = doc.value().find("predicted_pps");
+            ASSERT_NE(pps, nullptr) << h.body;
+            EXPECT_TRUE(std::isfinite(pps->asNumber()))
+                << body << " -> " << h.body;
+        }
+        for (double outside :
+             {std::nextafter(r.min, -HUGE_VAL),
+              std::nextafter(r.max, HUGE_VAL)}) {
+            std::string body = strf("{\"%s\":%.17g}", key, outside);
+            EXPECT_EQ(h.roundTrip(simplePost("/predict", body)), 400)
+                << body << " -> " << h.body;
+        }
+    }
 }
 
 TEST(ModelServiceEndpoints, MalformedBodiesGet400WithReason)
@@ -1489,7 +1520,7 @@ TEST(ServerObservatory, CorrelationIdsAndAccessRecords)
     EXPECT_EQ(records[0].peer, "c1");
     EXPECT_EQ(records[0].path, "/one");
     EXPECT_EQ(records[0].status, 200);
-    EXPECT_EQ(records[0].verdict, "ok");
+    EXPECT_EQ(records[0].verdict, Verdict::Ok);
     EXPECT_EQ(records[1].id, "c1-r2");
 }
 
@@ -1524,12 +1555,12 @@ TEST(ServerObservatory, RefusalsAndParseErrorsAreLoggedAndCharged)
 
     std::size_t shed = 0, ok = 0, parse = 0;
     for (const auto &rec : obs.accessLog.snapshot()) {
-        if (rec.verdict == "shed") {
+        if (rec.verdict == Verdict::Shed) {
             ++shed;
             EXPECT_EQ(rec.status, 503);
-        } else if (rec.verdict == "ok") {
+        } else if (rec.verdict == Verdict::Ok) {
             ++ok;
-        } else if (rec.verdict == "parse") {
+        } else if (rec.verdict == Verdict::Parse) {
             ++parse;
             EXPECT_EQ(rec.status, 400);
             EXPECT_EQ(rec.id, "c2-parse");
@@ -1566,22 +1597,37 @@ TEST(ServerObservatory, AccessSinkStreamsEveryRecord)
 
 TEST(ServerObservatory, AbortLogsQueuedRequestsAsDropped)
 {
-    serve::ServerObservatory obs;
-    ServeOptions opts;
-    opts.maxRequestsPerStep = 1;
-    CoreHarness h(opts);
-    h.server.setObservatory(&obs);
-    auto pipe = h.connect("c1");
-    pipe->clientWrite(simpleGet("/done") + simpleGet("/queued"));
-    h.server.step(); // admits both, handles and flushes the first
-    h.server.abortConnections();
+    // The queued request is booked as dropped once, whether its
+    // connection is alive when the abort comes or already dead (a
+    // one-byte write budget kills it when the first answer lands).
+    for (bool deadFirst : {false, true}) {
+        SCOPED_TRACE(deadFirst ? "connection already dead"
+                               : "connection alive");
+        Counter &dropped =
+            metrics().counter("tomur_server_dropped_requests_total");
+        std::uint64_t droppedBefore = dropped.value();
+        serve::ServerObservatory obs;
+        ServeOptions opts;
+        opts.maxRequestsPerStep = 1;
+        if (deadFirst)
+            opts.maxWriteBufferBytes = 1;
+        CoreHarness h(opts);
+        h.server.setObservatory(&obs);
+        auto pipe = h.connect("c1");
+        pipe->clientWrite(simpleGet("/done") + simpleGet("/queued"));
+        h.server.step(); // admits both, handles the first
+        EXPECT_EQ(h.server.openConnections(), deadFirst ? 0u : 1u);
+        h.server.abortConnections();
 
-    auto records = obs.accessLog.snapshot();
-    ASSERT_EQ(records.size(), 2u);
-    EXPECT_EQ(records[0].verdict, "ok");
-    EXPECT_EQ(records[1].verdict, "dropped");
-    EXPECT_EQ(records[1].status, 0);
-    EXPECT_EQ(records[1].path, "/queued");
+        auto records = obs.accessLog.snapshot();
+        ASSERT_EQ(records.size(), 2u);
+        EXPECT_EQ(records[0].verdict, Verdict::Ok);
+        EXPECT_EQ(records[1].verdict, Verdict::Dropped);
+        EXPECT_EQ(records[1].status, 0);
+        EXPECT_EQ(records[1].path, "/queued");
+        EXPECT_EQ(h.server.stats().droppedRequests, 1u);
+        EXPECT_EQ(dropped.value() - droppedBefore, 1u);
+    }
 }
 
 // ---------------------------------------------------------------
@@ -1712,6 +1758,31 @@ struct PoolWidth
     ~PoolWidth() { setGlobalThreadCount(configuredThreadCount()); }
 };
 
+/** How each verdict is booked: its access-log wire name, its
+ *  ServerStats field, and its tomur_server_* counter. */
+struct VerdictBooking
+{
+    const char *name;
+    std::size_t serve::ServerStats::*stat;
+    const char *counter;
+};
+
+const VerdictBooking kVerdictBookings[] = {
+    {"ok", &serve::ServerStats::requestsHandled,
+     "tomur_server_handled_total"},
+    {"shed", &serve::ServerStats::shed, "tomur_server_shed_total"},
+    {"throttled", &serve::ServerStats::throttled,
+     "tomur_server_throttled_total"},
+    {"deadline", &serve::ServerStats::deadlineMisses,
+     "tomur_server_deadline_misses_total"},
+    {"error", &serve::ServerStats::internalErrors,
+     "tomur_server_internal_errors_total"},
+    {"parse", &serve::ServerStats::parseErrors,
+     "tomur_server_parse_errors_total"},
+    {"dropped", &serve::ServerStats::droppedRequests,
+     "tomur_server_dropped_requests_total"},
+};
+
 /**
  * The fixed observatory scenario: one deterministic server run that
  * produces every access-log verdict and both SLO transitions —
@@ -1721,12 +1792,19 @@ struct PoolWidth
  * SLO on the way), a parser poisoning, and an aborted queued
  * request. Everything is logical (step indices, granule deadlines,
  * pure-fold burn math), so the canonical export must be
- * byte-identical at any pool width.
+ * byte-identical at any pool width. Along the way it checks that
+ * every outcome is booked once: per verdict, the access log, the
+ * ServerStats field and the counter agree.
  */
 std::string
 runObservatoryScenario()
 {
     tracer().enable(1 << 14);
+    std::vector<std::uint64_t> countersBefore;
+    for (const auto &b : kVerdictBookings)
+        countersBefore.push_back(metrics().counter(b.counter).value());
+    Counter &requests = metrics().counter("tomur_server_requests_total");
+    std::uint64_t requestsBefore = requests.value();
 
     StubService svc;
     ServeOptions opts;
@@ -1825,9 +1903,29 @@ runObservatoryScenario()
     server.step(); // admits both, handles the first
     server.abortConnections(); // the queued request is dropped
 
+    std::string access = obs.accessLog.exportString(/*canonical=*/true);
+    std::size_t admitted = 0;
+    for (std::size_t k = 0; k < std::size(kVerdictBookings); ++k) {
+        const VerdictBooking &b = kVerdictBookings[k];
+        std::string needle = strf("\"verdict\":\"%s\"", b.name);
+        std::size_t logged = 0;
+        for (auto at = access.find(needle); at != std::string::npos;
+             at = access.find(needle, at + 1)) {
+            ++logged;
+        }
+        EXPECT_EQ(server.stats().*b.stat, logged) << b.name;
+        EXPECT_EQ(metrics().counter(b.counter).value() - countersBefore[k],
+                  logged)
+            << b.counter;
+        if (std::string_view(b.name) != "parse")
+            admitted += logged;
+    }
+    EXPECT_EQ(server.stats().requestsAdmitted, admitted);
+    EXPECT_EQ(requests.value() - requestsBefore, admitted);
+
     std::string out;
     out += "{\"golden_section\":\"access\"}\n";
-    out += obs.accessLog.exportString(/*canonical=*/true);
+    out += access;
     out += "{\"golden_section\":\"slo\"}\n";
     out += obs.slo.exportString();
     out += "{\"golden_section\":\"trace\"}\n";

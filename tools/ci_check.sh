@@ -30,7 +30,7 @@
 #      shrunk to a tiny repro, and replay deterministically — the
 #      detect/shrink/replay loop proven live on every merge. A
 #      hostile repro (a storm of 10^12 requests) must be refused
-#      with exit 2 before it runs.
+#      with exit 2 before it runs, without training a model.
 #   5. Sanitizers: tools/run_sanitized_tests.sh (ASan+UBSan full
 #      suite, TSan on the parallel-engine tests).
 #
@@ -318,15 +318,22 @@ fi
     cat "$chaos_dir/replay2.log" >&2
     exit 1
 }
-# A repro outside its kind's ranges is refused before it runs.
+# A repro outside its kind's ranges is refused before it runs, and
+# before the chaos world trains its model.
 printf 'plan seed=1 target=serve\naction kind=queue_storm at=1 %s\n' \
     'magnitude=1e12 span=1 variant=0' > "$chaos_dir/hostile.chaos"
 hostile_status=0
 "$build_dir/tools/tomur_cli" chaos --replay "$chaos_dir/hostile.chaos" \
+    --metrics-out "$chaos_dir/hostile.prom" \
     > "$chaos_dir/hostile.log" 2>&1 || hostile_status=$?
 if [ "$hostile_status" -ne 2 ]; then
     echo "chaos smoke: hostile repro exited $hostile_status" >&2
     cat "$chaos_dir/hostile.log" >&2
+    exit 1
+fi
+if [ ! -f "$chaos_dir/hostile.prom" ] ||
+    grep -q '^tomur_train_runs_total [1-9]' "$chaos_dir/hostile.prom"; then
+    echo "chaos smoke: hostile repro trained a model before refusal" >&2
     exit 1
 fi
 trap - EXIT

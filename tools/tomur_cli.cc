@@ -230,13 +230,15 @@ numArg(int argc, char **argv, int &i, T &field,
     }
 }
 
-/** Like numArg() for a traffic attribute of cli.profile. */
+/** Like numArg() for a traffic attribute of cli.profile, within the
+ *  attribute's input bounds. */
 void
 attributeArg(int argc, char **argv, int &i, Cli &cli,
-             traffic::Attribute a, double lo, double hi)
+             traffic::Attribute a)
 {
     double v = 0.0;
-    numArg(argc, argv, i, v, lo, hi);
+    traffic::AttributeRange r = traffic::inputBounds(a);
+    numArg(argc, argv, i, v, r.min, r.max);
     cli.profile = cli.profile.withAttribute(a, v);
 }
 
@@ -285,15 +287,12 @@ parse(int argc, char **argv)
         std::string arg = argv[i];
         if (arg == "--flows") {
             attributeArg(argc, argv, i, cli,
-                         traffic::Attribute::FlowCount, 1.0,
-                         traffic::kMaxFlows);
+                         traffic::Attribute::FlowCount);
         } else if (arg == "--size") {
             attributeArg(argc, argv, i, cli,
-                         traffic::Attribute::PacketSize, 1.0,
-                         traffic::kMaxPacketSize);
+                         traffic::Attribute::PacketSize);
         } else if (arg == "--mtbr") {
-            attributeArg(argc, argv, i, cli, traffic::Attribute::Mtbr,
-                         0.0, traffic::kMaxMtbr);
+            attributeArg(argc, argv, i, cli, traffic::Attribute::Mtbr);
         } else if (arg == "--quota") {
             numArg(argc, argv, i, cli.quota, 1, kMaxCount);
         } else if (arg == "--with") {
@@ -990,7 +989,7 @@ readArtifactOrExit(const std::string &path, const char *what)
 int
 cmdChaos(const Cli &cli)
 {
-    chaos::ChaosWorld world(cli.nf.empty() ? "FlowStats" : cli.nf);
+    std::string nf = cli.nf.empty() ? "FlowStats" : cli.nf;
     chaos::RunnerOptions ropts;
     ropts.workDir = cli.workDir;
     if (ropts.workDir.empty()) {
@@ -1015,6 +1014,9 @@ cmdChaos(const Cli &cli)
                          plan.status().toString().c_str());
             return kExitUsage;
         }
+        // Built only now: building the world trains a model, which a
+        // refused repro must not pay for.
+        chaos::ChaosWorld world(nf);
         auto outcome = chaos::runPlan(world, plan.value(), ropts);
         auto verdicts = chaos::checkInvariants(plan.value(), outcome);
         std::size_t violations = 0;
@@ -1039,6 +1041,7 @@ cmdChaos(const Cli &cli)
         return violations == 0 ? kExitOk : kExitRuntime;
     }
 
+    chaos::ChaosWorld world(nf);
     chaos::CampaignOptions copts;
     copts.seed = cli.chaosSeed;
     copts.runs = cli.chaosRuns;
