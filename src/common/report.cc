@@ -38,28 +38,23 @@ const char *const kSupervisorEventNames[9] = {
     "CHECKPOINT_WRITTEN",
 };
 
-/** Most recent raw event lines kept in the digest. */
-constexpr std::size_t kLastEvents = 8;
-
 /** Each line of `body` that parses as a JSON object, with its raw
  *  text; other lines are skipped — a report over partial artifacts
- *  beats no report — and counted: returns the non-blank lines
- *  skipped. */
+ *  beats no report — and the non-blank ones added to *skipped. */
 template <class Fn>
-std::size_t
-forEachObjectLine(const std::string &body, Fn &&fn)
+void
+forEachObjectLine(const std::string &body, std::size_t *skipped, Fn &&fn)
 {
     std::istringstream in(body);
     std::string line;
-    std::size_t skipped = 0;
     while (std::getline(in, line)) {
         auto doc = parseJson(line);
         if (doc && doc.value().isObject())
             fn(doc.value(), line);
-        else if (line.find_first_not_of(" \t\r") != std::string::npos)
-            ++skipped;
+        else if (skipped != nullptr &&
+                 line.find_first_not_of(" \t\r") != std::string::npos)
+            ++*skipped;
     }
-    return skipped;
 }
 
 /** String member `key`, or "" when absent or not a string. */
@@ -93,15 +88,6 @@ flag(const JsonValue &obj, std::string_view key)
 {
     const JsonValue *v = obj.find(key);
     return v && (v->asBool() || v->asNumber() != 0.0);
-}
-
-/** Append `line`, keeping only the newest kLastEvents. */
-void
-keepLast(std::vector<std::string> &lines, const std::string &line)
-{
-    lines.push_back(line);
-    if (lines.size() > kLastEvents)
-        lines.erase(lines.begin());
 }
 
 /** Count `value` against the first of `names` it equals. */
@@ -175,11 +161,11 @@ parseMetricsText(const std::string &body, std::size_t *skipped)
 }
 
 std::vector<TraceNameStats>
-parseTraceJsonl(const std::string &body)
+parseTraceJsonl(const std::string &body, std::size_t *skipped)
 {
     std::map<std::string, TraceNameStats> by_name;
-    forEachObjectLine(body, [&](const JsonValue &doc,
-                                const std::string &) {
+    forEachObjectLine(body, skipped, [&](const JsonValue &doc,
+                                         const std::string &) {
         const std::string &name = str(doc, "name");
         if (name.empty())
             return;
@@ -203,11 +189,11 @@ parseTraceJsonl(const std::string &body)
 }
 
 MonitorDigest
-parseMonitorJsonl(const std::string &body)
+parseMonitorJsonl(const std::string &body, std::size_t *skipped)
 {
     MonitorDigest d;
-    forEachObjectLine(body, [&](const JsonValue &doc,
-                                const std::string &line) {
+    forEachObjectLine(body, skipped, [&](const JsonValue &doc,
+                                         const std::string &line) {
         if (const JsonValue *sum = doc.find("summary")) {
             d.summaryLine = line;
             const JsonValue *rec = sum->find("recovery");
@@ -230,24 +216,24 @@ parseMonitorJsonl(const std::string &body)
             !sup.empty()) {
             d.hasSupervisor = true;
             tally(kSupervisorEventNames, d.supervisorEventCounts, sup);
-            keepLast(d.lastEvents, line);
+            d.lastEvents.push(line);
             return;
         }
         const std::string &kind = str(doc, "event");
         if (kind.empty())
             return;
         tally(kEventNames, d.eventCounts, kind);
-        keepLast(d.lastEvents, line);
+        d.lastEvents.push(line);
     });
     return d;
 }
 
 SloDigest
-parseSloJsonl(const std::string &body)
+parseSloJsonl(const std::string &body, std::size_t *skipped)
 {
     SloDigest d;
-    forEachObjectLine(body, [&](const JsonValue &doc,
-                                const std::string &line) {
+    forEachObjectLine(body, skipped, [&](const JsonValue &doc,
+                                         const std::string &line) {
         if (const JsonValue *sum = doc.find("slo_summary")) {
             d.hasSummary = true;
             d.eventsDropped = num(*sum, "events_dropped");
@@ -279,17 +265,17 @@ parseSloJsonl(const std::string &body)
             ++d.recoveredEvents;
         else
             return;
-        keepLast(d.lastEvents, line);
+        d.lastEvents.push(line);
     });
     return d;
 }
 
 AccessDigest
-parseAccessJsonl(const std::string &body)
+parseAccessJsonl(const std::string &body, std::size_t *skipped)
 {
     AccessDigest d;
-    forEachObjectLine(body, [&](const JsonValue &doc,
-                                const std::string &) {
+    forEachObjectLine(body, skipped, [&](const JsonValue &doc,
+                                         const std::string &) {
         const std::string &verdict = str(doc, "verdict");
         if (verdict.empty())
             return;
@@ -305,11 +291,11 @@ parseAccessJsonl(const std::string &body)
 }
 
 ChaosDigest
-parseChaosJsonl(const std::string &body)
+parseChaosJsonl(const std::string &body, std::size_t *skipped)
 {
     ChaosDigest d;
-    forEachObjectLine(body, [&](const JsonValue &doc,
-                                const std::string &line) {
+    forEachObjectLine(body, skipped, [&](const JsonValue &doc,
+                                         const std::string &line) {
         if (const JsonValue *sum = doc.find("chaos_summary")) {
             d.hasSummary = true;
             d.crashes = num(*sum, "crashes");
@@ -327,7 +313,7 @@ parseChaosJsonl(const std::string &body)
         d.violations += violations;
         if (violations > 0) {
             ++d.violatingPlans;
-            keepLast(d.violatingLines, line);
+            d.violatingLines.push(line);
         }
         const JsonValue *verdicts = doc.find("verdicts");
         if (verdicts == nullptr)
@@ -380,14 +366,17 @@ whole(double v)
 std::vector<Section>
 buildSections(const ReportArtifacts &artifacts)
 {
-    auto monitor = parseMonitorJsonl(artifacts.monitorJsonl);
-    auto slo = parseSloJsonl(artifacts.sloJsonl);
-    auto access = parseAccessJsonl(artifacts.accessJsonl);
-    auto chaos = parseChaosJsonl(artifacts.chaosJsonl);
-    auto traces = parseTraceJsonl(artifacts.traceJsonl);
-    std::size_t metricsSkipped = 0;
-    auto metrics =
-        parseMetricsText(artifacts.metricsText, &metricsSkipped);
+    // Lines each digest could not read, so a report over a truncated
+    // or foreign artifact says what it left out.
+    const char *const artifactNames[6] = {"metrics", "trace", "monitor",
+                                          "SLO",     "access", "chaos"};
+    std::size_t skipped[6] = {};
+    auto metrics = parseMetricsText(artifacts.metricsText, &skipped[0]);
+    auto traces = parseTraceJsonl(artifacts.traceJsonl, &skipped[1]);
+    auto monitor = parseMonitorJsonl(artifacts.monitorJsonl, &skipped[2]);
+    auto slo = parseSloJsonl(artifacts.sloJsonl, &skipped[3]);
+    auto access = parseAccessJsonl(artifacts.accessJsonl, &skipped[4]);
+    auto chaos = parseChaosJsonl(artifacts.chaosJsonl, &skipped[5]);
 
     std::vector<Section> out;
     auto table = [&](std::string title,
@@ -416,7 +405,7 @@ buildSections(const ReportArtifacts &artifacts)
                  whole(monitor.recoveryMaxSamples)},
                 {"open regime", monitor.recoveryOpen ? "yes" : "no"}};
         }
-        lines("Recent events", monitor.lastEvents);
+        lines("Recent events", monitor.lastEvents.snapshot());
         if (!monitor.summaryLine.empty())
             lines("Summary", {monitor.summaryLine});
     }
@@ -446,7 +435,7 @@ buildSections(const ReportArtifacts &artifacts)
             {"SLO_BURN", count(slo.burnEvents)},
             {"SLO_RECOVERED", count(slo.recoveredEvents)},
             {"events dropped", whole(slo.eventsDropped)}};
-        lines("Recent SLO events", slo.lastEvents);
+        lines("Recent SLO events", slo.lastEvents.snapshot());
     }
     if (access.records > 0) {
         static const char *const cls[6] = {"no answer", "1xx", "2xx",
@@ -494,7 +483,7 @@ buildSections(const ReportArtifacts &artifacts)
                  {"determinism re-runs", whole(chaos.determinismReruns)},
                  {"shrink iterations", whole(chaos.shrinkIterations)}});
         }
-        lines("Violating plans", chaos.violatingLines);
+        lines("Violating plans", chaos.violatingLines.snapshot());
     }
     if (!traces.empty()) {
         Section &spans =
@@ -513,26 +502,14 @@ buildSections(const ReportArtifacts &artifacts)
         for (const auto &m : metrics)
             series.rows.push_back({m.name, fmtDouble(m.value, 6)});
     }
-    // Lines the digests above could not read, so a report over a
-    // truncated or foreign artifact says what it left out.
-    std::vector<std::vector<std::string>> skipped;
-    if (metricsSkipped > 0)
-        skipped.push_back({"metrics", count(metricsSkipped)});
-    const std::pair<const char *, const std::string *> streams[] = {
-        {"trace", &artifacts.traceJsonl},
-        {"monitor", &artifacts.monitorJsonl},
-        {"SLO", &artifacts.sloJsonl},
-        {"access", &artifacts.accessJsonl},
-        {"chaos", &artifacts.chaosJsonl}};
-    for (const auto &[name, body] : streams) {
-        std::size_t n = forEachObjectLine(
-            *body, [](const JsonValue &, const std::string &) {});
-        if (n > 0)
-            skipped.push_back({name, count(n)});
+    std::vector<std::vector<std::string>> skippedRows;
+    for (int k = 0; k < 6; ++k) {
+        if (skipped[k] > 0)
+            skippedRows.push_back({artifactNames[k], count(skipped[k])});
     }
-    if (!skipped.empty())
+    if (!skippedRows.empty())
         table("Lines skipped (unreadable)", {"artifact", "lines"})
-            .rows = std::move(skipped);
+            .rows = std::move(skippedRows);
     return out;
 }
 

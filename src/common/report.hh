@@ -18,10 +18,14 @@
 #include <string>
 #include <vector>
 
+#include "common/ring.hh"
 #include "common/slo.hh"
 #include "common/status.hh"
 
 namespace tomur {
+
+/** Most recent raw event lines a digest keeps. */
+inline constexpr std::size_t kDigestLastLines = 8;
 
 /** The artifact bodies to render (empty string = absent). */
 struct ReportArtifacts
@@ -60,7 +64,7 @@ struct TraceNameStats
 struct MonitorDigest
 {
     std::size_t eventCounts[5] = {}; ///< by MonitorEventKind order
-    std::vector<std::string> lastEvents; ///< most recent raw lines
+    BoundedRing<std::string> lastEvents{kDigestLastLines}; ///< raw
     std::string summaryLine;             ///< raw summary trailer
 
     /** Time-to-recovery rollup from the summary trailer (absent in
@@ -99,7 +103,7 @@ struct SloDigest
 {
     std::size_t burnEvents = 0;      ///< event lines seen
     std::size_t recoveredEvents = 0; ///< event lines seen
-    std::vector<std::string> lastEvents; ///< most recent raw lines
+    BoundedRing<std::string> lastEvents{kDigestLastLines}; ///< raw
     bool hasSummary = false;
     std::vector<SloObjectiveRow> objectives;
     double eventsDropped = 0.0;
@@ -138,29 +142,37 @@ struct ChaosDigest
     bool hasSummary = false;
     /** Invariant rows in first-seen verdict order. */
     std::vector<ChaosInvariantRow> invariants;
-    std::vector<std::string> violatingLines; ///< raw, most recent
+    BoundedRing<std::string> violatingLines{kDigestLastLines}; ///< raw
 };
 
-/** Parse a metrics dump body (skips comments and bucket series). A
- *  line whose value is not one whole number is left out and, when
- *  `skipped` is given, counted there. */
+/* The parsers below read each line once. A line they cannot read (a
+ * metrics value that is not one whole number, a JSONL line that is
+ * not a JSON object) is left out and, when `skipped` is given, added
+ * to *skipped; blank lines are neither read nor counted. */
+
+/** Parse a metrics dump body (skips comments and bucket series). */
 std::vector<MetricSample> parseMetricsText(const std::string &body,
                                            std::size_t *skipped = nullptr);
 
 /** Aggregate a trace JSONL export by record name. */
-std::vector<TraceNameStats> parseTraceJsonl(const std::string &body);
+std::vector<TraceNameStats> parseTraceJsonl(const std::string &body,
+                                            std::size_t *skipped = nullptr);
 
 /** Digest a monitor JSONL stream (events + summary trailer). */
-MonitorDigest parseMonitorJsonl(const std::string &body);
+MonitorDigest parseMonitorJsonl(const std::string &body,
+                                std::size_t *skipped = nullptr);
 
 /** Digest an SLO stream (`tomur serve` /debug/slo body). */
-SloDigest parseSloJsonl(const std::string &body);
+SloDigest parseSloJsonl(const std::string &body,
+                        std::size_t *skipped = nullptr);
 
 /** Digest an access-log stream (/debug/access or --access-log). */
-AccessDigest parseAccessJsonl(const std::string &body);
+AccessDigest parseAccessJsonl(const std::string &body,
+                              std::size_t *skipped = nullptr);
 
 /** Digest a chaos campaign ledger (`tomur chaos --events-out`). */
-ChaosDigest parseChaosJsonl(const std::string &body);
+ChaosDigest parseChaosJsonl(const std::string &body,
+                            std::size_t *skipped = nullptr);
 
 /**
  * Render the dashboard. Returns an error only when every artifact is

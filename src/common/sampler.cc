@@ -1,30 +1,16 @@
 #include "common/sampler.hh"
 
-#include <algorithm>
-#include <chrono>
 #include <ostream>
 
 #include "common/strutil.hh"
 
 namespace tomur {
 
-std::uint64_t
-SamplingProfiler::clockNs()
-{
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-}
-
 SamplingProfiler::SamplingProfiler(SamplerOptions opts)
-    : opts_(opts), rng_(opts.seed)
+    : opts_(opts), rng_(opts.seed), ring_(opts.ringCapacity)
 {
-    if (opts_.ringCapacity == 0)
-        opts_.ringCapacity = 1;
     if (opts_.meanPeriod == 0)
         opts_.meanPeriod = 1;
-    ring_.reserve(opts_.ringCapacity);
     countdown_ = nextGap();
 }
 
@@ -59,32 +45,7 @@ SamplingProfiler::endToken(int site, std::uint64_t durNs)
         ++siteSampled_[static_cast<std::size_t>(site)];
         siteSampledNs_[static_cast<std::size_t>(site)] += durNs;
     }
-    SampledToken tok;
-    tok.site = site;
-    tok.index = tokens_;
-    tok.durNs = durNs;
-    if (ring_.size() < opts_.ringCapacity) {
-        ring_.push_back(tok);
-        return;
-    }
-    // Full: overwrite the oldest slot — bounded memory by design.
-    ring_[ringHead_] = tok;
-    ringHead_ = (ringHead_ + 1) % opts_.ringCapacity;
-    ++dropped_;
-}
-
-std::vector<SampledToken>
-SamplingProfiler::ringContents() const
-{
-    std::vector<SampledToken> out;
-    out.reserve(ring_.size());
-    if (ring_.size() < opts_.ringCapacity) {
-        out = ring_; // not yet wrapped: insertion order is age order
-        return out;
-    }
-    for (std::size_t i = 0; i < ring_.size(); ++i)
-        out.push_back(ring_[(ringHead_ + i) % ring_.size()]);
-    return out;
+    ring_.push({site, tokens_, durNs});
 }
 
 std::vector<SamplerSiteStats>
@@ -111,7 +72,7 @@ SamplingProfiler::exportText(std::ostream &out) const
                 (unsigned long long)tokens_,
                 (unsigned long long)sampledTokens_,
                 (unsigned long long)opts_.meanPeriod, ring_.size(),
-                opts_.ringCapacity, (unsigned long long)dropped_);
+                ring_.capacity(), (unsigned long long)ring_.evicted());
     for (const auto &s : siteStats()) {
         double mean_us =
             s.sampled ? static_cast<double>(s.sampledNs) /

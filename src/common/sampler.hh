@@ -9,7 +9,7 @@
  * Design (after the ring-buffered token-profiler idiom):
  *  - every token bumps per-site counts; only *sampled* tokens read
  *    the steady clock and enter the ring;
- *  - the ring has fixed capacity: a full ring overwrites its oldest
+ *  - the ring is a BoundedRing: a full ring overwrites its oldest
  *    token (and counts the eviction), so memory stays bounded no
  *    matter how many tokens flow through;
  *  - which token indices get sampled is a pure function of the seed
@@ -30,7 +30,9 @@
 #include <string>
 #include <vector>
 
+#include "common/ring.hh"
 #include "common/rng.hh"
+#include "common/trace.hh"
 
 namespace tomur {
 
@@ -85,14 +87,14 @@ class SamplingProfiler
         {
             if (profiler_ &&
                 (sampled_ = profiler_->beginToken(site_)))
-                startNs_ = clockNs();
+                startNs_ = monotonicNs();
         }
         ~Scope()
         {
             // sampled_ is only ever set with a live profiler, so
             // one flag test covers both conditions.
             if (sampled_)
-                profiler_->endToken(site_, clockNs() - startNs_);
+                profiler_->endToken(site_, monotonicNs() - startNs_);
         }
         Scope(const Scope &) = delete;
         Scope &operator=(const Scope &) = delete;
@@ -125,11 +127,14 @@ class SamplingProfiler
     std::uint64_t tokens() const { return tokens_; }
     std::uint64_t sampledTokens() const { return sampledTokens_; }
     /** Sampled tokens evicted by ring wrap-around. */
-    std::uint64_t droppedTokens() const { return dropped_; }
-    std::size_t ringCapacity() const { return opts_.ringCapacity; }
+    std::uint64_t droppedTokens() const { return ring_.evicted(); }
+    std::size_t ringCapacity() const { return ring_.capacity(); }
 
     /** Ring contents, oldest first. Size <= ringCapacity always. */
-    std::vector<SampledToken> ringContents() const;
+    std::vector<SampledToken> ringContents() const
+    {
+        return ring_.snapshot();
+    }
     /** Per-site aggregates, in site-id order. */
     std::vector<SamplerSiteStats> siteStats() const;
 
@@ -137,9 +142,6 @@ class SamplingProfiler
     void exportText(std::ostream &out) const;
 
   private:
-    /** steady_clock in ns; out of line so the header (and every
-     *  hot loop including it) stays free of <chrono>. */
-    static std::uint64_t clockNs();
     std::uint64_t nextGap();
 
     SamplerOptions opts_;
@@ -147,15 +149,13 @@ class SamplingProfiler
     std::uint64_t countdown_;
     std::uint64_t tokens_ = 0;
     std::uint64_t sampledTokens_ = 0;
-    std::uint64_t dropped_ = 0;
 
     std::vector<std::string> siteNames_;
     std::vector<std::uint64_t> siteTokens_;
     std::vector<std::uint64_t> siteSampled_;
     std::vector<std::uint64_t> siteSampledNs_;
 
-    std::vector<SampledToken> ring_; ///< capacity fixed up front
-    std::size_t ringHead_ = 0;       ///< next slot to overwrite
+    BoundedRing<SampledToken> ring_;
 };
 
 } // namespace tomur

@@ -71,7 +71,7 @@ SloTracker::SloTracker(std::vector<SloObjective> objectives)
         }
         ObjectiveState os;
         os.obj = std::move(obj);
-        os.ring.assign(os.obj.slowWindow, 0);
+        os.ring = BoundedRing<std::uint8_t>(os.obj.slowWindow);
         const std::string prefix = "tomur_slo_" + os.obj.name;
         os.requestsMetric =
             &metrics().counter(prefix + "_requests_total");
@@ -107,24 +107,14 @@ SloTracker::isBad(const SloObjective &obj, const SloOutcome &outcome)
 }
 
 double
-SloTracker::ObjectiveState::fastBurnRate() const
+SloTracker::ObjectiveState::burnRate(std::uint64_t windowBad,
+                                     std::size_t window) const
 {
-    std::uint64_t n = std::min<std::uint64_t>(total, obj.fastWindow);
+    std::size_t n = std::min(ring.size(), window);
     if (n == 0)
         return 0.0;
     double frac =
-        static_cast<double>(fastBad) / static_cast<double>(n);
-    return frac / (1.0 - obj.target);
-}
-
-double
-SloTracker::ObjectiveState::slowBurnRate() const
-{
-    std::uint64_t n = std::min<std::uint64_t>(total, obj.slowWindow);
-    if (n == 0)
-        return 0.0;
-    double frac =
-        static_cast<double>(slowBad) / static_cast<double>(n);
+        static_cast<double>(windowBad) / static_cast<double>(n);
     return frac / (1.0 - obj.target);
 }
 
@@ -138,26 +128,23 @@ SloTracker::ingest(const SloOutcome &outcome)
             continue;
         bool bad = isBad(os.obj, outcome);
 
-        // Slide the verdict ring: the slot being overwritten leaves
-        // the slow window; the slot fastWindow back leaves the fast
-        // window. Both windows share one ring because fast <= slow.
-        if (os.total >= os.obj.slowWindow)
-            os.slowBad -= os.ring[os.head];
-        if (os.total >= os.obj.fastWindow) {
-            std::size_t leaving =
-                (os.head + os.obj.slowWindow - os.obj.fastWindow) %
-                os.obj.slowWindow;
-            os.fastBad -= os.ring[leaving];
-        }
-        os.ring[os.head] = bad ? 1 : 0;
-        os.head = (os.head + 1) % os.obj.slowWindow;
+        // Slide the verdict ring: a full ring's oldest verdict
+        // leaves the slow window; the verdict fastWindow back leaves
+        // the fast window. Both windows share one ring because
+        // fast <= slow.
+        std::size_t held = os.ring.size();
+        if (held == os.obj.slowWindow)
+            os.slowBad -= os.ring[0];
+        if (held >= os.obj.fastWindow)
+            os.fastBad -= os.ring[held - os.obj.fastWindow];
+        os.ring.push(bad ? 1 : 0);
         ++os.total;
         os.bad += bad ? 1 : 0;
         os.fastBad += bad ? 1 : 0;
         os.slowBad += bad ? 1 : 0;
 
-        double fast = os.fastBurnRate();
-        double slow = os.slowBurnRate();
+        double fast = os.burnRate(os.fastBad, os.obj.fastWindow);
+        double slow = os.burnRate(os.slowBad, os.obj.slowWindow);
         double budget = 1.0 - slow;
 
         os.requestsMetric->inc();
@@ -210,13 +197,8 @@ SloTracker::ingest(const SloOutcome &outcome)
         }
         os.burningMetric->set(os.burning ? 1.0 : 0.0);
     }
-    for (const auto &ev : fired) {
-        if (events_.size() >= kMaxEvents) {
-            events_.erase(events_.begin());
-            ++eventsDropped_;
-        }
-        events_.push_back(ev);
-    }
+    for (const auto &ev : fired)
+        events_.push(ev);
     return fired;
 }
 
@@ -228,8 +210,8 @@ SloTracker::fillState(const ObjectiveState &os, SloState &out) const
     out.target = os.obj.target;
     out.total = os.total;
     out.bad = os.bad;
-    out.fastBurn = os.fastBurnRate();
-    out.slowBurn = os.slowBurnRate();
+    out.fastBurn = os.burnRate(os.fastBad, os.obj.fastWindow);
+    out.slowBurn = os.burnRate(os.slowBad, os.obj.slowWindow);
     out.budgetRemaining = 1.0 - out.slowBurn;
     out.burning = os.burning;
     out.burnEvents = os.burnEvents;
@@ -248,8 +230,8 @@ SloTracker::states() const
 void
 SloTracker::exportJsonl(std::ostream &out) const
 {
-    for (const auto &ev : events_)
-        out << ev.toJson() << "\n";
+    for (std::size_t i = 0; i < events_.size(); ++i)
+        out << events_[i].toJson() << "\n";
     out << "{\"slo_summary\":{\"objectives\":[";
     bool first = true;
     for (const auto &os : objs_) {
@@ -279,7 +261,7 @@ SloTracker::exportJsonl(std::ostream &out) const
     }
     out << strf("],\"events\":%zu,\"events_dropped\":%llu}}\n",
                 events_.size(),
-                (unsigned long long)eventsDropped_);
+                (unsigned long long)events_.evicted());
 }
 
 std::string

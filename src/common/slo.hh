@@ -38,6 +38,8 @@
 #include <string>
 #include <vector>
 
+#include "common/ring.hh"
+
 namespace tomur {
 
 class Counter;
@@ -155,18 +157,21 @@ class SloTracker
     explicit SloTracker(std::vector<SloObjective> objectives);
 
     /** Fold one outcome into every matching objective; returns the
-     *  events (possibly none) this outcome triggered. Events are
-     *  also retained internally (bounded) for export. */
+     *  events (possibly none) this outcome triggered. The newest
+     *  kMaxEvents events are also retained for export. */
     std::vector<SloEvent> ingest(const SloOutcome &outcome);
 
     std::size_t objectiveCount() const { return objs_.size(); }
     /** Snapshot of every objective, in declaration order. */
     std::vector<SloState> states() const;
 
-    /** Retained events, oldest first (ring-bounded; see
-     *  eventsDropped()). */
-    const std::vector<SloEvent> &events() const { return events_; }
-    std::uint64_t eventsDropped() const { return eventsDropped_; }
+    /** Snapshot of the retained events, oldest first. */
+    std::vector<SloEvent> events() const { return events_.snapshot(); }
+    /** Oldest events evicted past kMaxEvents. */
+    std::uint64_t eventsDropped() const { return events_.evicted(); }
+
+    /** Retained-event cap. */
+    static constexpr std::size_t kMaxEvents = 1024;
 
     /**
      * JSONL: one line per retained event, then a summary trailer
@@ -180,9 +185,8 @@ class SloTracker
     struct ObjectiveState
     {
         SloObjective obj;
-        /** Verdict ring, slowWindow slots (1 = bad). */
-        std::vector<std::uint8_t> ring;
-        std::size_t head = 0; ///< next slot to overwrite
+        /** The newest slowWindow verdicts (1 = bad). */
+        BoundedRing<std::uint8_t> ring{1};
         std::uint64_t total = 0;
         std::uint64_t bad = 0;
         std::uint64_t fastBad = 0;
@@ -199,8 +203,10 @@ class SloTracker
         Gauge *budgetMetric = nullptr;
         Gauge *burningMetric = nullptr;
 
-        double fastBurnRate() const;
-        double slowBurnRate() const;
+        /** Burn over the newest `window` verdicts, `windowBad` of
+         *  them bad. */
+        double burnRate(std::uint64_t windowBad,
+                        std::size_t window) const;
     };
 
     static bool isBad(const SloObjective &obj,
@@ -208,13 +214,9 @@ class SloTracker
     void fillState(const ObjectiveState &os, SloState &out) const;
 
     std::vector<ObjectiveState> objs_;
-    std::vector<SloEvent> events_;
-    std::uint64_t eventsDropped_ = 0;
+    BoundedRing<SloEvent> events_{kMaxEvents};
     Counter *burnEventsMetric_ = nullptr;
     Counter *recoveredEventsMetric_ = nullptr;
-
-    /** Retained-event cap (oldest dropped past this). */
-    static constexpr std::size_t kMaxEvents = 1024;
 };
 
 } // namespace tomur

@@ -17,16 +17,16 @@ namespace {
 thread_local std::vector<std::uint64_t> t_span_stack;
 thread_local std::uint64_t t_inherited_parent = 0;
 
+} // namespace
+
 std::uint64_t
-nowNs()
+monotonicNs()
 {
     return static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now().time_since_epoch())
             .count());
 }
-
-} // namespace
 
 std::string
 traceFormat(double v)
@@ -39,18 +39,15 @@ traceFormat(double v)
 // ---------------------------------------------------------------
 
 Tracer::Tracer()
+    : droppedMetric_(metrics().counter("tomur_trace_dropped_total"))
 {
-    metrics().counter("tomur_trace_dropped_total");
 }
 
 void
 Tracer::enable(std::size_t capacity)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    records_.clear();
-    records_.reserve(std::min<std::size_t>(capacity, 4096));
-    capacity_ = capacity;
-    dropped_ = 0;
+    records_ = BoundedRing<TraceRecord>(capacity);
     enabled_.store(true, std::memory_order_relaxed);
 }
 
@@ -65,7 +62,6 @@ Tracer::clear()
 {
     std::lock_guard<std::mutex> lock(mutex_);
     records_.clear();
-    dropped_ = 0;
     nextId_.store(1, std::memory_order_relaxed);
 }
 
@@ -80,14 +76,14 @@ std::size_t
 Tracer::droppedCount() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return dropped_;
+    return records_.evicted();
 }
 
 std::vector<TraceRecord>
 Tracer::snapshot() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return records_;
+    return records_.snapshot();
 }
 
 std::uint64_t
@@ -130,12 +126,8 @@ void
 Tracer::record(TraceRecord rec)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (records_.size() >= capacity_) {
-        ++dropped_;
-        metrics().counter("tomur_trace_dropped_total").inc();
-        return;
-    }
-    records_.push_back(std::move(rec));
+    if (records_.push(std::move(rec)))
+        droppedMetric_.inc();
 }
 
 Tracer &
@@ -162,14 +154,14 @@ TraceSpan::TraceSpan(const char *name)
     if (rec_.id == 0)
         return;
     rec_.name = name;
-    rec_.startNs = nowNs();
+    rec_.startNs = monotonicNs();
 }
 
 TraceSpan::~TraceSpan()
 {
     if (!active())
         return;
-    rec_.durNs = nowNs() - rec_.startNs;
+    rec_.durNs = monotonicNs() - rec_.startNs;
     tracer().closeSpan(std::move(rec_));
 }
 

@@ -5,12 +5,17 @@
  *
  * A `TraceSpan` is an RAII scope: construction opens the span (it
  * becomes the calling thread's current span), destruction records it
- * into the tracer's bounded ring buffer with its parent linkage,
+ * into the tracer's ring of recent records with its parent linkage,
  * monotonic start/duration timestamps, and any fields attached along
  * the way. `tracePoint()` records a lightweight instant event (e.g.
  * one solver iteration with its residual) under the current span.
  * Everything is a no-op while the tracer is disabled — the hot paths
  * pay one relaxed atomic load.
+ *
+ * Retention: the tracer keeps its newest `capacity` records (a
+ * BoundedRing). Each record past capacity evicts the oldest one and
+ * counts it in droppedCount() and `tomur_trace_dropped_total`, so a
+ * long-running process always holds its most recent records.
  *
  * Parent linkage crosses the thread pool: `parallelFor` captures the
  * caller's current span and installs it as the inherited parent for
@@ -39,7 +44,16 @@
 #include <string>
 #include <vector>
 
+#include "common/ring.hh"
+
 namespace tomur {
+
+class Counter;
+
+/** Monotonic (steady_clock) time in nanoseconds: the one clock for
+ *  span timestamps, profiler tokens and the serve core's timings.
+ *  Out of line, so headers that call it stay free of <chrono>. */
+std::uint64_t monotonicNs();
 
 /** One key/value attribute (values are pre-formatted strings). */
 struct TraceField
@@ -48,7 +62,7 @@ struct TraceField
     std::string value;
 };
 
-/** A finished span or an instant point event in the ring buffer. */
+/** A finished span or an instant point event in the tracer's ring. */
 struct TraceRecord
 {
     bool isSpan = true;
@@ -75,10 +89,11 @@ class Tracer
   public:
     /** Registers tomur_trace_dropped_total eagerly, so the drop
      *  counter shows up (at zero) in every metrics dump instead of
-     *  appearing only after the first overflow. */
+     *  appearing only after the first eviction. */
     Tracer();
 
-    /** Start recording (clears the buffer). */
+    /** Start recording into a ring of `capacity` records (clears
+     *  the ring and its eviction count). */
     void enable(std::size_t capacity = 1 << 16);
     void disable();
     bool
@@ -89,11 +104,13 @@ class Tracer
 
     void clear();
 
-    /** Records kept (spans + points); drops happen past capacity. */
+    /** Records kept (spans + points), at most the capacity. */
     std::size_t recordCount() const;
+    /** Oldest records evicted to make room for newer ones. */
     std::size_t droppedCount() const;
 
-    /** Copy of the buffer, in recording order. */
+    /** Copy of the retained records, oldest first (recording
+     *  order). */
     std::vector<TraceRecord> snapshot() const;
 
     /** The calling thread's current (innermost open) span id. */
@@ -124,9 +141,8 @@ class Tracer
     std::atomic<bool> enabled_{false};
     std::atomic<std::uint64_t> nextId_{1};
     mutable std::mutex mutex_;
-    std::vector<TraceRecord> records_;
-    std::size_t capacity_ = 1 << 16;
-    std::size_t dropped_ = 0;
+    BoundedRing<TraceRecord> records_{1 << 16};
+    Counter &droppedMetric_;
 };
 
 /** The process-wide tracer. */

@@ -1,7 +1,6 @@
 #include "serve/epoll_server.hh"
 
 #include <cerrno>
-#include <chrono>
 #include <csignal>
 #include <cstring>
 
@@ -13,6 +12,7 @@
 
 #include "common/logging.hh"
 #include "common/strutil.hh"
+#include "common/trace.hh"
 
 namespace tomur::serve {
 
@@ -35,15 +35,6 @@ onShutdownSignal(int)
     // Async-signal-safe: one flag store, nothing else. The event
     // loop (or the autopilot sample loop) notices and drains.
     g_shutdown = 1;
-}
-
-std::uint64_t
-steadyNs()
-{
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
 }
 
 } // namespace
@@ -202,7 +193,7 @@ EpollServer::EpollServer(Server &core, EpollOptions opts)
     }
     listener_ = std::make_unique<TcpListener>(listenFd_, epollFd_);
     core_.setListener(listener_.get());
-    lastTickNs_ = steadyNs();
+    lastTickNs_ = monotonicNs();
 }
 
 EpollServer::~EpollServer()
@@ -224,7 +215,7 @@ EpollServer::iterate()
     int n = epoll_wait(epollFd_, events, 64, kWaitTimeoutMs);
     (void)n;
 
-    std::uint64_t now = steadyNs();
+    std::uint64_t now = monotonicNs();
     if (opts_.bucketRefillPerSec > 0.0) {
         double elapsed_sec =
             static_cast<double>(now - lastTickNs_) / 1e9;
@@ -260,7 +251,7 @@ EpollServer::run()
                 listenFd_ = -1;
                 core_.setListener(nullptr);
             }
-            drainStartNs = steadyNs();
+            drainStartNs = monotonicNs();
         }
         if (core_.draining()) {
             if (core_.drained()) {
@@ -268,7 +259,7 @@ EpollServer::run()
                 return Status::ok();
             }
             if (opts_.drainDeadlineMs > 0.0 &&
-                static_cast<double>(steadyNs() - drainStartNs) /
+                static_cast<double>(monotonicNs() - drainStartNs) /
                         1e6 >
                     opts_.drainDeadlineMs) {
                 std::size_t open = core_.openConnections();

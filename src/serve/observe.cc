@@ -7,44 +7,6 @@
 
 namespace tomur::serve {
 
-AccessLog::AccessLog(AccessLogOptions opts)
-    : opts_(opts)
-{
-    if (opts_.capacity == 0)
-        opts_.capacity = 1;
-    ring_.resize(opts_.capacity);
-}
-
-void
-AccessLog::record(AccessRecord rec)
-{
-    if (filled_ == opts_.capacity)
-        ++dropped_;
-    else
-        ++filled_;
-    ring_[head_] = std::move(rec);
-    head_ = (head_ + 1) % opts_.capacity;
-    ++recorded_;
-}
-
-std::size_t
-AccessLog::size() const
-{
-    return filled_;
-}
-
-std::vector<AccessRecord>
-AccessLog::snapshot() const
-{
-    std::vector<AccessRecord> out;
-    out.reserve(filled_);
-    std::size_t start =
-        (head_ + opts_.capacity - filled_) % opts_.capacity;
-    for (std::size_t i = 0; i < filled_; ++i)
-        out.push_back(ring_[(start + i) % opts_.capacity]);
-    return out;
-}
-
 std::string
 AccessLog::formatRecord(const AccessRecord &rec, bool canonical)
 {
@@ -71,12 +33,11 @@ void
 AccessLog::exportJsonl(std::ostream &out, bool canonical,
                        std::size_t maxLines) const
 {
-    auto records = snapshot();
     std::size_t start = 0;
-    if (maxLines > 0 && records.size() > maxLines)
-        start = records.size() - maxLines;
-    for (std::size_t i = start; i < records.size(); ++i)
-        out << formatRecord(records[i], canonical) << "\n";
+    if (maxLines > 0 && ring_.size() > maxLines)
+        start = ring_.size() - maxLines;
+    for (std::size_t i = start; i < ring_.size(); ++i)
+        out << formatRecord(ring_[i], canonical) << "\n";
 }
 
 std::string

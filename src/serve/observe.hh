@@ -3,7 +3,7 @@
  * The serving observatory: the per-request observability state the
  * server core writes and the /debug endpoints read.
  *
- * AccessLog is a bounded ring of per-request outcome records — one
+ * AccessLog is a BoundedRing of per-request outcome records — one
  * line per answered (or refused, or dropped) request, JSONL on the
  * way out. Two export modes mirror the tracer's:
  *
@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "common/ring.hh"
 #include "common/sampler.hh"
 #include "common/slo.hh"
 
@@ -67,19 +68,23 @@ struct AccessLogOptions
 class AccessLog
 {
   public:
-    explicit AccessLog(AccessLogOptions opts = {});
+    explicit AccessLog(AccessLogOptions opts = {})
+        : ring_(opts.capacity)
+    {
+    }
 
-    void record(AccessRecord rec);
+    /** Retain `rec`; true when that evicted the oldest record. */
+    bool record(AccessRecord rec) { return ring_.push(std::move(rec)); }
 
     /** Records currently retained (<= capacity). */
-    std::size_t size() const;
+    std::size_t size() const { return ring_.size(); }
     /** Records ever recorded. */
-    std::uint64_t recorded() const { return recorded_; }
+    std::uint64_t recorded() const { return ring_.size() + ring_.evicted(); }
     /** Records evicted by ring wrap-around. */
-    std::uint64_t dropped() const { return dropped_; }
+    std::uint64_t dropped() const { return ring_.evicted(); }
 
     /** Retained records, oldest first. */
-    std::vector<AccessRecord> snapshot() const;
+    std::vector<AccessRecord> snapshot() const { return ring_.snapshot(); }
 
     /** One JSON object per line, oldest first. canonical omits the
      *  wall-clock fields (see file header). `maxLines` keeps only
@@ -95,12 +100,7 @@ class AccessLog
                                     bool canonical);
 
   private:
-    AccessLogOptions opts_;
-    std::vector<AccessRecord> ring_; ///< capacity fixed up front
-    std::size_t head_ = 0;           ///< next slot to overwrite
-    std::size_t filled_ = 0;
-    std::uint64_t recorded_ = 0;
-    std::uint64_t dropped_ = 0;
+    BoundedRing<AccessRecord> ring_;
 };
 
 /**

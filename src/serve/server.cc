@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <exception>
 #include <optional>
 
@@ -87,15 +86,6 @@ serverMetrics()
     return m;
 }
 
-std::uint64_t
-nowNs()
-{
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-}
-
 } // namespace
 
 Server::Server(ServeOptions opts, Service &service)
@@ -160,10 +150,8 @@ Server::book(AccessRecord rec, double latency_ms)
     }
     if (observatory_->accessSink)
         observatory_->accessSink(rec);
-    std::uint64_t dropped_before = observatory_->accessLog.dropped();
-    observatory_->accessLog.record(std::move(rec));
     serverMetrics().accessRecords.inc();
-    if (observatory_->accessLog.dropped() > dropped_before)
+    if (observatory_->accessLog.record(std::move(rec)))
         serverMetrics().accessDropped.inc();
 }
 
@@ -297,7 +285,7 @@ Server::admit(const std::shared_ptr<Connection> &conn)
         Pending p;
         p.conn = conn;
         p.request = conn->parser.takeRequest();
-        p.enqueuedNs = nowNs();
+        p.enqueuedNs = monotonicNs();
         p.rid = strf("c%llu-r%llu", (unsigned long long)conn->id,
                      (unsigned long long)++conn->requestSeq);
         p.admittedStep = stepIndex_;
@@ -432,12 +420,12 @@ Server::handlePhase()
         didWork_ = true;
         if (p.conn->dead) {
             // The client hung up after admission; the work is moot.
-            book(pendingRecord(p, Verdict::Dropped, nowNs()), 0.0);
+            book(pendingRecord(p, Verdict::Dropped, monotonicNs()), 0.0);
             continue;
         }
         --p.conn->inflight;
 
-        std::uint64_t handleStartNs = nowNs();
+        std::uint64_t handleStartNs = monotonicNs();
         TraceSpan span("server.request");
         AccessRecord rec;
         {
@@ -474,7 +462,7 @@ Server::handlePhase()
         }
         span.field("status",
                    static_cast<std::int64_t>(resp.status));
-        std::uint64_t doneNs = nowNs();
+        std::uint64_t doneNs = monotonicNs();
         rec.status = resp.status;
         rec.bodyBytes = resp.body.size();
         rec.handleMs =
@@ -608,12 +596,13 @@ Server::abortConnections()
 {
     for (auto &conn : conns_)
         killConnection(conn);
-    std::uint64_t now = nowNs();
+    std::uint64_t now = monotonicNs();
     for (const Pending &p : ready_)
         book(pendingRecord(p, Verdict::Dropped, now), 0.0);
     ready_.clear();
     conns_.clear();
     serverMetrics().connections.set(0.0);
+    serverMetrics().queueDepth.set(0.0);
 }
 
 std::size_t

@@ -77,7 +77,8 @@ class Service
  * the way requests are capped by ParserLimits):
  *
  *   GET /debug/vars     metrics snapshot as one JSON object
- *   GET /debug/trace    recent canonical trace spans (JSONL)
+ *   GET /debug/trace    the tracer's retained (newest) records,
+ *                       canonical export (JSONL)
  *   GET /debug/slo      SLO burn events + budget summary (JSONL)
  *   GET /debug/access   recent access-log records (JSONL)
  *   GET /debug/profile  sampling-profiler text dump

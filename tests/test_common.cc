@@ -15,6 +15,7 @@
 #include <sstream>
 
 #include "common/json.hh"
+#include "common/ring.hh"
 #include "common/rng.hh"
 #include "common/serial.hh"
 #include "common/stats.hh"
@@ -200,6 +201,63 @@ TEST(Strutil, SplitJoin)
     ASSERT_EQ(parts.size(), 4u);
     EXPECT_EQ(parts[2], "");
     EXPECT_EQ(join(parts, "-"), "a-b--c");
+}
+
+TEST(BoundedRing, KeepsTheNewestAndCountsEvictions)
+{
+    BoundedRing<int> ring(3);
+    EXPECT_EQ(ring.size(), 0u);
+    EXPECT_FALSE(ring.push(1));
+    EXPECT_FALSE(ring.push(2));
+    EXPECT_FALSE(ring.push(3));
+    EXPECT_EQ(ring.evicted(), 0u);
+    EXPECT_EQ(ring.snapshot(), (std::vector<int>{1, 2, 3}));
+    // Each push past capacity evicts the oldest item.
+    EXPECT_TRUE(ring.push(4));
+    EXPECT_TRUE(ring.push(5));
+    EXPECT_EQ(ring.size(), 3u);
+    EXPECT_EQ(ring.evicted(), 2u);
+    EXPECT_EQ(ring.snapshot(), (std::vector<int>{3, 4, 5}));
+    for (int i = 6; i <= 10; ++i)
+        ring.push(i);
+    EXPECT_EQ(ring.evicted(), 7u);
+    EXPECT_EQ(ring.snapshot(), (std::vector<int>{8, 9, 10}));
+    for (std::size_t i = 0; i < ring.size(); ++i)
+        EXPECT_EQ(ring[i], static_cast<int>(8 + i)); // oldest first
+}
+
+TEST(BoundedRing, CapacityOneKeepsTheLastItem)
+{
+    BoundedRing<std::string> ring(1);
+    ring.push("a");
+    ring.push("b");
+    ring.push("c");
+    EXPECT_EQ(ring.size(), 1u);
+    EXPECT_EQ(ring.evicted(), 2u);
+    EXPECT_EQ(ring[0], "c");
+    // A capacity of 0 is taken as 1.
+    BoundedRing<int> zero(0);
+    EXPECT_EQ(zero.capacity(), 1u);
+    zero.push(1);
+    zero.push(2);
+    EXPECT_EQ(zero.snapshot(), (std::vector<int>{2}));
+}
+
+TEST(BoundedRing, ClearForgetsItemsAndEvictions)
+{
+    BoundedRing<int> ring(2);
+    for (int i = 0; i < 5; ++i)
+        ring.push(i);
+    ring.clear();
+    EXPECT_EQ(ring.size(), 0u);
+    EXPECT_EQ(ring.evicted(), 0u);
+    EXPECT_EQ(ring.capacity(), 2u);
+    // After a clear the ring fills from empty again, in order.
+    ring.push(7);
+    ring.push(8);
+    ring.push(9);
+    EXPECT_EQ(ring.snapshot(), (std::vector<int>{8, 9}));
+    EXPECT_EQ(ring.evicted(), 1u);
 }
 
 TEST(Table, RendersAligned)

@@ -1617,7 +1617,10 @@ TEST(ServerObservatory, AbortLogsQueuedRequestsAsDropped)
         pipe->clientWrite(simpleGet("/done") + simpleGet("/queued"));
         h.server.step(); // admits both, handles the first
         EXPECT_EQ(h.server.openConnections(), deadFirst ? 0u : 1u);
+        Gauge &depth = metrics().gauge("tomur_server_queue_depth");
+        EXPECT_EQ(depth.value(), 1.0);
         h.server.abortConnections();
+        EXPECT_EQ(depth.value(), 0.0); // the abort emptied the queue
 
         auto records = obs.accessLog.snapshot();
         ASSERT_EQ(records.size(), 2u);
@@ -1672,6 +1675,26 @@ TEST(DebugEndpoints, ObservatoryBackedEndpointsServeArtifacts)
     obs.profiler = &profiler;
     EXPECT_EQ(h.roundTrip(simpleGet("/debug/profile")), 200);
     EXPECT_NE(h.body.find("sampling profiler"), std::string::npos);
+}
+
+TEST(DebugEndpoints, TraceShowsTheNewestRequests)
+{
+    // More requests than the trace ring holds (each records at least
+    // four spans): /debug/trace must show the latest request, not
+    // the first ones that filled the ring.
+    ServiceHarness h;
+    tracer().enable(64);
+    for (int i = 0; i < 40; ++i) {
+        EXPECT_EQ(h.roundTrip(simplePost(
+                      "/predict",
+                      "{\"flows\":20000,\"size\":512,\"mtbr\":400}")),
+                  200);
+    }
+    EXPECT_GT(tracer().droppedCount(), 0u);
+    EXPECT_EQ(h.roundTrip(simpleGet("/debug/trace")), 200);
+    tracer().disable();
+    EXPECT_NE(h.body.find("\"request_id\":\"c1-r40\""),
+              std::string::npos);
 }
 
 TEST(DebugEndpoints, MethodAndUnknownPathContracts)

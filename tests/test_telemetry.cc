@@ -371,7 +371,12 @@ TEST(TelemetryTrace, RingBufferBoundsMemoryAndCountsDrops)
         tracePoint("flood", {}, i);
     EXPECT_EQ(tracer().recordCount(), 8u);
     EXPECT_EQ(tracer().droppedCount(), 92u);
+    // The ring keeps the newest records: steps 92..99, oldest first.
+    auto recs = tracer().snapshot();
     tracer().disable();
+    ASSERT_EQ(recs.size(), 8u);
+    for (std::size_t i = 0; i < recs.size(); ++i)
+        EXPECT_EQ(recs[i].step, static_cast<std::int64_t>(92 + i));
 }
 
 TEST(TelemetryTrace, DroppedCounterIsRegisteredEagerly)

@@ -8,9 +8,10 @@
 #      anything starts. Then train a model file and start the real
 #      daemon on it the way perfbench does (--model, --port 0,
 #      --port-file, --drain-ms 2000) plus an access log, hit
-#      /healthz + /predict + /metrics plus the
-#      /debug/vars and /debug/slo introspection views over actual
-#      sockets, then SIGTERM it and assert a clean drain (exit 0)
+#      /healthz + /predict + /metrics plus the /debug/{vars,slo,
+#      trace,access} views over actual sockets (the trace must hold
+#      a server.request span, the access log the /predict), then
+#      SIGTERM it and assert a clean drain (exit 0)
 #      that flushed at least one access-log record. The in-memory
 #      transports cover the core exhaustively; this is the one place
 #      the epoll/signal path is exercised end-to-end.
@@ -132,6 +133,13 @@ assert "tomur_server_requests_total" in dbg, list(dbg)[:5]
 with urllib.request.urlopen(base + "/debug/slo", timeout=10) as r:
     slo = r.read().decode()
 assert "slo_summary" in slo and "objectives" in slo, slo[:200]
+
+def jsonl(path):  # every line of a JSONL view must parse
+    with urllib.request.urlopen(base + path, timeout=10) as r:
+        return [json.loads(line) for line in r.read().decode().splitlines()]
+
+assert any(t.get("name") == "server.request" for t in jsonl("/debug/trace"))
+assert any(a.get("path") == "/predict" for a in jsonl("/debug/access"))
 print("serve smoke: healthz/predict/metrics/debug answered "
       "correctly")
 EOF
