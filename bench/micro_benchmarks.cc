@@ -2,7 +2,8 @@
  * @file
  * Micro-benchmarks (google-benchmark) of the library's hot paths:
  * regex scanning (DFA and NFA), LZ compression, payload synthesis,
- * gradient-boosting training and inference, cache fixed point,
+ * gradient-boosting training and inference, one served model
+ * prediction, cache fixed point,
  * round-robin solver, full testbed equilibrium solves, monitor
  * ingest, checkpoint framing and workload profiling. A plain
  * google-benchmark binary: every --benchmark_* flag applies.
@@ -111,7 +112,8 @@ BM_GbrTrain(benchmark::State &state)
     for (auto _ : state) {
         ml::GradientBoostingRegressor gbr(params);
         gbr.fit(data);
-        benchmark::DoNotOptimize(gbr.predict({0.5, 0.5, 0.5}));
+        benchmark::DoNotOptimize(
+            gbr.predict(std::vector<double>{0.5, 0.5, 0.5}));
     }
 }
 BENCHMARK(BM_GbrTrain);
@@ -127,11 +129,52 @@ BM_GbrPredict(benchmark::State &state)
     }
     ml::GradientBoostingRegressor gbr;
     gbr.fit(data);
-    std::vector<double> x = {0.3, 0.7};
+    // A seeded batch of inputs, cycled: one fixed input would let the
+    // branch predictor learn its path through every tree.
+    std::vector<std::vector<double>> xs(1024);
+    for (auto &x : xs)
+        x = {rng.uniform(0, 1), rng.uniform(0, 1)};
+    std::size_t i = 0;
     for (auto _ : state)
-        benchmark::DoNotOptimize(gbr.predict(x));
+        benchmark::DoNotOptimize(gbr.predict(xs[i++ % xs.size()]));
 }
 BENCHMARK(BM_GbrPredict);
+
+void
+BM_PredictDetailed(benchmark::State &state)
+{
+    // The serve daemon's per-request model call: a trained
+    // FlowMonitor model (3 memory + 3 solo members of 150 trees, one
+    // regex accelerator model) against the reference contention,
+    // over a seeded batch of traffic profiles.
+    static bench::BenchEnv env;
+    auto &nf = env.nf("FlowMonitor");
+    const auto defaults = traffic::TrafficProfile::defaults();
+    core::TrainOptions opts;
+    opts.adaptive.quota = 20;
+    static const core::TomurModel model =
+        env.trainer->train(nf, defaults, opts);
+    static const auto levels =
+        env.lib->referenceContention(env.trainer->workloadOf(nf, defaults))
+            .levels;
+    Rng rng(11);
+    std::vector<traffic::TrafficProfile> profiles(256);
+    for (auto &p : profiles) {
+        p = defaults
+                .withAttribute(traffic::Attribute::FlowCount,
+                               rng.uniform(1e3, 5e5))
+                .withAttribute(traffic::Attribute::PacketSize,
+                               rng.uniform(64, 1500))
+                .withAttribute(traffic::Attribute::Mtbr,
+                               rng.uniform(100, 1200));
+    }
+    std::size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(model.predictDetailed(
+            levels, profiles[i++ % profiles.size()]));
+    }
+}
+BENCHMARK(BM_PredictDetailed);
 
 void
 BM_CacheFixedPoint(benchmark::State &state)

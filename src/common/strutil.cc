@@ -1,7 +1,10 @@
 #include "common/strutil.hh"
 
+#include <charconv>
 #include <cstdio>
 #include <sstream>
+
+#include "common/logging.hh"
 
 namespace tomur {
 
@@ -64,6 +67,13 @@ jsonEscape(const std::string &s)
 {
     std::string out;
     out.reserve(s.size());
+    appendJsonEscaped(out, s);
+    return out;
+}
+
+void
+appendJsonEscaped(std::string &out, std::string_view s)
+{
     for (char c : s) {
         switch (c) {
           case '"':
@@ -85,7 +95,39 @@ jsonEscape(const std::string &s)
                 out.push_back(c);
         }
     }
-    return out;
+}
+
+void
+appendUnsigned(std::string &out, unsigned long long v)
+{
+    char buf[24];
+    auto res = std::to_chars(buf, buf + sizeof(buf), v);
+    out.append(buf, res.ptr);
+}
+
+// std::to_chars with a precision formats as printf does in the "C"
+// locale: chars_format::fixed as "%.*f", general as "%.*g".
+
+void
+appendFixed(std::string &out, double v, int decimals)
+{
+    // DBL_MAX has 309 integer digits; room for a sign, the point and
+    // the decimals a caller asks for.
+    char buf[400];
+    auto res = std::to_chars(buf, buf + sizeof(buf), v,
+                             std::chars_format::fixed, decimals);
+    if (res.ec != std::errc())
+        panic("appendFixed: too many decimals");
+    out.append(buf, res.ptr);
+}
+
+void
+appendGeneral(std::string &out, double v)
+{
+    char buf[32];
+    auto res = std::to_chars(buf, buf + sizeof(buf), v,
+                             std::chars_format::general, 6);
+    out.append(buf, res.ptr);
 }
 
 } // namespace tomur

@@ -8,6 +8,7 @@
 
 #include <cstdarg>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace tomur {
@@ -28,6 +29,18 @@ std::string fmtDouble(double v, int decimals = 1);
 
 /** Minimal JSON string escaping (quotes, backslash, control). */
 std::string jsonEscape(const std::string &s);
+
+/** Append `s` JSON-escaped as jsonEscape() writes it. */
+void appendJsonEscaped(std::string &out, std::string_view s);
+
+/** Append an unsigned integer in decimal (printf's "%llu"). */
+void appendUnsigned(std::string &out, unsigned long long v);
+
+/** Append `v` as printf's "%.<decimals>f" writes it. */
+void appendFixed(std::string &out, double v, int decimals);
+
+/** Append `v` as printf's "%g" writes it. */
+void appendGeneral(std::string &out, double v);
 
 } // namespace tomur
 

@@ -81,6 +81,10 @@ struct TraceExportOptions
     /** Sort siblings, renumber ids depth-first, omit timestamps —
      *  deterministic for deterministic workloads (golden tests). */
     bool canonical = false;
+    /** Canonical export only, 0 = unbounded: keep the newest root
+     *  trees (by recording order) whose lines fit in this many
+     *  bytes, and drop the older ones before the sort. */
+    std::size_t maxBytes = 0;
 };
 
 /** Bounded-ring span recorder; see file header. */

@@ -61,10 +61,17 @@ solveRoundRobin(const std::vector<AccelQueue> &queues)
         double lo = 0.0;
         for (int iter = 0; iter < 100; ++iter) {
             double mid = 0.5 * (lo + hi);
-            if (utilisationAt(queues, mid) < 1.0)
+            // A step that leaves [lo, hi] as it is (mid is already
+            // an end) repeats itself in every later round: stop.
+            if (utilisationAt(queues, mid) < 1.0) {
+                if (mid == lo)
+                    break;
                 lo = mid;
-            else
+            } else {
+                if (mid == hi)
+                    break;
                 hi = mid;
+            }
         }
         double r = 0.5 * (lo + hi);
         for (std::size_t i = 0; i < queues.size(); ++i) {

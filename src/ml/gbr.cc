@@ -1,5 +1,7 @@
 #include "ml/gbr.hh"
 
+#include <algorithm>
+#include <limits>
 #include <numeric>
 
 #include "common/logging.hh"
@@ -12,6 +14,9 @@ namespace {
 
 /** Below this many rows the per-row passes stay serial. */
 constexpr std::size_t kParallelRows = 512;
+
+/** Trees predict() walks side by side (the unroll below matches). */
+constexpr std::size_t kBlock = 16;
 
 } // namespace
 
@@ -154,21 +159,132 @@ GradientBoostingRegressor::fit(
         }
         trees_.push_back(std::move(tree));
     }
+    compile();
     fitted_ = true;
     fitFeatureFp_ = feature_fp;
     fitLabelFp_ = label_fp;
 }
 
+void
+GradientBoostingRegressor::compile()
+{
+    NodePool pool;
+    std::size_t sourceNodes = 0;
+    for (const auto &tree : trees_)
+        sourceNodes += tree.nodes_.size();
+    // A fitted tree compiles to as many slots as it has nodes; a
+    // loaded one that shares subtrees may take a few more.
+    pool.feature.reserve(sourceNodes);
+    pool.threshold.reserve(sourceNodes);
+    pool.child.reserve(sourceNodes);
+    pool.value.reserve(sourceNodes);
+    pool.root.reserve(trees_.size());
+    pool.depth.reserve(trees_.size());
+    const double lr = params_.learningRate;
+    std::vector<std::uint32_t> pairOf, depth;
+    std::vector<std::size_t> source;
+    for (const auto &tree : trees_) {
+        const auto &nodes = tree.nodes_;
+        const std::size_t base = pool.feature.size();
+        if (base + 2 * nodes.size() >
+            std::numeric_limits<std::uint32_t>::max()) {
+            panic("GradientBoostingRegressor: node pool overflow");
+        }
+        // Breadth-first over copies of the source nodes: a split
+        // appends its children pair the first time it is seen, and
+        // a node reached again (a loader-accepted tree may share a
+        // subtree) reuses that pair, so the pool stays linear in the
+        // source size. Children follow their split in the source, so
+        // every walk ends at a leaf.
+        pairOf.assign(nodes.size(), 0);
+        source.assign(1, 0);
+        for (std::size_t s = 0; s < source.size(); ++s) {
+            const RegressionTree::Node &n = nodes[source[s]];
+            const auto k = static_cast<std::uint32_t>(base + s);
+            if (n.feature < 0) {
+                pool.feature.push_back(0);
+                pool.threshold.push_back(
+                    std::numeric_limits<double>::quiet_NaN());
+                pool.child.push_back(k - 1);
+                pool.value.push_back(lr * n.value);
+                continue;
+            }
+            // A pair never starts at slot 0 (the root is there).
+            if (pairOf[source[s]] == 0) {
+                pairOf[source[s]] =
+                    static_cast<std::uint32_t>(base + source.size());
+                source.push_back(static_cast<std::size_t>(n.left));
+                source.push_back(static_cast<std::size_t>(n.right));
+            }
+            pool.feature.push_back(
+                static_cast<std::uint32_t>(n.feature));
+            pool.threshold.push_back(n.threshold);
+            pool.child.push_back(pairOf[source[s]]);
+            pool.value.push_back(0.0);
+        }
+        // Longest root-to-leaf path, children before parents.
+        depth.assign(nodes.size(), 0);
+        for (std::size_t i = nodes.size(); i-- > 0;) {
+            const RegressionTree::Node &n = nodes[i];
+            if (n.feature >= 0)
+                depth[i] = 1 + std::max(depth[n.left], depth[n.right]);
+        }
+        pool.root.push_back(static_cast<std::uint32_t>(base));
+        pool.depth.push_back(depth[0]);
+    }
+    pool_ = std::make_shared<const NodePool>(std::move(pool));
+}
+
 double
 GradientBoostingRegressor::predict(
-    const std::vector<double> &features) const
+    std::span<const double> features) const
 {
     if (!fitted_)
         panic("GradientBoostingRegressor::predict before fit");
+    const NodePool &pool = *pool_;
+    const double *x = features.data();
+    const std::uint32_t *feature = pool.feature.data();
+    const double *threshold = pool.threshold.data();
+    const std::uint32_t *child = pool.child.data();
+    auto step = [&](std::uint32_t k) {
+        return child[k] + !(x[feature[k]] <= threshold[k]);
+    };
+    // A full block of trees walks level by level while every tree
+    // still has a level to go: independent steps, so they overlap.
+    // Deeper trees, and a short last block, finish one tree at a
+    // time. The leaves are then summed in tree order, as the
+    // per-tree accumulation did.
     double y = base_;
-    for (const auto &t : trees_)
-        y += params_.learningRate * t.predict(features);
+    const std::size_t n_trees = pool.root.size();
+    for (std::size_t t0 = 0; t0 < n_trees; t0 += kBlock) {
+        const std::size_t n = std::min(kBlock, n_trees - t0);
+        const std::uint32_t *depth = pool.depth.data() + t0;
+        std::uint32_t at[kBlock];
+        std::copy_n(pool.root.data() + t0, n, at);
+        const std::uint32_t shared =
+            n == kBlock ? *std::min_element(depth, depth + n) : 0;
+        for (std::uint32_t d = 0; d < shared; ++d) {
+#pragma GCC unroll 16
+            for (std::size_t i = 0; i < kBlock; ++i)
+                at[i] = step(at[i]);
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+            for (std::uint32_t d = shared; d < depth[i]; ++d)
+                at[i] = step(at[i]);
+            y += pool.value[at[i]];
+        }
+    }
     return y;
+}
+
+double
+meanPredict(const std::vector<GradientBoostingRegressor> &members,
+            std::span<const double> features)
+{
+    double sum = 0.0;
+    for (const auto &m : members)
+        sum += m.predict(features);
+    return sum / members.size();
 }
 
 std::vector<double>

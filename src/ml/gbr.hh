@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "ml/tree.hh"
@@ -61,10 +62,11 @@ class GradientBoostingRegressor
     void fit(const Dataset &data,
              std::shared_ptr<const BinnedMatrix> binned);
 
-    /** Predict one sample. */
-    double predict(const std::vector<double> &features) const;
+    /** Predict one sample, from the compiled node pool. Bit-identical
+     *  to summing the per-tree walks in tree order. */
+    double predict(std::span<const double> features) const;
 
-    /** Predict many samples. */
+    /** Predict many samples (the per-tree walk over dataset rows). */
     std::vector<double>
     predictAll(const Dataset &data) const;
 
@@ -89,9 +91,36 @@ class GradientBoostingRegressor
     static void walk(Self &self, Sink &sink, std::size_t numFeatures);
 
   private:
+    /**
+     * The inference form of trees_: every tree's reachable nodes in
+     * one struct-of-arrays pool, numbered breadth-first so a split's
+     * two children are adjacent (left at child[k], right at
+     * child[k] + 1). A leaf stores its value premultiplied by the
+     * learning rate and loops to itself (child k - 1, modulo 2^32,
+     * and a NaN threshold, which sends every input right), so a
+     * tree is walked a fixed `depth` steps with no leaf test.
+     * Derived, never serialized or digested: trees_ stays the source
+     * of truth, and compile() rebuilds this from it. Never changed
+     * once built, so copies of the ensemble share it.
+     */
+    struct NodePool
+    {
+        std::vector<std::uint32_t> feature;
+        std::vector<double> threshold;
+        std::vector<std::uint32_t> child;
+        std::vector<double> value;
+        std::vector<std::uint32_t> root;  ///< per tree
+        std::vector<std::uint32_t> depth; ///< per tree, longest path
+    };
+
+    /** Rebuild pool_ from trees_: run by every path that sets them
+     *  (fit, and the reader walk behind load and model loads). */
+    void compile();
+
     GbrParams params_;
     double base_ = 0.0;
     std::vector<RegressionTree> trees_;
+    std::shared_ptr<const NodePool> pool_;
     bool fitted_ = false;
 
     /** Warm-start caches: what the fitted model was computed from. */
@@ -99,6 +128,11 @@ class GradientBoostingRegressor
     std::uint64_t fitFeatureFp_ = 0;
     std::uint64_t fitLabelFp_ = 0;
 };
+
+/** Seed-ensemble average: the members' predictions summed in member
+ *  order, then divided by the member count. */
+double meanPredict(const std::vector<GradientBoostingRegressor> &members,
+                   std::span<const double> features);
 
 } // namespace tomur::ml
 

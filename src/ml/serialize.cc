@@ -9,6 +9,7 @@
 #include <istream>
 #include <limits>
 #include <ostream>
+#include <type_traits>
 
 #include "common/logging.hh"
 #include "common/serial.hh"
@@ -74,9 +75,14 @@ GradientBoostingRegressor::walk(Self &self, Sink &s,
     s.endLine();
     s.elements(self.trees_, n,
                [&](auto &t) { RegressionTree::walk(t, s, numFeatures); });
-    // A loaded ensemble is fitted, with the trees it read.
+    // A loaded ensemble is fitted, with the trees it read, and
+    // compiled from them.
     s.loaded(self.params_.numTrees, static_cast<int>(n));
     s.loaded(self.fitted_, true);
+    if constexpr (!std::is_const_v<Self>) {
+        if (s.ok())
+            self.compile();
+    }
 }
 
 template void

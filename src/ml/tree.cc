@@ -279,21 +279,6 @@ RegressionTree::growBinned(const BinnedMatrix &binned,
 }
 
 double
-RegressionTree::predict(const std::vector<double> &features) const
-{
-    if (nodes_.empty())
-        panic("RegressionTree::predict before fit");
-    int idx = 0;
-    for (;;) {
-        const Node &node = nodes_[idx];
-        if (node.feature < 0)
-            return node.value;
-        idx = features[node.feature] <= node.threshold ? node.left
-                                                       : node.right;
-    }
-}
-
-double
 RegressionTree::predictRow(const Dataset &data, std::size_t i) const
 {
     if (nodes_.empty())

@@ -83,10 +83,9 @@ class RegressionTree
                    const TreeParams &params,
                    TreeScratch *scratch = nullptr);
 
-    /** Predict one sample. */
-    double predict(const std::vector<double> &features) const;
-
-    /** Predict one dataset row without materializing it. */
+    /** Predict one dataset row without materializing it (fitting
+     *  and batch prediction; single samples go through the
+     *  ensemble's compiled pool). */
     double predictRow(const Dataset &data, std::size_t i) const;
 
     /** Number of nodes (0 before fit). */
@@ -97,12 +96,15 @@ class RegressionTree
 
     /** The tree's field walk, run by its ensemble's
      *  (common/serial.hh). A load rejects a split on a feature index
-     *  at or above `numFeatures`, so predict() needs no bounds
+     *  at or above `numFeatures`, so a prediction needs no bounds
      *  check. */
     template <class Self, class Sink>
     static void walk(Self &self, Sink &sink, std::size_t numFeatures);
 
   private:
+    /** Compiles trees into its node pool. */
+    friend class GradientBoostingRegressor;
+
     struct Node
     {
         int feature = -1;       ///< -1 for leaves

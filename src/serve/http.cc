@@ -380,20 +380,26 @@ httpStatusText(int status)
     }
 }
 
-std::string
-renderResponse(const HttpResponse &resp)
+void
+renderResponse(std::string &out, const HttpResponse &resp)
 {
-    std::string out = strf("HTTP/1.1 %d %s\r\n", resp.status,
-                           httpStatusText(resp.status));
-    out += "Content-Type: " + resp.contentType + "\r\n";
-    out += strf("Content-Length: %zu\r\n", resp.body.size());
-    for (const auto &h : resp.extraHeaders)
-        out += h + "\r\n";
+    out += "HTTP/1.1 ";
+    out += std::to_string(resp.status);
+    out += ' ';
+    out += httpStatusText(resp.status);
+    out += "\r\nContent-Type: ";
+    out += resp.contentType;
+    out += "\r\nContent-Length: ";
+    appendUnsigned(out, resp.body.size());
+    out += "\r\n";
+    for (const auto &h : resp.extraHeaders) {
+        out += h;
+        out += "\r\n";
+    }
     if (resp.close)
         out += "Connection: close\r\n";
     out += "\r\n";
     out += resp.body;
-    return out;
 }
 
 int

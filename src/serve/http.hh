@@ -140,8 +140,9 @@ struct HttpResponse
 /** Reason phrase for the status codes the daemon emits. */
 const char *httpStatusText(int status);
 
-/** Serialize a response (HTTP/1.1, Content-Length framing). */
-std::string renderResponse(const HttpResponse &resp);
+/** Append a response's wire bytes (HTTP/1.1, Content-Length
+ *  framing) to `out`. */
+void renderResponse(std::string &out, const HttpResponse &resp);
 
 /** Map a Status from a service handler onto an HTTP status. */
 int httpStatusFor(StatusCode code);

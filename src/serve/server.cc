@@ -191,7 +191,8 @@ Server::addConnection(std::unique_ptr<Transport> transport,
         resp.extraHeaders.push_back("Retry-After: 1");
         resp.body = errorBody(draining_ ? "draining"
                                         : "connection limit");
-        std::string bytes = renderResponse(resp);
+        std::string bytes;
+        renderResponse(bytes, resp);
         (void)conn->transport->write(bytes.data(), bytes.size());
         conn->transport->close();
         return;
@@ -255,7 +256,7 @@ Server::respond(const std::shared_ptr<Connection> &conn,
 {
     if (resp.close)
         conn->closeAfterFlush = true;
-    conn->writeBuf += renderResponse(resp);
+    renderResponse(conn->writeBuf, resp);
     if (conn->writeBuf.size() - conn->writeOff >
         opts_.maxWriteBufferBytes) {
         // The peer is not reading; holding its responses hostage in

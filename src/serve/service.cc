@@ -171,10 +171,13 @@ ModelService::handleDebug(const std::string &path) const
             r.body = "{\"enabled\":false,\"records\":0}";
             return r;
         }
+        // The cap drops the oldest requests, not the last ones in the
+        // canonical (text-sorted) order.
         TraceExportOptions topts;
         topts.canonical = true;
+        topts.maxBytes = kDebugBodyCap;
         r.contentType = "application/jsonl";
-        r.body = capTailLines(tracer().exportString(topts));
+        r.body = tracer().exportString(topts);
         return r;
     }
     // Observatory-backed views 503 without one attached — but only
@@ -270,6 +273,29 @@ ModelService::profileFromBody(const std::string &body) const
     return profile;
 }
 
+namespace {
+
+Counter &
+predictionsCounter()
+{
+    static Counter &c =
+        metrics().counter("tomur_server_predictions_total");
+    return c;
+}
+
+Counter &
+diagnosesCounter()
+{
+    static Counter &c =
+        metrics().counter("tomur_server_diagnoses_total");
+    return c;
+}
+
+} // namespace
+
+// The /predict and /diagnose bodies are written in one append pass;
+// the append helpers write what printf's %llu, %g and %.Nf write.
+
 ServiceReply
 ModelService::handlePredict(const HttpRequest &req) const
 {
@@ -283,32 +309,44 @@ ModelService::handlePredict(const HttpRequest &req) const
         return replyFromStatus(profile.status());
 
     checkDeadline("server.predict");
-    auto b = snap.model->predictDetailed(levels_, profile.value());
-    metrics().counter("tomur_server_predictions_total").inc();
+    const traffic::TrafficProfile &p = profile.value();
+    auto b = snap.model->predictDetailed(levels_, p);
+    predictionsCounter().inc();
 
     double drop_pct =
         b.soloThroughput > 0.0
             ? 100.0 * (1.0 - b.predicted / b.soloThroughput)
             : 0.0;
     ServiceReply r;
-    r.body = strf(
-        "{\"nf\":\"%s\",\"model_version\":%llu,"
-        "\"profile\":{\"flows\":%llu,\"size\":%llu,\"mtbr\":%g},"
-        "\"solo_pps\":%.1f,\"predicted_pps\":%.1f,"
-        "\"drop_pct\":%.2f,\"dominant\":\"%s\","
-        "\"confidence\":%.2f,\"degraded\":%s%s%s}",
-        jsonEscape(label_).c_str(),
-        (unsigned long long)snap.version,
-        (unsigned long long)profile.value().flowCount,
-        (unsigned long long)profile.value().packetSize,
-        profile.value().mtbr, b.soloThroughput, b.predicted,
-        drop_pct,
-        core::attributedResourceName(b.dominantResource),
-        b.confidence, b.degraded ? "true" : "false",
-        b.degraded ? ",\"degraded_reason\":\"" : "",
-        b.degraded
-            ? (jsonEscape(b.degradedReason) + "\"").c_str()
-            : "");
+    std::string &o = r.body;
+    o.reserve(256);
+    o += "{\"nf\":\"";
+    appendJsonEscaped(o, label_);
+    o += "\",\"model_version\":";
+    appendUnsigned(o, snap.version);
+    o += ",\"profile\":{\"flows\":";
+    appendUnsigned(o, p.flowCount);
+    o += ",\"size\":";
+    appendUnsigned(o, p.packetSize);
+    o += ",\"mtbr\":";
+    appendGeneral(o, p.mtbr);
+    o += "},\"solo_pps\":";
+    appendFixed(o, b.soloThroughput, 1);
+    o += ",\"predicted_pps\":";
+    appendFixed(o, b.predicted, 1);
+    o += ",\"drop_pct\":";
+    appendFixed(o, drop_pct, 2);
+    o += ",\"dominant\":\"";
+    o += core::attributedResourceName(b.dominantResource);
+    o += "\",\"confidence\":";
+    appendFixed(o, b.confidence, 2);
+    o += b.degraded ? ",\"degraded\":true" : ",\"degraded\":false";
+    if (b.degraded) {
+        o += ",\"degraded_reason\":\"";
+        appendJsonEscaped(o, b.degradedReason);
+        o += '"';
+    }
+    o += '}';
     return r;
 }
 
@@ -326,31 +364,39 @@ ModelService::handleDiagnose(const HttpRequest &req) const
 
     checkDeadline("server.diagnose");
     auto b = snap.model->predictDetailed(levels_, profile.value());
-    auto attribution = core::attributeContention(b);
-    metrics().counter("tomur_server_diagnoses_total").inc();
+    auto a = core::attributeContention(b);
+    diagnosesCounter().inc();
 
-    std::string ranked;
-    for (const auto &c : attribution.ranked) {
-        if (!ranked.empty())
-            ranked += ",";
-        ranked += strf("{\"resource\":\"%s\",\"drop_pps\":%.1f,"
-                       "\"share\":%.3f}",
-                       core::attributedResourceName(c.resource),
-                       c.drop, c.share);
-    }
     ServiceReply r;
-    r.body = strf(
-        "{\"nf\":\"%s\",\"model_version\":%llu,"
-        "\"dominant\":\"%s\",\"solo_pps\":%.1f,"
-        "\"predicted_pps\":%.1f,\"total_drop_pps\":%.1f,"
-        "\"confidence\":%.2f,\"degraded\":%s,\"ranked\":[%s]}",
-        jsonEscape(label_).c_str(),
-        (unsigned long long)snap.version,
-        core::attributedResourceName(
-            attribution.dominantResource),
-        attribution.soloThroughput, attribution.predicted,
-        attribution.totalDrop, attribution.confidence,
-        attribution.degraded ? "true" : "false", ranked.c_str());
+    std::string &o = r.body;
+    o.reserve(512);
+    o += "{\"nf\":\"";
+    appendJsonEscaped(o, label_);
+    o += "\",\"model_version\":";
+    appendUnsigned(o, snap.version);
+    o += ",\"dominant\":\"";
+    o += core::attributedResourceName(a.dominantResource);
+    o += "\",\"solo_pps\":";
+    appendFixed(o, a.soloThroughput, 1);
+    o += ",\"predicted_pps\":";
+    appendFixed(o, a.predicted, 1);
+    o += ",\"total_drop_pps\":";
+    appendFixed(o, a.totalDrop, 1);
+    o += ",\"confidence\":";
+    appendFixed(o, a.confidence, 2);
+    o += a.degraded ? ",\"degraded\":true" : ",\"degraded\":false";
+    o += ",\"ranked\":[";
+    for (std::size_t i = 0; i < a.ranked.size(); ++i) {
+        const auto &c = a.ranked[i];
+        o += i == 0 ? "{\"resource\":\"" : ",{\"resource\":\"";
+        o += core::attributedResourceName(c.resource);
+        o += "\",\"drop_pps\":";
+        appendFixed(o, c.drop, 1);
+        o += ",\"share\":";
+        appendFixed(o, c.share, 3);
+        o += '}';
+    }
+    o += "]}";
     return r;
 }
 

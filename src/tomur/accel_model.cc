@@ -140,7 +140,8 @@ AccelQueueModel::serviceTime(double mtbr, double payload_bytes) const
 double
 AccelQueueModel::predictThroughput(
     double mtbr, double payload_bytes,
-    const std::vector<AccelContention> &competitors) const
+    const std::vector<ContentionLevel> &competitors,
+    hw::AccelKind kind) const
 {
     if (!calibrated_)
         panic("AccelQueueModel::predictThroughput before calibrate");
@@ -149,7 +150,8 @@ AccelQueueModel::predictThroughput(
         queues.push_back(hw::AccelQueue{
             serviceTime(mtbr, payload_bytes), 0.0, true});
     }
-    for (const auto &c : competitors) {
+    for (const auto &level : competitors) {
+        const AccelContention &c = level.accelContention(kind);
         if (!c.used)
             continue;
         for (int q = 0; q < c.queues; ++q) {

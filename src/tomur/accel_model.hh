@@ -69,12 +69,14 @@ class AccelQueueModel
 
     /**
      * Predict the target's accelerator-stage throughput (packets/s,
-     * assuming one request per packet as calibrated) given competitor
-     * accelerator contention levels.
+     * assuming one request per packet as calibrated) given the
+     * competitors' contention on accelerator `kind` (competitors
+     * that do not use it are skipped).
      */
     double predictThroughput(
         double mtbr, double payload_bytes,
-        const std::vector<AccelContention> &competitors) const;
+        const std::vector<ContentionLevel> &competitors,
+        hw::AccelKind kind) const;
 
     bool calibrated() const { return calibrated_; }
 

@@ -11,7 +11,7 @@ namespace fw = framework;
 
 double
 compose(CompositionKind kind, fw::ExecutionPattern pattern,
-        double t_solo, const std::vector<double> &drops)
+        double t_solo, std::span<const double> drops)
 {
     if (t_solo <= 0.0)
         fatal("compose: non-positive solo throughput");

@@ -8,6 +8,7 @@
 #ifndef TOMUR_TOMUR_COMPOSITION_HH
 #define TOMUR_TOMUR_COMPOSITION_HH
 
+#include <span>
 #include <vector>
 
 #include "framework/nf.hh"
@@ -34,7 +35,7 @@ enum class CompositionKind
  */
 double compose(CompositionKind kind,
                framework::ExecutionPattern pattern, double t_solo,
-               const std::vector<double> &drops);
+               std::span<const double> drops);
 
 /**
  * Detect the execution pattern without source access (§4.2): given

@@ -89,21 +89,12 @@ MemoryModel::fit(const ml::Dataset &data)
 }
 
 double
-MemoryModel::predictRow(const std::vector<double> &features) const
-{
-    if (!fitted_)
-        panic("MemoryModel::predict before fit");
-    double sum = 0.0;
-    for (const auto &m : models_)
-        sum += m.predict(features);
-    return sum / models_.size();
-}
-
-double
 MemoryModel::predict(const std::vector<ContentionLevel> &competitors,
                      const traffic::TrafficProfile &profile) const
 {
-    return predictRow(featuresFor(competitors, profile));
+    if (!fitted_)
+        panic("MemoryModel::predict before fit");
+    return ml::meanPredict(models_, featuresFor(competitors, profile));
 }
 
 } // namespace tomur::core

@@ -62,9 +62,6 @@ class MemoryModel
     predict(const std::vector<ContentionLevel> &competitors,
             const traffic::TrafficProfile &profile) const;
 
-    /** Predict from a raw feature vector. */
-    double predictRow(const std::vector<double> &features) const;
-
     bool fitted() const { return fitted_; }
     bool trafficAware() const { return opts_.trafficAware; }
     const MemoryModelOptions &options() const { return opts_; }

@@ -73,10 +73,7 @@ TomurModel::trySoloThroughput(const traffic::TrafficProfile &p) const
         return Status::unavailable(
             "solo sensitivity model marked degraded");
     }
-    double sum = 0.0;
-    for (const auto &m : soloModels_)
-        sum += m.predict(p.toVector());
-    double t = sum / soloModels_.size();
+    double t = ml::meanPredict(soloModels_, p.toVector());
     if (!std::isfinite(t)) {
         return Status::unavailable(
             "solo sensitivity model returned a non-finite estimate");
@@ -144,7 +141,9 @@ TomurModel::predictDetailed(
     }
     out.memoryOnlyThroughput = t_mem;
 
-    std::vector<double> drops = {t_solo - t_mem};
+    // One drop per resource: memory, then each used accelerator.
+    double drops[1 + hw::numAccelKinds] = {t_solo - t_mem};
+    std::size_t n_drops = 1;
 
     // ---- Accelerator-only predictions ----
     for (int k = 0; k < hw::numAccelKinds; ++k) {
@@ -164,23 +163,19 @@ TomurModel::predictDetailed(
             continue;
         }
         out.accelUsed[k] = true;
-        std::vector<AccelContention> comp;
-        for (const auto &c : competitors) {
-            if (c.accel[k].used)
-                comp.push_back(c.accel[k]);
-        }
         double payload = static_cast<double>(
             net::PacketBuilder::payloadForFrame(
                 profile.packetSize, net::IpProto::Udp));
         double stage = accel_[k]->predictThroughput(
-            profile.mtbr, payload, comp);
+            profile.mtbr, payload, competitors,
+            static_cast<hw::AccelKind>(k));
         double t_k = std::clamp(stage, 0.0, t_solo);
         out.accelOnlyThroughput[k] = t_k;
-        drops.push_back(t_solo - t_k);
+        drops[n_drops++] = t_solo - t_k;
     }
 
     out.predicted = compose(CompositionKind::ExecutionPattern,
-                            pattern_, t_solo, drops);
+                            pattern_, t_solo, {drops, n_drops});
     // The ranking lives in the attribution module (the monitor and
     // the diagnosis use case consume the same one).
     out.dominantResource = attributeContention(out).dominantResource;

@@ -7,11 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <numeric>
+#include <span>
 #include <sstream>
 
 #include "common/rng.hh"
+#include "common/strutil.hh"
 #include "ml/dataset.hh"
 #include "ml/gbr.hh"
 #include "ml/linreg.hh"
@@ -84,7 +88,7 @@ TEST(Tree, FitsConstant)
     std::vector<std::size_t> rows{0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
     RegressionTree t;
     t.fit(d, d.labels(), rows, TreeParams{});
-    EXPECT_DOUBLE_EQ(t.predict({3.0}), 7.0);
+    EXPECT_DOUBLE_EQ(t.predictRow(d, 3), 7.0);
     EXPECT_EQ(t.numNodes(), 1u); // no split improves SSE
 }
 
@@ -100,8 +104,8 @@ TEST(Tree, FitsStepFunction)
     TreeParams p;
     p.maxDepth = 2;
     t.fit(d, d.labels(), rows, p);
-    EXPECT_NEAR(t.predict({5.0}), 1.0, 1e-9);
-    EXPECT_NEAR(t.predict({30.0}), 9.0, 1e-9);
+    EXPECT_NEAR(t.predictRow(d, 5), 1.0, 1e-9); // x = 5
+    EXPECT_NEAR(t.predictRow(d, 30), 9.0, 1e-9); // x = 30
 }
 
 TEST(Tree, RespectsMaxDepth)
@@ -145,8 +149,10 @@ TEST(Gbr, SeedsProduceDifferentModels)
     a.fit(train);
     b.fit(train);
     bool differs = false;
-    for (double x = 0.5; x < 10; x += 0.7)
-        differs |= a.predict({x, 1.0}) != b.predict({x, 1.0});
+    for (double x = 0.5; x < 10; x += 0.7) {
+        const std::vector<double> row = {x, 1.0};
+        differs |= a.predict(row) != b.predict(row);
+    }
     EXPECT_TRUE(differs);
 }
 
@@ -173,7 +179,7 @@ TEST(Gbr, MoreTreesReduceTrainError)
 TEST(Gbr, PredictBeforeFitPanics)
 {
     GradientBoostingRegressor gbr;
-    EXPECT_DEATH(gbr.predict({1.0}), "before fit");
+    EXPECT_DEATH(gbr.predict(std::vector<double>{1.0}), "before fit");
 }
 
 TEST(LinReg, RecoversCoefficients)
@@ -419,6 +425,121 @@ TEST(GbrProperty, WarmRefitOnUnchangedDataIsByteIdentical)
     warm.save(warm2_bytes);
     cold2.save(cold2_bytes);
     EXPECT_EQ(cold2_bytes.str(), warm2_bytes.str());
+}
+
+// ---------------------------------------------------------------
+// Compiled inference form: predict() walks the flat node pool, and
+// predictAll() keeps the per-tree walk, so it is the reference.
+// ---------------------------------------------------------------
+
+/** Every row of `probe`: predict(row) equals predictAll()[row] bit
+ *  for bit. */
+void
+expectPoolMatchesTreeWalk(const GradientBoostingRegressor &gbr,
+                          const Dataset &probe)
+{
+    const std::vector<double> ref = gbr.predictAll(probe);
+    for (std::size_t i = 0; i < probe.size(); ++i) {
+        const std::vector<double> row = probe.row(i);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(gbr.predict(row)),
+                  std::bit_cast<std::uint64_t>(ref[i]))
+            << "row " << i;
+    }
+}
+
+/** Rows drawn from values that stress the split test: integers and
+ *  half-integers (the thresholds of integer-valued training data sit
+ *  on the half-integers, so x == threshold), NaN and infinities. */
+Dataset
+edgeProbe(std::size_t width, std::size_t rows, std::uint64_t seed)
+{
+    std::vector<double> values = {
+        std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(), -0.0, -1.0, 50.0};
+    for (int k = 0; k < 24; ++k)
+        values.push_back(0.5 * k);
+    Rng rng(seed);
+    Dataset d;
+    for (std::size_t i = 0; i < rows; ++i) {
+        std::vector<double> x(width);
+        for (double &v : x)
+            v = values[rng.uniformInt(values.size())];
+        d.add(x, 0.0);
+    }
+    return d;
+}
+
+TEST(CompiledGbr, MatchesTreeWalkOnTrainedEnsembles)
+{
+    for (int depth : {1, 3, 6}) {
+        Rng rng(static_cast<std::uint64_t>(depth));
+        Dataset train({"a", "b", "c"});
+        for (int i = 0; i < 300; ++i) {
+            double a = rng.uniformInt(12), b = rng.uniformInt(7),
+                   c = rng.uniformInt(3);
+            train.add({a, b, c}, a * b - 4 * c + rng.normal());
+        }
+        GbrParams p;
+        p.maxDepth = depth;
+        p.numTrees = 60;
+        GradientBoostingRegressor gbr(p);
+        gbr.fit(train);
+        expectPoolMatchesTreeWalk(gbr, train);
+        expectPoolMatchesTreeWalk(gbr, edgeProbe(3, 3000, 17));
+    }
+}
+
+TEST(CompiledGbr, SingleLeafTrees)
+{
+    // Constant labels: no split reduces the error, so every tree is
+    // one leaf, and a prediction reads no feature at all.
+    Dataset train({"x"});
+    for (int i = 0; i < 20; ++i)
+        train.add({double(i)}, 3.0);
+    GradientBoostingRegressor gbr;
+    gbr.fit(train);
+    expectPoolMatchesTreeWalk(gbr, edgeProbe(1, 64, 3));
+    EXPECT_EQ(gbr.predict(std::span<const double>{}),
+              gbr.predictAll(train)[0]);
+}
+
+TEST(CompiledGbr, HandWrittenUnbalancedAndSharedTrees)
+{
+    // Trees the loader accepts but the fitter never grows: a 40-split
+    // chain, an unbalanced tree, a split whose two children are one
+    // shared subtree, and a lone leaf.
+    std::string text = "gbr 4 0.25 0.5\n";
+    text += "tree 81\n";
+    for (int i = 0; i < 40; ++i) {
+        text += strf("%d %d 0 %d %d\n", i % 2, i, 2 * i + 1, 2 * i + 2);
+        text += strf("-1 0 %d -1 -1\n", i);
+    }
+    text += "-1 0 1000 -1 -1\n";
+    text += "tree 7\n"
+            "0 1 0 1 2\n"
+            "-1 0 10 -1 -1\n"
+            "1 2 0 3 4\n"
+            "-1 0 20 -1 -1\n"
+            "0 3 0 5 6\n"
+            "-1 0 30 -1 -1\n"
+            "-1 0 40 -1 -1\n";
+    text += "tree 4\n"
+            "0 0.5 0 1 1\n"
+            "1 -1 0 2 3\n"
+            "-1 0 5 -1 -1\n"
+            "-1 0 6 -1 -1\n";
+    text += "tree 1\n"
+            "-1 0 7 -1 -1\n";
+    std::istringstream in(text);
+    GradientBoostingRegressor gbr;
+    ASSERT_TRUE(gbr.load(in));
+    expectPoolMatchesTreeWalk(gbr, edgeProbe(2, 4000, 5));
+
+    // Past every split of the chain: its last leaf, and the right
+    // branches of the others (0.25 + 0.5 * (1000 + 40 + 6 + 7)).
+    const std::vector<double> far = {100.0, 100.0};
+    EXPECT_EQ(gbr.predict(far), 526.75);
 }
 
 } // namespace

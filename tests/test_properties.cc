@@ -189,7 +189,7 @@ TEST(CompositionInvariants, ZeroDropsIdentity)
                          fw::ExecutionPattern::RunToCompletion}) {
         double t = core::compose(
             core::CompositionKind::ExecutionPattern, pattern, 1e6,
-            {0.0, 0.0, 0.0});
+            std::vector<double>{0.0, 0.0, 0.0});
         EXPECT_NEAR(t, 1e6, 1.0);
     }
 }

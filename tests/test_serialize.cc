@@ -172,6 +172,56 @@ TEST(Serialize, TomurModelRoundTrip)
     }
 }
 
+TEST(Serialize, EveryLoadPathPredictsLikeTheTrainedModel)
+{
+    // Loading compiles each ensemble's node pool from the trees it
+    // read: a model file's load(), a checkpoint blob's loadBody() and
+    // a copy all predict exactly what the trained model predicts.
+    auto rules = regex::defaultRuleSet();
+    framework::DeviceSet dev;
+    dev.regex = std::make_shared<framework::RegexDevice>(rules);
+    dev.compression =
+        std::make_shared<framework::CompressionDevice>();
+    dev.crypto = std::make_shared<framework::CryptoDevice>();
+    sim::Testbed bed(hw::blueField2(), {});
+    core::BenchLibrary lib(bed, dev, rules);
+    core::TomurTrainer trainer(lib);
+    auto defaults = traffic::TrafficProfile::defaults();
+    auto nf = nfs::makeByName("FlowStats", dev);
+    core::TrainOptions opts;
+    opts.adaptive.quota = 20;
+    const auto model = trainer.train(*nf, defaults, opts);
+
+    std::stringstream file;
+    ASSERT_TRUE(model.save(file));
+    core::TomurModel fromFile;
+    ASSERT_TRUE(fromFile.load(file));
+    std::string body;
+    ASSERT_TRUE(model.saveBody(body));
+    core::TomurModel fromBody;
+    ASSERT_TRUE(fromBody.loadBody(body));
+    const core::TomurModel copy = fromBody;
+
+    Rng rng(12);
+    for (int i = 0; i < 200; ++i) {
+        auto p = defaults
+                     .withAttribute(traffic::Attribute::FlowCount,
+                                    rng.uniform(1, 1e6))
+                     .withAttribute(traffic::Attribute::PacketSize,
+                                    rng.uniform(1, 9000))
+                     .withAttribute(traffic::Attribute::Mtbr,
+                                    i % 10 == 0 ? 1e12
+                                                : rng.uniform(0, 2000));
+        const auto &bench = lib.randomMemBench(rng);
+        std::vector<core::ContentionLevel> levels = {bench.level};
+        const double want = model.predict(levels, p);
+        EXPECT_EQ(fromFile.predict(levels, p), want);
+        EXPECT_EQ(fromBody.predict(levels, p), want);
+        EXPECT_EQ(copy.predict(levels, p), want);
+        EXPECT_EQ(fromBody.soloThroughput(p), model.soloThroughput(p));
+    }
+}
+
 TEST(Serialize, TomurModelRejectsWrongVersion)
 {
     core::TomurModel m;

@@ -1096,11 +1096,11 @@ TEST(ModelRegistry, SnapshotOutlivesSwap)
 
 struct ServiceHarness
 {
-    ServiceHarness()
-        : service(registry, world().levels, "FlowMonitor"),
-          server({}, service)
+    explicit ServiceHarness(const core::TomurModel &model = world().model,
+                            const std::string &label = "FlowMonitor")
+        : service(registry, world().levels, label), server({}, service)
     {
-        registry.install(world().model, "trained");
+        registry.install(model, "trained");
         pipe = std::make_shared<MemoryTransport>();
         server.addConnection(std::make_unique<SharedTransport>(pipe),
                              "tester");
@@ -1115,6 +1115,7 @@ struct ServiceHarness
         stepUntil(server, [&] { return pipe->clientPending() > 0; });
         (void)handledBefore;
         std::string rx = pipe->clientRead();
+        wire = rx;
         return takeResponse(rx, &body);
     }
 
@@ -1123,6 +1124,7 @@ struct ServiceHarness
     Server server;
     std::shared_ptr<MemoryTransport> pipe;
     std::string body;
+    std::string wire; ///< the last response's bytes, head and body
 };
 
 TEST(ModelServiceEndpoints, HealthzReportsVersionAndDrain)
@@ -1634,6 +1636,105 @@ TEST(ServerObservatory, AbortLogsQueuedRequestsAsDropped)
 }
 
 // ---------------------------------------------------------------
+// Byte pins: the /predict and /diagnose answers, byte for byte
+// ---------------------------------------------------------------
+
+TEST(BytePins, PredictAndDiagnoseBodies)
+{
+    // The fixture model's exact answers: numbers as %.1f, %.2f and
+    // %.3f, mtbr as %g (0 and 1e+12), a size below the 64-byte clamp
+    // echoed as 64, and flows and size at their input bounds.
+    ServiceHarness h;
+    const struct
+    {
+        const char *path;
+        const char *request;
+        const char *answer;
+    } cases[] = {
+        {"/predict", "{\"flows\":20000,\"size\":512,\"mtbr\":400}",
+         "{\"nf\":\"FlowMonitor\",\"model_version\":1,"
+         "\"profile\":{\"flows\":20000,\"size\":512,\"mtbr\":400},"
+         "\"solo_pps\":1586929.8,\"predicted_pps\":1423113.9,"
+         "\"drop_pct\":10.32,\"dominant\":\"regex\",\"confidence\":1.00,"
+         "\"degraded\":false}"},
+        {"/predict", "{\"size\":1,\"mtbr\":0}",
+         "{\"nf\":\"FlowMonitor\",\"model_version\":1,"
+         "\"profile\":{\"flows\":16000,\"size\":64,\"mtbr\":0},"
+         "\"solo_pps\":3052245.6,\"predicted_pps\":2230920.3,"
+         "\"drop_pct\":26.91,\"dominant\":\"memory\",\"confidence\":1.00,"
+         "\"degraded\":false}"},
+        {"/predict", "{\"flows\":1000000000,\"mtbr\":1e12}",
+         "{\"nf\":\"FlowMonitor\",\"model_version\":1,"
+         "\"profile\":{\"flows\":1000000000,\"size\":1500,\"mtbr\":1e+12},"
+         "\"solo_pps\":1066679.4,\"predicted_pps\":0.0,\"drop_pct\":100.00,"
+         "\"dominant\":\"regex\",\"confidence\":1.00,\"degraded\":false}"},
+        {"/predict", "{\"flows\":1,\"size\":1000000,\"mtbr\":0.125}",
+         "{\"nf\":\"FlowMonitor\",\"model_version\":1,"
+         "\"profile\":{\"flows\":1,\"size\":1000000,\"mtbr\":0.125},"
+         "\"solo_pps\":1066679.4,\"predicted_pps\":4649.2,\"drop_pct\":99.56,"
+         "\"dominant\":\"regex\",\"confidence\":1.00,\"degraded\":false}"},
+        {"/diagnose", "{\"flows\":20000,\"size\":512,\"mtbr\":400}",
+         "{\"nf\":\"FlowMonitor\",\"model_version\":1,\"dominant\":\"regex\","
+         "\"solo_pps\":1586929.8,\"predicted_pps\":1423113.9,"
+         "\"total_drop_pps\":163815.8,\"confidence\":1.00,\"degraded\":false,"
+         "\"ranked\":[{\"resource\":\"regex\",\"drop_pps\":163815.8,"
+         "\"share\":1.000},{\"resource\":\"memory\",\"drop_pps\":0.0,"
+         "\"share\":0.000}]}"},
+        {"/diagnose", "{\"size\":1,\"mtbr\":1e12}",
+         "{\"nf\":\"FlowMonitor\",\"model_version\":1,\"dominant\":\"regex\","
+         "\"solo_pps\":3052245.6,\"predicted_pps\":0.0,"
+         "\"total_drop_pps\":3052245.6,\"confidence\":1.00,"
+         "\"degraded\":false,\"ranked\":[{\"resource\":\"regex\","
+         "\"drop_pps\":3052245.6,\"share\":0.788},{\"resource\":\"memory\","
+         "\"drop_pps\":821325.3,\"share\":0.212}]}"},
+    };
+    for (const auto &c : cases) {
+        EXPECT_EQ(h.roundTrip(simplePost(c.path, c.request)), 200)
+            << c.request;
+        EXPECT_EQ(h.body, c.answer) << c.path << " " << c.request;
+    }
+    // The head of the last answer, as renderResponse writes it.
+    EXPECT_EQ(h.wire.substr(0, h.wire.size() - h.body.size()),
+              "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-L"
+              "ength: 283\r\nX-Request-Id: c1-r6\r\n\r\n");
+
+    // A degraded model, served under a label that needs escaping.
+    core::TomurModel degraded = world().model;
+    degraded.markMemoryDegraded("byte pin");
+    ServiceHarness d(degraded, "Flow\"Monitor\\1");
+    EXPECT_EQ(d.roundTrip(simplePost(
+                  "/predict", "{\"flows\":20000,\"size\":512}")),
+              200);
+    EXPECT_EQ(d.body,
+              "{\"nf\":\"Flow\\\"Monitor\\\\1\",\"model_version\":1,"
+              "\"profile\":{\"flows\":20000,\"size\":512,\"mtbr\":600},"
+              "\"solo_pps\":1586929.8,\"predicted_pps\":1190401.0,"
+              "\"drop_pct\":24.99,\"dominant\":\"regex\",\"confidence\":0.25,"
+              "\"degraded\":true,\"degraded_reason\":\"memory model marked de"
+              "graded; using the solo baseline\"}");
+    EXPECT_EQ(d.roundTrip(simplePost("/diagnose", "{\"mtbr\":1e12}")),
+              200);
+    EXPECT_EQ(d.body,
+              "{\"nf\":\"Flow\\\"Monitor\\\\1\",\"model_version\":1,"
+              "\"dominant\":\"regex\",\"solo_pps\":1066679.4,"
+              "\"predicted_pps\":0.0,\"total_drop_pps\":1066679.4,"
+              "\"confidence\":0.25,\"degraded\":true,"
+              "\"ranked\":[{\"resource\":\"regex\",\"drop_pps\":1066679.4,"
+              "\"share\":1.000},{\"resource\":\"memory\",\"drop_pps\":0.0,"
+              "\"share\":0.000}]}");
+    degraded.markSoloDegraded("byte pin");
+    ServiceHarness none(degraded, "FlowMonitor");
+    EXPECT_EQ(none.roundTrip(simplePost("/predict", "{}")), 200);
+    EXPECT_EQ(none.body,
+              "{\"nf\":\"FlowMonitor\",\"model_version\":1,"
+              "\"profile\":{\"flows\":16000,\"size\":1500,\"mtbr\":600},"
+              "\"solo_pps\":0.0,\"predicted_pps\":0.0,\"drop_pct\":0.00,"
+              "\"dominant\":\"memory\",\"confidence\":0.00,\"degraded\":true,"
+              "\"degraded_reason\":\"no solo baseline: solo sensitivity model"
+              " marked degraded\"}");
+}
+
+// ---------------------------------------------------------------
 // /debug endpoints
 // ---------------------------------------------------------------
 
@@ -1695,6 +1796,35 @@ TEST(DebugEndpoints, TraceShowsTheNewestRequests)
     tracer().disable();
     EXPECT_NE(h.body.find("\"request_id\":\"c1-r40\""),
               std::string::npos);
+}
+
+TEST(DebugEndpoints, TraceCapKeepsTheNewestRequests)
+{
+    // Past the 256 KiB body cap, /debug/trace keeps the newest
+    // requests. The canonical export sorts root spans by their text,
+    // so cutting its tail would keep the lexicographically last ids
+    // (c1-r999 and its neighbours) and drop c1-r1200.
+    ServiceHarness h;
+    tracer().enable(1 << 16);
+    const int requests = 1200;
+    for (int i = 0; i < requests; ++i) {
+        ASSERT_EQ(h.roundTrip(simplePost(
+                      "/predict",
+                      "{\"flows\":20000,\"size\":512,\"mtbr\":400}")),
+                  200);
+    }
+    TraceExportOptions all;
+    all.canonical = true;
+    const std::size_t full = tracer().exportString(all).size();
+    EXPECT_EQ(h.roundTrip(simpleGet("/debug/trace")), 200);
+    tracer().disable();
+    EXPECT_GT(full, 256u * 1024) << "the trace must overflow the cap";
+    EXPECT_LE(h.body.size(), 256u * 1024);
+    EXPECT_NE(h.body.find(strf("\"request_id\":\"c1-r%d\"", requests)),
+              std::string::npos);
+    EXPECT_EQ(h.body.find("\"request_id\":\"c1-r1\""), std::string::npos)
+        << "the oldest request is the first to go";
+    EXPECT_EQ(h.body.back(), '\n');
 }
 
 TEST(DebugEndpoints, MethodAndUnknownPathContracts)

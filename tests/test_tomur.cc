@@ -25,7 +25,7 @@ TEST(Composition, PipelineTakesWorstDrop)
 {
     double t = compose(CompositionKind::ExecutionPattern,
                        fw::ExecutionPattern::Pipeline, 1000.0,
-                       {100.0, 300.0, 50.0});
+                       std::vector<double>{100.0, 300.0, 50.0});
     EXPECT_DOUBLE_EQ(t, 700.0);
 }
 
@@ -37,7 +37,7 @@ TEST(Composition, RtcMatchesEquation4)
         1.0 / (1.0 / (t0 - d1) + 1.0 / (t0 - d2) - 1.0 / t0);
     double got = compose(CompositionKind::ExecutionPattern,
                          fw::ExecutionPattern::RunToCompletion, t0,
-                         {d1, d2});
+                         std::vector<double>{d1, d2});
     EXPECT_NEAR(got, expected, 1e-9);
 }
 
@@ -46,10 +46,10 @@ TEST(Composition, SingleResourcePatternsCoincide)
     for (double drop : {0.0, 100.0, 900.0}) {
         double p = compose(CompositionKind::ExecutionPattern,
                            fw::ExecutionPattern::Pipeline, 1000.0,
-                           {drop});
+                           std::vector<double>{drop});
         double r = compose(CompositionKind::ExecutionPattern,
                            fw::ExecutionPattern::RunToCompletion,
-                           1000.0, {drop});
+                           1000.0, std::vector<double>{drop});
         EXPECT_NEAR(p, r, 1e-6);
     }
 }
@@ -71,7 +71,7 @@ TEST(Composition, ClampsToValidRange)
 {
     EXPECT_DOUBLE_EQ(compose(CompositionKind::Sum,
                              fw::ExecutionPattern::Pipeline, 100.0,
-                             {80.0, 80.0}),
+                             std::vector<double>{80.0, 80.0}),
                      0.0);
     EXPECT_DOUBLE_EQ(compose(CompositionKind::ExecutionPattern,
                              fw::ExecutionPattern::Pipeline, 100.0,
@@ -189,11 +189,17 @@ TEST(AccelModel, PredictsEquilibriumAgainstClosedCompetitor)
     comp.serviceTime = t;
     comp.closedLoop = true;
     // Two equal closed-loop queues: each gets 1/(2t).
-    double pred = m.predictThroughput(600, 1434, {comp});
+    ContentionLevel level;
+    level.accel[static_cast<int>(hw::AccelKind::Regex)] = comp;
+    double pred =
+        m.predictThroughput(600, 1434, {level}, hw::AccelKind::Regex);
     EXPECT_NEAR(pred, 1.0 / (2 * t), 1.0 / (2 * t) * 0.05);
-    // No competitors: full rate 1/t.
-    EXPECT_NEAR(m.predictThroughput(600, 1434, {}), 1.0 / t,
-                1.0 / t * 0.05);
+    // No competitors, or none on this accelerator: full rate 1/t.
+    EXPECT_NEAR(m.predictThroughput(600, 1434, {}, hw::AccelKind::Regex),
+                1.0 / t, 1.0 / t * 0.05);
+    EXPECT_NEAR(
+        m.predictThroughput(600, 1434, {level}, hw::AccelKind::Crypto),
+        1.0 / t, 1.0 / t * 0.05);
 }
 
 TEST(AccelModel, CalibrationValidationErrors)

@@ -8,9 +8,11 @@
 #      anything starts. Then train a model file and start the real
 #      daemon on it the way perfbench does (--model, --port 0,
 #      --port-file, --drain-ms 2000) plus an access log, hit
-#      /healthz + /predict + /metrics plus the /debug/{vars,slo,
-#      trace,access} views over actual sockets (the trace must hold
-#      a server.request span, the access log the /predict), then
+#      /healthz + /predict (edge bodies at the input bounds, and one
+#      body twice for byte-identical answers) + /metrics plus the
+#      /debug/{vars,slo,trace,access} views over actual sockets (the
+#      trace must hold a server.request span, the access log the
+#      /predict), then
 #      SIGTERM it and assert a clean drain (exit 0)
 #      that flushed at least one access-log record. The in-memory
 #      transports cover the core exhaustively; this is the one place
@@ -105,7 +107,7 @@ while [ ! -s "$port_file" ]; do
 done
 
 python3 - "$port_file" <<'EOF'
-import json, sys, urllib.request
+import json, math, sys, urllib.request
 
 port = int(open(sys.argv[1]).read().strip())
 base = f"http://127.0.0.1:{port}"
@@ -120,6 +122,32 @@ req = urllib.request.Request(base + "/predict",
 with urllib.request.urlopen(req, timeout=10) as r:
     pred = json.load(r)
 assert pred.get("predicted_pps", 0) > 0, pred
+
+def post(path, doc):
+    req = urllib.request.Request(base + path, data=json.dumps(doc).encode(),
+                                 method="POST")
+    with urllib.request.urlopen(req, timeout=10) as r:
+        assert r.status == 200, (path, doc, r.status)
+        return r.read()
+
+# Edge bodies at the input bounds answer 200 with a finite prediction
+# and echo the profile they were given (a size below 64 B is clamped
+# to 64). The prediction is positive, except at mtbr 1e12, where the
+# regex accelerator does no work at all and the answer is 0.
+for doc, echo in [({"size": 1}, {"size": 64}),
+                  ({"mtbr": 0}, {"mtbr": 0}),
+                  ({"mtbr": 1e12}, {"mtbr": 1e12}),
+                  ({"flows": 1e9}, {"flows": 1000000000})]:
+    ans = json.loads(post("/predict", doc))
+    got = ans["predicted_pps"]
+    assert math.isfinite(got) and (got > 0 or doc == {"mtbr": 1e12}), ans
+    assert got >= 0, ans
+    for key, want in echo.items():
+        assert ans["profile"][key] == want, (doc, ans)
+# One body twice: byte-identical answers.
+twice = {"flows": 123457, "size": 777, "mtbr": 321.5}
+assert post("/predict", twice) == post("/predict", twice)
+assert post("/diagnose", twice) == post("/diagnose", twice)
 
 with urllib.request.urlopen(base + "/metrics", timeout=10) as r:
     metrics = r.read().decode()
