@@ -5,23 +5,29 @@
  * gradient-boosting training and inference, one served model
  * prediction, cache fixed point,
  * round-robin solver, full testbed equilibrium solves, monitor
- * ingest, checkpoint framing and workload profiling. A plain
- * google-benchmark binary: every --benchmark_* flag applies.
+ * ingest, checkpoint framing, workload profiling and one serve-core
+ * round trip. A plain google-benchmark binary: every --benchmark_*
+ * flag applies.
  * End-to-end performance is measured by perfbench
  * (python3 perfbench/run.py).
  */
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <string>
 
 #include "common.hh"
 #include "common/checkpoint.hh"
 #include "common/logging.hh"
+#include "common/sampler.hh"
+#include "common/trace.hh"
 #include "framework/accel_dev.hh"
 #include "hw/accel_des.hh"
 #include "hw/cache.hh"
 #include "regex/generator.hh"
+#include "serve/observe.hh"
+#include "serve/server.hh"
 #include "tomur/monitor.hh"
 
 using namespace tomur;
@@ -284,6 +290,53 @@ BM_WorkloadProfiling(benchmark::State &state)
     }
 }
 BENCHMARK(BM_WorkloadProfiling);
+
+void
+BM_ServeRoundTrip(benchmark::State &state)
+{
+    // The serve core's per-request cost without a model: one
+    // keep-alive connection over a MemoryTransport, a stub service
+    // answering a fixed body, and the observatory and sampling
+    // profiler attached as `tomur_cli serve` attaches them. The
+    // argument turns the tracer off (0) or on (1, sized as the
+    // daemon sizes it).
+    struct StubService : serve::Service
+    {
+        serve::ServiceReply
+        handle(const serve::HttpRequest &) override
+        {
+            return {200, "application/json",
+                    "{\"predicted_pps\":1423113.9}"};
+        }
+    } service;
+    serve::Server server({}, service);
+    serve::ServerObservatory observatory;
+    SamplingProfiler profiler;
+    observatory.profiler = &profiler;
+    server.setObservatory(&observatory);
+    auto pipe = std::make_shared<serve::MemoryTransport>();
+    server.addConnection(std::make_unique<serve::SharedTransport>(pipe),
+                         "bench");
+    const std::string body = "{\"flows\":20000,\"size\":512,\"mtbr\":400}";
+    const std::string request = "POST /predict HTTP/1.1\r\nContent-Length: " +
+                                std::to_string(body.size()) + "\r\n\r\n" +
+                                body;
+    if (state.range(0) != 0)
+        tracer().enable(serve::kAccessLogCapacity);
+    for (auto _ : state) {
+        pipe->clientWrite(request);
+        for (int i = 0; i < 8 && pipe->clientPending() == 0; ++i)
+            server.step();
+        std::string response = pipe->clientRead();
+        benchmark::DoNotOptimize(response.data());
+        if (response.empty()) {
+            state.SkipWithError("no response");
+            break;
+        }
+    }
+    tracer().disable();
+}
+BENCHMARK(BM_ServeRoundTrip)->Arg(0)->Arg(1);
 
 } // namespace
 

@@ -1,14 +1,11 @@
 #include "serve/observe.hh"
 
-#include <ostream>
-#include <sstream>
-
 #include "common/strutil.hh"
 
 namespace tomur::serve {
 
 std::string
-AccessLog::formatRecord(const AccessRecord &rec, bool canonical)
+formatAccessRecord(const AccessRecord &rec, bool canonical)
 {
     std::string line = strf(
         "{\"id\":\"%s\",\"peer\":\"%s\",\"method\":\"%s\","
@@ -27,25 +24,6 @@ AccessLog::formatRecord(const AccessRecord &rec, bool canonical)
                  kVerdictNames[static_cast<std::size_t>(rec.verdict)],
                  rec.verdict == Verdict::Deadline ? "true" : "false");
     return line;
-}
-
-void
-AccessLog::exportJsonl(std::ostream &out, bool canonical,
-                       std::size_t maxLines) const
-{
-    std::size_t start = 0;
-    if (maxLines > 0 && ring_.size() > maxLines)
-        start = ring_.size() - maxLines;
-    for (std::size_t i = start; i < ring_.size(); ++i)
-        out << formatRecord(ring_[i], canonical) << "\n";
-}
-
-std::string
-AccessLog::exportString(bool canonical, std::size_t maxLines) const
-{
-    std::ostringstream ss;
-    exportJsonl(ss, canonical, maxLines);
-    return ss.str();
 }
 
 std::vector<SloObjective>
@@ -78,8 +56,8 @@ ServerObservatory::ServerObservatory()
 }
 
 ServerObservatory::ServerObservatory(
-    std::vector<SloObjective> objectives, AccessLogOptions log_opts)
-    : accessLog(log_opts), slo(std::move(objectives))
+    std::vector<SloObjective> objectives)
+    : slo(std::move(objectives))
 {
 }
 

@@ -3,9 +3,12 @@
  * The serving observatory: the per-request observability state the
  * server core writes and the /debug endpoints read.
  *
- * AccessLog is a BoundedRing of per-request outcome records — one
- * line per answered (or refused, or dropped) request, JSONL on the
- * way out. Two export modes mirror the tracer's:
+ * The access log is a plain BoundedRing of AccessRecords, the newest
+ * kAccessLogCapacity of them: one record per answered (or refused,
+ * or dropped) request. The record is the request's one account; the
+ * core copies its fields onto the request's `server.request` span.
+ * formatAccessRecord() renders a record as one JSONL line in one of
+ * two modes that mirror the tracer's:
  *
  *  - full: every field, wall-clock latencies included — the
  *    operator-facing `--access-log` file and /debug/access body;
@@ -26,7 +29,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -57,51 +59,13 @@ struct AccessRecord
     Verdict verdict = Verdict::Ok;
 };
 
-/** Access-log tuning. */
-struct AccessLogOptions
-{
-    /** Records retained; a full ring overwrites its oldest entry
-     *  (and counts the eviction), like the sampling profiler. */
-    std::size_t capacity = 4096;
-};
+/** Access records the observatory retains; a full ring overwrites
+ *  its oldest record (and counts the eviction). */
+constexpr std::size_t kAccessLogCapacity = 4096;
 
-class AccessLog
-{
-  public:
-    explicit AccessLog(AccessLogOptions opts = {})
-        : ring_(opts.capacity)
-    {
-    }
-
-    /** Retain `rec`; true when that evicted the oldest record. */
-    bool record(AccessRecord rec) { return ring_.push(std::move(rec)); }
-
-    /** Records currently retained (<= capacity). */
-    std::size_t size() const { return ring_.size(); }
-    /** Records ever recorded. */
-    std::uint64_t recorded() const { return ring_.size() + ring_.evicted(); }
-    /** Records evicted by ring wrap-around. */
-    std::uint64_t dropped() const { return ring_.evicted(); }
-
-    /** Retained records, oldest first. */
-    std::vector<AccessRecord> snapshot() const { return ring_.snapshot(); }
-
-    /** One JSON object per line, oldest first. canonical omits the
-     *  wall-clock fields (see file header). `maxLines` keeps only
-     *  the newest N lines (0 = all retained). */
-    void exportJsonl(std::ostream &out, bool canonical = false,
-                     std::size_t maxLines = 0) const;
-    std::string exportString(bool canonical = false,
-                             std::size_t maxLines = 0) const;
-
-    /** One record rendered as its JSONL line (shared by export and
-     *  the CLI's line-at-a-time --access-log writer). */
-    static std::string formatRecord(const AccessRecord &rec,
-                                    bool canonical);
-
-  private:
-    BoundedRing<AccessRecord> ring_;
-};
+/** One record rendered as its JSONL line (no newline). canonical
+ *  omits the wall-clock fields (see file header). */
+std::string formatAccessRecord(const AccessRecord &rec, bool canonical);
 
 /**
  * Everything the server core feeds and /debug serves. The profiler
@@ -110,7 +74,7 @@ class AccessLog
  */
 struct ServerObservatory
 {
-    AccessLog accessLog;
+    BoundedRing<AccessRecord> accessLog{kAccessLogCapacity};
     SloTracker slo;
     SamplingProfiler *profiler = nullptr;
     /** Streaming tap: called with every record as it lands, before
@@ -120,8 +84,7 @@ struct ServerObservatory
 
     /** Objectives default to defaultServeObjectives(). */
     ServerObservatory();
-    ServerObservatory(std::vector<SloObjective> objectives,
-                      AccessLogOptions log_opts = {});
+    explicit ServerObservatory(std::vector<SloObjective> objectives);
 };
 
 /**

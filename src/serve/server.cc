@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <exception>
-#include <optional>
 
 #include "common/deadline.hh"
 #include "common/logging.hh"
@@ -151,7 +150,7 @@ Server::book(AccessRecord rec, double latency_ms)
     if (observatory_->accessSink)
         observatory_->accessSink(rec);
     serverMetrics().accessRecords.inc();
-    if (observatory_->accessLog.record(std::move(rec)))
+    if (observatory_->accessLog.push(std::move(rec)))
         serverMetrics().accessDropped.inc();
 }
 
@@ -333,10 +332,6 @@ Server::readPhase(const std::shared_ptr<Connection> &conn)
     if (conn->dead || conn->sawEof || conn->parser.failed())
         return;
     char buf[kReadChunkBytes];
-    // The parse child span opens lazily on the first byte read, so
-    // idle connections polled every step record nothing.
-    std::optional<TraceSpan> parseSpan;
-    std::uint64_t bytesRead = 0;
     for (std::size_t i = 0; i < kMaxReadsPerConnPerStep; ++i) {
         IoResult r = conn->transport->read(buf, sizeof(buf));
         if (!r.ok()) {
@@ -352,20 +347,18 @@ Server::readPhase(const std::shared_ptr<Connection> &conn)
         if (r.n == 0)
             break;
         didWork_ = true;
-        if (!parseSpan) {
-            parseSpan.emplace("server.parse");
-            parseSpan->field("conn",
-                             static_cast<std::uint64_t>(conn->id));
-            parseSpan->field("peer", conn->clientId);
-        }
-        bytesRead += r.n;
         if (Status st = conn->parser.feed(buf, r.n); !st) {
             conn->parseErrorPending = true;
             conn->parseErrorResp.status =
                 conn->parser.httpErrorStatus();
             conn->parseErrorResp.close = true;
             conn->parseErrorResp.body = errorBody(st.toString());
-            parseSpan->field("error", st.toString());
+            // The trace keeps the parser's reason beside the access
+            // record, which has no field for it.
+            tracePoint("server.parse",
+                       {{"conn", std::to_string(conn->id)},
+                        {"peer", conn->clientId},
+                        {"error", st.toString()}});
             // Parser poison has no request to number; it is still
             // booked (and folded — a 4xx is not an availability loss,
             // but the stream stays complete).
@@ -381,9 +374,6 @@ Server::readPhase(const std::shared_ptr<Connection> &conn)
             break;
         }
     }
-    if (parseSpan)
-        parseSpan->field("bytes", bytesRead);
-    parseSpan.reset();
     admit(conn);
     // A peer that half-closed mid-request will never complete it;
     // drop the carcass once every admitted request is answered.
@@ -426,25 +416,15 @@ Server::handlePhase()
         }
         --p.conn->inflight;
 
+        // The request's one span wraps the handler (so service spans
+        // nest under it) and the booking (so slo.event points do);
+        // its fields are the access record's, written once.
         std::uint64_t handleStartNs = monotonicNs();
         TraceSpan span("server.request");
-        AccessRecord rec;
-        {
-            TraceSpan route("server.route");
-            rec = pendingRecord(p, Verdict::Ok, handleStartNs);
-            route.field("path", rec.path);
-        }
-        if (span.active()) {
-            span.field("request_id", p.rid);
-            span.field("peer", p.conn->clientId);
-            span.field("method", p.request.method);
-            span.field("path", rec.path);
-        }
-
+        AccessRecord rec = pendingRecord(p, Verdict::Ok, handleStartNs);
         HttpResponse resp;
         resp.close = !p.request.keepAlive;
         try {
-            TraceSpan handleSpan("server.handle");
             ServiceReply reply = invokeService(p.request);
             resp.status = reply.status;
             resp.contentType = reply.contentType;
@@ -461,20 +441,21 @@ Server::handlePhase()
                       {{"target", p.request.target},
                        {"what", e.what()}});
         }
-        span.field("status",
-                   static_cast<std::int64_t>(resp.status));
         std::uint64_t doneNs = monotonicNs();
         rec.status = resp.status;
         rec.bodyBytes = resp.body.size();
         rec.handleMs =
             static_cast<double>(doneNs - handleStartNs) / 1e6;
-        {
-            TraceSpan writeSpan("server.write");
-            writeSpan.field(
-                "bytes",
-                static_cast<std::uint64_t>(resp.body.size()));
-            resp.extraHeaders.push_back("X-Request-Id: " + p.rid);
-            respond(p.conn, std::move(resp));
+        resp.extraHeaders.push_back("X-Request-Id: " + p.rid);
+        respond(p.conn, std::move(resp));
+        if (span.active()) {
+            span.field("request_id", rec.id);
+            span.field("peer", rec.peer);
+            span.field("method", rec.method);
+            span.field("path", rec.path);
+            span.field("status", static_cast<std::int64_t>(rec.status));
+            span.field("bytes",
+                       static_cast<std::uint64_t>(rec.bodyBytes));
         }
         book(std::move(rec),
              static_cast<double>(doneNs - p.enqueuedNs) / 1e6);

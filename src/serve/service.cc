@@ -195,8 +195,12 @@ ModelService::handleDebug(const std::string &path) const
     }
     if (path == "/debug/access") {
         r.contentType = "application/jsonl";
-        r.body = capTailLines(
-            observatory_->accessLog.exportString());
+        const auto &log = observatory_->accessLog;
+        for (std::size_t i = 0; i < log.size(); ++i) {
+            r.body += formatAccessRecord(log[i], /*canonical=*/false);
+            r.body += '\n';
+        }
+        r.body = capTailLines(std::move(r.body));
         return r;
     }
     if (path == "/debug/profile") {
@@ -311,6 +315,7 @@ ModelService::handlePredict(const HttpRequest &req) const
     checkDeadline("server.predict");
     const traffic::TrafficProfile &p = profile.value();
     auto b = snap.model->predictDetailed(levels_, p);
+    auto a = core::attributeContention(b);
     predictionsCounter().inc();
 
     double drop_pct =
@@ -337,7 +342,7 @@ ModelService::handlePredict(const HttpRequest &req) const
     o += ",\"drop_pct\":";
     appendFixed(o, drop_pct, 2);
     o += ",\"dominant\":\"";
-    o += core::attributedResourceName(b.dominantResource);
+    o += core::attributedResourceName(a.dominantResource);
     o += "\",\"confidence\":";
     appendFixed(o, b.confidence, 2);
     o += b.degraded ? ",\"degraded\":true" : ",\"degraded\":false";

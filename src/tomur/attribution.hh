@@ -4,11 +4,11 @@
  * contribution to a prediction's throughput drop.
  *
  * This is the single place the "which resource hurts most" ranking
- * lives. The predictor fills PredictionBreakdown::dominantResource
- * from it, the diagnosis use case (§7.5.2) maps its top entry onto a
- * diagnosable resource, and the prediction monitor attaches its
- * ranking to drift events so an operator sees not just *that* the
- * model drifted but *which* resource the model blames.
+ * lives. Each consumer computes it once per prediction: the serve
+ * endpoints name its top entry, the diagnosis use case (§7.5.2) maps
+ * that entry onto a diagnosable resource, and the prediction monitor
+ * attaches it to drift events so an operator sees not just *that*
+ * the model drifted but *which* resource the model blames.
  */
 
 #ifndef TOMUR_TOMUR_ATTRIBUTION_HH
@@ -22,8 +22,7 @@
 namespace tomur::core {
 
 /**
- * Attributed-resource index convention, shared with
- * PredictionBreakdown::dominantResource: 0 = memory, otherwise
+ * Attributed-resource index convention: 0 = memory, otherwise
  * 1 + accelerator kind index (1 = regex, 2 = compression,
  * 3 = crypto).
  */

@@ -6,7 +6,6 @@
 #include "common/logging.hh"
 #include "common/strutil.hh"
 #include "net/packet.hh"
-#include "tomur/attribution.hh"
 
 namespace tomur::core {
 
@@ -176,9 +175,6 @@ TomurModel::predictDetailed(
 
     out.predicted = compose(CompositionKind::ExecutionPattern,
                             pattern_, t_solo, {drops, n_drops});
-    // The ranking lives in the attribution module (the monitor and
-    // the diagnosis use case consume the same one).
-    out.dominantResource = attributeContention(out).dominantResource;
     if (out.degraded) {
         warnEvent("predictor", "degraded-prediction",
                   {{"nf", nfName_},

@@ -33,10 +33,6 @@ struct PredictionBreakdown
     double accelOnlyThroughput[hw::numAccelKinds] = {};
     bool accelUsed[hw::numAccelKinds] = {};
     double predicted = 0.0;
-    /** Resource with the largest predicted drop ("bottleneck"):
-     *  0 = memory, otherwise 1 + accelerator kind index
-     *  (1 = regex, 2 = compression, 3 = crypto). */
-    int dominantResource = 0;
 
     /**
      * Prediction trust in [0, 1]. 1.0 = the full model ran; lower

@@ -1453,45 +1453,39 @@ accessRecord(const std::string &id, int status = 200)
     return rec;
 }
 
-TEST(AccessLog, RingOverwritesOldestAndCountsDrops)
-{
-    serve::AccessLogOptions opts;
-    opts.capacity = 2;
-    serve::AccessLog log(opts);
-    log.record(accessRecord("r1"));
-    log.record(accessRecord("r2"));
-    log.record(accessRecord("r3"));
-    EXPECT_EQ(log.size(), 2u);
-    EXPECT_EQ(log.recorded(), 3u);
-    EXPECT_EQ(log.dropped(), 1u);
-    auto snap = log.snapshot();
-    ASSERT_EQ(snap.size(), 2u);
-    EXPECT_EQ(snap[0].id, "r2"); // oldest retained first
-    EXPECT_EQ(snap[1].id, "r3");
-}
-
 TEST(AccessLog, CanonicalExportOmitsWallClockAndCapsLines)
 {
-    serve::AccessLog log;
-    log.record(accessRecord("r1"));
-    log.record(accessRecord("r2"));
-
-    std::string full = log.exportString(false);
+    std::string full = serve::formatAccessRecord(accessRecord("r1"),
+                                                 /*canonical=*/false);
     EXPECT_NE(full.find("\"queue_wait_ms\":1.500"),
               std::string::npos);
     EXPECT_NE(full.find("\"handle_ms\":2.500"), std::string::npos);
 
     // Canonical: wall-clock fields gone, logical fields kept — this
     // is what makes the serve-observatory golden thread-invariant.
-    std::string canon = log.exportString(true);
+    std::string canon = serve::formatAccessRecord(accessRecord("r1"),
+                                                  /*canonical=*/true);
     EXPECT_EQ(canon.find("queue_wait_ms"), std::string::npos);
     EXPECT_EQ(canon.find("handle_ms"), std::string::npos);
     EXPECT_NE(canon.find("\"step\":"), std::string::npos);
 
-    // maxLines keeps only the newest complete records.
-    std::string tail = log.exportString(true, 1);
-    EXPECT_EQ(tail.find("r1"), std::string::npos);
-    EXPECT_NE(tail.find("r2"), std::string::npos);
+    // A full ring is past the 256 KiB /debug body cap, which keeps
+    // only the newest complete lines.
+    ServiceHarness h;
+    serve::ServerObservatory obs;
+    h.service.attachObservatory(&obs);
+    for (std::size_t i = 1; i <= serve::kAccessLogCapacity + 1; ++i)
+        obs.accessLog.push(accessRecord(strf("r%zu", i)));
+    EXPECT_EQ(obs.accessLog.size(), serve::kAccessLogCapacity);
+    EXPECT_EQ(obs.accessLog.evicted(), 1u);
+    EXPECT_EQ(h.roundTrip(simpleGet("/debug/access")), 200);
+    EXPECT_LE(h.body.size(), 256u * 1024);
+    EXPECT_EQ(h.body.front(), '{');
+    EXPECT_EQ(h.body.back(), '\n');
+    EXPECT_NE(h.body.find(strf("\"id\":\"r%zu\"",
+                               serve::kAccessLogCapacity + 1)),
+              std::string::npos);
+    EXPECT_EQ(h.body.find("\"id\":\"r2\""), std::string::npos);
 }
 
 // ---------------------------------------------------------------
@@ -1524,6 +1518,74 @@ TEST(ServerObservatory, CorrelationIdsAndAccessRecords)
     EXPECT_EQ(records[0].status, 200);
     EXPECT_EQ(records[0].verdict, Verdict::Ok);
     EXPECT_EQ(records[1].id, "c1-r2");
+}
+
+TEST(ServerObservatory, OneSpanPerRequestCarriesItsAccessRecord)
+{
+    ServiceHarness h;
+    serve::ServerObservatory obs;
+    h.service.attachObservatory(&obs);
+    h.server.setObservatory(&obs);
+    tracer().enable(1 << 10);
+    auto coreRecords = [] {
+        std::vector<TraceRecord> out;
+        for (auto &r : tracer().snapshot()) {
+            if (r.name.rfind("server.", 0) == 0)
+                out.push_back(std::move(r));
+        }
+        return out;
+    };
+
+    // A handled /predict: one span, whose fields are its record's.
+    EXPECT_EQ(h.roundTrip(simplePost(
+                  "/predict",
+                  "{\"flows\":20000,\"size\":512,\"mtbr\":400}")),
+              200);
+    auto spans = coreRecords();
+    ASSERT_EQ(spans.size(), 1u);
+    EXPECT_TRUE(spans[0].isSpan);
+    EXPECT_EQ(spans[0].name, "server.request");
+    EXPECT_EQ(spans[0].parent, 0u);
+    ASSERT_EQ(obs.accessLog.size(), 1u);
+    const serve::AccessRecord &rec = obs.accessLog[0];
+    EXPECT_EQ(rec.id, "c1-r1");
+    std::vector<std::pair<std::string, std::string>> fields;
+    for (const auto &f : spans[0].fields)
+        fields.emplace_back(f.key, f.value);
+    EXPECT_EQ(fields,
+              (std::vector<std::pair<std::string, std::string>>{
+                  {"request_id", rec.id},
+                  {"peer", rec.peer},
+                  {"method", rec.method},
+                  {"path", rec.path},
+                  {"status", std::to_string(rec.status)},
+                  {"bytes", std::to_string(rec.bodyBytes)}}));
+
+    // A poisoned connection: one server.parse point with the parser's
+    // reason, beside its c<conn>-parse access record.
+    auto bad = std::make_shared<MemoryTransport>();
+    h.server.addConnection(std::make_unique<SharedTransport>(bad),
+                           "mallory");
+    bad->clientWrite("\x01garbage\r\n\r\n");
+    stepUntil(h.server, [&] { return bad->closed(); });
+    std::string answer = bad->clientRead();
+    auto records = coreRecords();
+    tracer().disable();
+    ASSERT_EQ(records.size(), 2u);
+    const TraceRecord &point = records[1];
+    EXPECT_FALSE(point.isSpan);
+    EXPECT_EQ(point.name, "server.parse");
+    ASSERT_EQ(point.fields.size(), 3u);
+    EXPECT_EQ(point.fields[0].key, "conn");
+    EXPECT_EQ(point.fields[0].value, "2");
+    EXPECT_EQ(point.fields[1].key, "peer");
+    EXPECT_EQ(point.fields[1].value, "mallory");
+    EXPECT_EQ(point.fields[2].key, "error");
+    EXPECT_FALSE(point.fields[2].value.empty());
+    EXPECT_NE(answer.find(point.fields[2].value), std::string::npos);
+    ASSERT_EQ(obs.accessLog.size(), 2u);
+    EXPECT_EQ(obs.accessLog[1].id, "c2-parse");
+    EXPECT_EQ(obs.accessLog[1].verdict, Verdict::Parse);
 }
 
 TEST(ServerObservatory, RefusalsAndParseErrorsAreLoggedAndCharged)
@@ -1780,12 +1842,12 @@ TEST(DebugEndpoints, ObservatoryBackedEndpointsServeArtifacts)
 
 TEST(DebugEndpoints, TraceShowsTheNewestRequests)
 {
-    // More requests than the trace ring holds (each records at least
-    // four spans): /debug/trace must show the latest request, not
-    // the first ones that filled the ring.
+    // More requests than the trace ring holds (one span each):
+    // /debug/trace must show the latest request, not the first ones
+    // that filled the ring.
     ServiceHarness h;
     tracer().enable(64);
-    for (int i = 0; i < 40; ++i) {
+    for (int i = 0; i < 100; ++i) {
         EXPECT_EQ(h.roundTrip(simplePost(
                       "/predict",
                       "{\"flows\":20000,\"size\":512,\"mtbr\":400}")),
@@ -1794,7 +1856,7 @@ TEST(DebugEndpoints, TraceShowsTheNewestRequests)
     EXPECT_GT(tracer().droppedCount(), 0u);
     EXPECT_EQ(h.roundTrip(simpleGet("/debug/trace")), 200);
     tracer().disable();
-    EXPECT_NE(h.body.find("\"request_id\":\"c1-r40\""),
+    EXPECT_NE(h.body.find("\"request_id\":\"c1-r100\""),
               std::string::npos);
 }
 
@@ -1803,10 +1865,10 @@ TEST(DebugEndpoints, TraceCapKeepsTheNewestRequests)
     // Past the 256 KiB body cap, /debug/trace keeps the newest
     // requests. The canonical export sorts root spans by their text,
     // so cutting its tail would keep the lexicographically last ids
-    // (c1-r999 and its neighbours) and drop c1-r1200.
+    // (c1-r999 and its neighbours) and drop c1-r2500.
     ServiceHarness h;
     tracer().enable(1 << 16);
-    const int requests = 1200;
+    const int requests = 2500;
     for (int i = 0; i < requests; ++i) {
         ASSERT_EQ(h.roundTrip(simplePost(
                       "/predict",
@@ -2056,7 +2118,12 @@ runObservatoryScenario()
     server.step(); // admits both, handles the first
     server.abortConnections(); // the queued request is dropped
 
-    std::string access = obs.accessLog.exportString(/*canonical=*/true);
+    std::string access;
+    for (std::size_t i = 0; i < obs.accessLog.size(); ++i) {
+        access += serve::formatAccessRecord(obs.accessLog[i],
+                                            /*canonical=*/true);
+        access += '\n';
+    }
     std::size_t admitted = 0;
     for (std::size_t k = 0; k < std::size(kVerdictBookings); ++k) {
         const VerdictBooking &b = kVerdictBookings[k];

@@ -123,8 +123,7 @@ TEST(Diagnosis, TruthMapping)
 TEST(Diagnosis, BreakdownMapping)
 {
     // The breakdown overload derives the bottleneck through the
-    // attribution module (largest predicted drop wins), not from the
-    // stored dominantResource field.
+    // attribution module (largest predicted drop wins).
     core::PredictionBreakdown b;
     b.soloThroughput = 1000.0;
     b.memoryOnlyThroughput = 900.0;

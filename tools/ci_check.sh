@@ -10,9 +10,9 @@
 #      --port-file, --drain-ms 2000) plus an access log, hit
 #      /healthz + /predict (edge bodies at the input bounds, and one
 #      body twice for byte-identical answers) + /metrics plus the
-#      /debug/{vars,slo,trace,access} views over actual sockets (the
-#      trace must hold a server.request span, the access log the
-#      /predict), then
+#      /debug/{vars,slo,trace,access} views over actual sockets (one
+#      /predict's X-Request-Id must name exactly one server.request
+#      span and one access line, with the same status and bytes), then
 #      SIGTERM it and assert a clean drain (exit 0)
 #      that flushed at least one access-log record. The in-memory
 #      transports cover the core exhaustively; this is the one place
@@ -120,8 +120,10 @@ body = json.dumps({"flows": 20000, "size": 512, "mtbr": 400})
 req = urllib.request.Request(base + "/predict",
                              data=body.encode(), method="POST")
 with urllib.request.urlopen(req, timeout=10) as r:
+    rid = r.headers["X-Request-Id"]
     pred = json.load(r)
 assert pred.get("predicted_pps", 0) > 0, pred
+assert rid, "no X-Request-Id on /predict"
 
 def post(path, doc):
     req = urllib.request.Request(base + path, data=json.dumps(doc).encode(),
@@ -166,8 +168,18 @@ def jsonl(path):  # every line of a JSONL view must parse
     with urllib.request.urlopen(base + path, timeout=10) as r:
         return [json.loads(line) for line in r.read().decode().splitlines()]
 
-assert any(t.get("name") == "server.request" for t in jsonl("/debug/trace"))
-assert any(a.get("path") == "/predict" for a in jsonl("/debug/access"))
+# One request, one record: the first /predict has exactly one
+# server.request span and one access line, and they agree.
+trace = jsonl("/debug/trace")
+spans = [t for t in trace if t.get("name") == "server.request"
+         and t.get("request_id") == rid]
+lines = [a for a in jsonl("/debug/access") if a.get("id") == rid]
+assert len(spans) == 1 and len(lines) == 1, (rid, spans, lines)
+assert lines[0]["path"] == "/predict", lines
+assert int(spans[0]["status"]) == lines[0]["status"] == 200, (spans, lines)
+assert int(spans[0]["bytes"]) == lines[0]["bytes"] > 0, (spans, lines)
+gone = {"server.route", "server.handle", "server.write"}
+assert not [t for t in trace if t.get("name") in gone], "sub-spans traced"
 print("serve smoke: healthz/predict/metrics/debug answered "
       "correctly")
 EOF

@@ -879,7 +879,9 @@ cmdServe(const Cli &cli)
     // The observatory rides the single-threaded core: the server
     // writes it (access log, SLO folds, phase profiling), /debug
     // reads it. The tracer gets a bounded ring so /debug/trace has
-    // recent spans without unbounded daemon memory.
+    // recent spans without unbounded daemon memory: a request
+    // records one span, so the ring holds about as many requests as
+    // the access log.
     SamplingProfiler profiler;
     serve::ServerObservatory observatory;
     observatory.profiler = &profiler;
@@ -895,13 +897,13 @@ cmdServe(const Cli &cli)
         }
         observatory.accessSink =
             [&accessOut](const serve::AccessRecord &rec) {
-                accessOut << serve::AccessLog::formatRecord(
+                accessOut << serve::formatAccessRecord(
                                  rec, /*canonical=*/false)
                           << "\n";
             };
     }
     if (!tracer().enabled())
-        tracer().enable(1 << 14);
+        tracer().enable(serve::kAccessLogCapacity);
     service.attachObservatory(&observatory);
 
     serve::ServeOptions sopts;
