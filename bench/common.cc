@@ -5,15 +5,8 @@
 namespace tomur::bench {
 
 BenchEnv::BenchEnv(hw::NicConfig config, std::uint64_t seed)
-    : rules(regex::defaultRuleSet()),
-      bed(std::move(config), sim::TestbedOptions{}), rng(seed)
+    : core::Lab(std::move(config)), rng(seed)
 {
-    dev.regex = std::make_shared<framework::RegexDevice>(rules);
-    dev.compression =
-        std::make_shared<framework::CompressionDevice>();
-    dev.crypto = std::make_shared<framework::CryptoDevice>();
-    lib = std::make_unique<core::BenchLibrary>(bed, dev, rules);
-    trainer = std::make_unique<core::TomurTrainer>(*lib);
 }
 
 framework::NetworkFunction &

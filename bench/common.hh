@@ -22,25 +22,20 @@
 #include "nfs/bench_nfs.hh"
 #include "nfs/registry.hh"
 #include "nfs/synthetic.hh"
-#include "regex/ruleset.hh"
 #include "slomo/slomo.hh"
-#include "tomur/profiler.hh"
+#include "tomur/lab.hh"
 #include "usecases/diagnosis.hh"
 #include "usecases/placement.hh"
 
 namespace tomur::bench {
 
-/** Everything an experiment needs, wired to one NIC model. */
-struct BenchEnv
+/** Everything an experiment needs: the lab of one NIC model, plus
+ *  an NF cache and the profile RNG. */
+struct BenchEnv : core::Lab
 {
     explicit BenchEnv(hw::NicConfig config = hw::blueField2(),
                       std::uint64_t seed = 2024);
 
-    regex::RuleSet rules;
-    framework::DeviceSet dev;
-    sim::Testbed bed;
-    std::unique_ptr<core::BenchLibrary> lib;
-    std::unique_ptr<core::TomurTrainer> trainer;
     Rng rng;
 
     /** Instantiate (and cache) an NF by catalog name. */

@@ -49,7 +49,7 @@ main()
                                         topts);
 
         std::vector<DiagnosisTrial> trials;
-        Resource prev = Resource::Memory;
+        core::Resource prev = core::Resource::Memory;
         int shifts = 0;
         bool first = true;
         for (double mtbr = 0.0; mtbr <= 1100.0; mtbr += 100.0) {

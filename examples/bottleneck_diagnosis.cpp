@@ -9,8 +9,7 @@
 #include <cstdio>
 
 #include "nfs/registry.hh"
-#include "regex/ruleset.hh"
-#include "tomur/profiler.hh"
+#include "tomur/lab.hh"
 #include "usecases/diagnosis.hh"
 
 using namespace tomur;
@@ -19,27 +18,19 @@ using namespace tomur::usecases;
 int
 main()
 {
-    auto rules = regex::defaultRuleSet();
-    framework::DeviceSet dev;
-    dev.regex = std::make_shared<framework::RegexDevice>(rules);
-    dev.compression =
-        std::make_shared<framework::CompressionDevice>();
-    dev.crypto = std::make_shared<framework::CryptoDevice>();
-    sim::Testbed nic(hw::blueField2());
-    core::BenchLibrary library(nic, dev, rules);
-    core::TomurTrainer trainer(library);
+    core::Lab lab;
 
     auto defaults = traffic::TrafficProfile::defaults();
-    auto nf = nfs::makeFlowMonitor(dev);
+    auto nf = nfs::makeFlowMonitor(lab.dev);
     std::printf("Training Tomur model for %s...\n",
                 nf->name().c_str());
-    auto model = trainer.train(*nf, defaults);
+    auto model = lab.trainer->train(*nf, defaults);
 
     // Fixed competitors: one memory hog (the bench with the highest
     // measured cache pressure), one regex user.
     const core::BenchLibrary::MemBenchEntry *mem =
-        &library.memBenches().front();
-    for (const auto &e : library.memBenches()) {
+        &lab.lib->memBenches().front();
+    for (const auto &e : lab.lib->memBenches()) {
         if (e.config.wssBytes < 12.0 * 1024 * 1024)
             continue; // need real LLC displacement, not just rate
         if (e.level.counters.cacheAccessRate() >
@@ -48,7 +39,7 @@ main()
         }
     }
     const auto &rx =
-        library.accelBench(hw::AccelKind::Regex, 100e3, 800.0);
+        lab.lib->accelBench(hw::AccelKind::Regex, 100e3, 800.0);
 
     std::printf("\n%-8s %14s %14s %16s %16s\n", "MTBR",
                 "throughput", "predicted", "truth bottleneck",
@@ -56,17 +47,17 @@ main()
     for (double mtbr = 0; mtbr <= 1100; mtbr += 100) {
         auto p =
             defaults.withAttribute(traffic::Attribute::Mtbr, mtbr);
-        const auto &w = trainer.workloadOf(*nf, p);
-        auto ms = nic.run(
+        const auto &w = lab.trainer->workloadOf(*nf, p);
+        auto ms = lab.bed.run(
             {w, mem->workload, mem->workload, rx.workload});
-        double solo = nic.runSolo(w).truthThroughput;
+        double solo = lab.bed.runSolo(w).truthThroughput;
         auto breakdown = model.predictDetailed(
             {mem->level, mem->level, rx.level}, p, solo);
         std::printf("%-8.0f %11.1f Kpps %11.1f Kpps %16s %16s\n",
                     mtbr, ms[0].truthThroughput / 1e3,
                     breakdown.predicted / 1e3,
-                    resourceName(truthBottleneck(ms[0])),
-                    resourceName(tomurDiagnosis(breakdown)));
+                    core::resourceName(truthBottleneck(ms[0])),
+                    core::resourceName(tomurDiagnosis(breakdown)));
     }
     return 0;
 }

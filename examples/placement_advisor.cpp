@@ -9,7 +9,7 @@
 #include <cstdio>
 
 #include "common/rng.hh"
-#include "regex/ruleset.hh"
+#include "tomur/lab.hh"
 #include "usecases/placement.hh"
 
 using namespace tomur;
@@ -18,19 +18,12 @@ using namespace tomur::usecases;
 int
 main()
 {
-    auto rules = regex::defaultRuleSet();
-    framework::DeviceSet dev;
-    dev.regex = std::make_shared<framework::RegexDevice>(rules);
-    dev.compression =
-        std::make_shared<framework::CompressionDevice>();
-    dev.crypto = std::make_shared<framework::CryptoDevice>();
-    sim::Testbed nic(hw::blueField2());
-    core::BenchLibrary library(nic, dev, rules);
+    core::Lab lab;
 
     std::vector<std::string> mix = {"FlowStats", "IPRouter", "NAT",
                                     "NIDS"};
     std::printf("Training models for the NF mix (one-time)...\n");
-    PlacementContext ctx(library, mix,
+    PlacementContext ctx(*lab.lib, mix,
                          traffic::TrafficProfile::defaults(), 80);
 
     // A day's worth of tenant NF arrivals with 5-20% SLAs.

@@ -11,56 +11,45 @@
 #include <cstdio>
 
 #include "nfs/registry.hh"
-#include "regex/ruleset.hh"
-#include "tomur/profiler.hh"
+#include "tomur/lab.hh"
 
 using namespace tomur;
 
 int
 main()
 {
-    // --- Testbed: a BlueField-2-like SmartNIC -------------------
-    auto rules = regex::defaultRuleSet();
-    framework::DeviceSet dev;
-    dev.regex = std::make_shared<framework::RegexDevice>(rules);
-    dev.compression =
-        std::make_shared<framework::CompressionDevice>();
-    dev.crypto = std::make_shared<framework::CryptoDevice>();
-    sim::Testbed nic(hw::blueField2());
-
-    // --- One-time offline effort: profile the synthetic benches --
+    // --- Lab: a BlueField-2-like SmartNIC; building it is the
+    // one-time offline effort of profiling the synthetic benches --
     std::printf("Profiling synthetic benches (one-time)...\n");
-    core::BenchLibrary library(nic, dev, rules);
-    core::TomurTrainer trainer(library);
+    core::Lab lab;
 
     // --- Train a model for the target NF ------------------------
     auto traffic_profile = traffic::TrafficProfile::defaults();
-    auto target = nfs::makeFlowMonitor(dev);
+    auto target = nfs::makeFlowMonitor(lab.dev);
     std::printf("Training Tomur model for %s...\n",
                 target->name().c_str());
-    auto model = trainer.train(*target, traffic_profile);
+    auto model = lab.trainer->train(*target, traffic_profile);
     std::printf("  detected execution pattern: %s\n",
                 framework::patternName(model.pattern()));
 
     // --- Describe the prospective co-residents ------------------
-    auto nids = nfs::makeNids(dev);
+    auto nids = nfs::makeNids(lab.dev);
     auto flowstats = nfs::makeFlowStats();
     std::vector<core::ContentionLevel> competitors = {
-        trainer.contentionOf(*nids, traffic_profile),
-        trainer.contentionOf(*flowstats, traffic_profile),
+        lab.trainer->contentionOf(*nids, traffic_profile),
+        lab.trainer->contentionOf(*flowstats, traffic_profile),
     };
 
     // --- Predict, then verify against a real deployment ---------
-    double solo =
-        nic.runSolo(trainer.workloadOf(*target, traffic_profile))
-            .truthThroughput;
+    const auto &w = lab.trainer->workloadOf(*target, traffic_profile);
+    double solo = lab.bed.runSolo(w).truthThroughput;
     double predicted =
         model.predict(competitors, traffic_profile, solo);
 
-    auto measured = nic.run({
-        trainer.workloadOf(*target, traffic_profile),
-        trainer.workloadOf(*nids, traffic_profile),
-        trainer.workloadOf(*flowstats, traffic_profile),
+    auto measured = lab.bed.run({
+        w,
+        lab.trainer->workloadOf(*nids, traffic_profile),
+        lab.trainer->workloadOf(*flowstats, traffic_profile),
     });
 
     std::printf("\n%s co-located with NIDS + FlowStats @ %s:\n",

@@ -9,36 +9,27 @@
 #include <cstdio>
 
 #include "nfs/registry.hh"
-#include "regex/ruleset.hh"
-#include "tomur/profiler.hh"
+#include "tomur/lab.hh"
 
 using namespace tomur;
 
 int
 main()
 {
-    auto rules = regex::defaultRuleSet();
-    framework::DeviceSet dev;
-    dev.regex = std::make_shared<framework::RegexDevice>(rules);
-    dev.compression =
-        std::make_shared<framework::CompressionDevice>();
-    dev.crypto = std::make_shared<framework::CryptoDevice>();
-    sim::Testbed nic(hw::blueField2());
-    core::BenchLibrary library(nic, dev, rules);
-    core::TomurTrainer trainer(library);
+    core::Lab lab;
 
     auto defaults = traffic::TrafficProfile::defaults();
     auto nf = nfs::makeFlowStats();
     std::printf("Training Tomur model for %s...\n",
                 nf->name().c_str());
-    auto model = trainer.train(*nf, defaults);
+    auto model = lab.trainer->train(*nf, defaults);
 
     // The NF shares the NIC with a fixed pair of neighbours.
     auto nat = nfs::makeNat();
-    auto nids = nfs::makeNids(dev);
+    auto nids = nfs::makeNids(lab.dev);
     std::vector<core::ContentionLevel> neighbours = {
-        trainer.contentionOf(*nat, defaults),
-        trainer.contentionOf(*nids, defaults),
+        lab.trainer->contentionOf(*nat, defaults),
+        lab.trainer->contentionOf(*nids, defaults),
     };
 
     std::printf("\nWhat if the flow count changed? (predicted Kpps "
@@ -48,12 +39,12 @@ main()
     for (double flows : {2e3, 8e3, 16e3, 64e3, 128e3, 256e3, 500e3}) {
         auto p = defaults.withAttribute(
             traffic::Attribute::FlowCount, flows);
-        double solo =
-            nic.runSolo(trainer.workloadOf(*nf, p)).truthThroughput;
+        const auto &w = lab.trainer->workloadOf(*nf, p);
+        double solo = lab.bed.runSolo(w).truthThroughput;
         double pred = model.predict(neighbours, p, solo);
-        auto ms = nic.run({trainer.workloadOf(*nf, p),
-                           trainer.workloadOf(*nat, defaults),
-                           trainer.workloadOf(*nids, defaults)});
+        auto ms = lab.bed.run(
+            {w, lab.trainer->workloadOf(*nat, defaults),
+             lab.trainer->workloadOf(*nids, defaults)});
         std::printf("%-12.0f %11.1f K  %11.1f K  %8.1f%%\n", flows,
                     pred / 1e3, ms[0].truthThroughput / 1e3,
                     100.0 * std::abs(pred - ms[0].truthThroughput) /

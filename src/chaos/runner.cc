@@ -15,28 +15,18 @@
 #include "serve/server.hh"
 #include "serve/service.hh"
 #include "serve/transport.hh"
-#include "tomur/profiler.hh"
 
 namespace tomur::chaos {
 
 namespace fs = std::filesystem;
-namespace fw = framework;
 
 // ---------------------------------------------------------------
 // ChaosWorld
 // ---------------------------------------------------------------
 
 ChaosWorld::ChaosWorld(const std::string &nf_name)
-    : rules(regex::defaultRuleSet()), bed(hw::blueField2()),
-      faulty(bed, {}), nfName(nf_name)
+    : nf(nfs::makeByName(nf_name, dev)), nfName(nf_name)
 {
-    dev.regex = std::make_shared<fw::RegexDevice>(rules);
-    dev.compression = std::make_shared<fw::CompressionDevice>();
-    dev.crypto = std::make_shared<fw::CryptoDevice>();
-    lib = std::make_unique<core::BenchLibrary>(faulty, dev, rules);
-    trainer = std::make_unique<core::TomurTrainer>(*lib);
-    nf = nfs::makeByName(nfName, dev);
-
     core::TrainOptions topts;
     topts.adaptive.quota = 40;
     pristine = trainer->train(*nf, traffic::TrafficProfile::defaults(),

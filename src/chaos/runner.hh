@@ -32,25 +32,18 @@
 #include "chaos/invariants.hh"
 #include "chaos/plan.hh"
 #include "nfs/registry.hh"
-#include "regex/ruleset.hh"
-#include "sim/faults.hh"
+#include "tomur/lab.hh"
 #include "tomur/supervisor.hh"
 
 namespace tomur::chaos {
 
-/** The shared heavy fixture: testbeds, bench library, trainer, and
- *  one pristine trained model. Building it trains once; every plan
- *  run borrows it and restores seeded per-plan state. */
-struct ChaosWorld
+/** The shared heavy fixture: the lab plus one pristine trained
+ *  model. Building it trains once; every plan run borrows it and
+ *  restores seeded per-plan state. */
+struct ChaosWorld : core::Lab
 {
     explicit ChaosWorld(const std::string &nf_name = "FlowStats");
 
-    regex::RuleSet rules;
-    framework::DeviceSet dev;
-    sim::Testbed bed;
-    sim::FaultInjectingTestbed faulty;
-    std::unique_ptr<core::BenchLibrary> lib;
-    std::unique_ptr<core::TomurTrainer> trainer;
     std::unique_ptr<framework::NetworkFunction> nf;
     core::TomurModel pristine;
     std::string pristineBytes; ///< save() body of the pristine model

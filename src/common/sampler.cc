@@ -6,8 +6,16 @@
 
 namespace tomur {
 
+namespace {
+
+/** Seed of the gap stream: every profiler with the same period
+ *  samples the same token indices. */
+constexpr std::uint64_t kGapSeed = 1;
+
+} // namespace
+
 SamplingProfiler::SamplingProfiler(SamplerOptions opts)
-    : opts_(opts), rng_(opts.seed), ring_(opts.ringCapacity)
+    : opts_(opts), rng_(kGapSeed)
 {
     if (opts_.meanPeriod == 0)
         opts_.meanPeriod = 1;
@@ -45,7 +53,6 @@ SamplingProfiler::endToken(int site, std::uint64_t durNs)
         ++siteSampled_[static_cast<std::size_t>(site)];
         siteSampledNs_[static_cast<std::size_t>(site)] += durNs;
     }
-    ring_.push({site, tokens_, durNs});
 }
 
 std::vector<SamplerSiteStats>
@@ -68,11 +75,10 @@ void
 SamplingProfiler::exportText(std::ostream &out) const
 {
     out << strf("sampling profiler: %llu tokens, %llu sampled "
-                "(mean period %llu), ring %zu/%zu, %llu evicted\n",
+                "(mean period %llu)\n",
                 (unsigned long long)tokens_,
                 (unsigned long long)sampledTokens_,
-                (unsigned long long)opts_.meanPeriod, ring_.size(),
-                ring_.capacity(), (unsigned long long)ring_.evicted());
+                (unsigned long long)opts_.meanPeriod);
     for (const auto &s : siteStats()) {
         double mean_us =
             s.sampled ? static_cast<double>(s.sampledNs) /

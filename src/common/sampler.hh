@@ -6,16 +6,16 @@
  * hundreds of thousands of samples costs a counter decrement per
  * token — not a clock read — on the unsampled path.
  *
- * Design (after the ring-buffered token-profiler idiom):
+ * Design:
  *  - every token bumps per-site counts; only *sampled* tokens read
- *    the steady clock and enter the ring;
- *  - the ring is a BoundedRing: a full ring overwrites its oldest
- *    token (and counts the eviction), so memory stays bounded no
- *    matter how many tokens flow through;
- *  - which token indices get sampled is a pure function of the seed
- *    (a countdown of RNG-drawn gaps with mean `meanPeriod`), so two
- *    profilers with the same seed sample the same indices — the
- *    durations are wall-clock, the *selection* is deterministic.
+ *    the steady clock, and their durations are summed per site, so
+ *    memory is one counter triple per site no matter how many
+ *    tokens flow through;
+ *  - which token indices get sampled is a pure function of a fixed
+ *    seed (a countdown of RNG-drawn gaps with mean `meanPeriod`), so
+ *    two profilers with the same period sample the same indices —
+ *    the durations are wall-clock, the *selection* is
+ *    deterministic.
  *
  * Not thread-safe: one owner per loop, like PredictionMonitor. The
  * profiler is pure observability — it must never feed a decision
@@ -30,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "common/ring.hh"
 #include "common/rng.hh"
 #include "common/trace.hh"
 
@@ -39,21 +38,9 @@ namespace tomur {
 /** Sampling-profiler tuning. */
 struct SamplerOptions
 {
-    /** Sampled tokens retained (ring slots). */
-    std::size_t ringCapacity = 4096;
     /** Expected tokens between two samples (1 = sample all). Gaps
      *  are drawn uniformly from [1, 2*meanPeriod - 1]. */
     std::uint64_t meanPeriod = 64;
-    /** Seed of the gap stream (selection determinism). */
-    std::uint64_t seed = 1;
-};
-
-/** One retained (sampled) token. */
-struct SampledToken
-{
-    int site = 0;            ///< site id from registerSite()
-    std::uint64_t index = 0; ///< 1-based global token index
-    std::uint64_t durNs = 0; ///< measured duration
 };
 
 /** Per-site aggregate. */
@@ -126,19 +113,10 @@ class SamplingProfiler
 
     std::uint64_t tokens() const { return tokens_; }
     std::uint64_t sampledTokens() const { return sampledTokens_; }
-    /** Sampled tokens evicted by ring wrap-around. */
-    std::uint64_t droppedTokens() const { return ring_.evicted(); }
-    std::size_t ringCapacity() const { return ring_.capacity(); }
-
-    /** Ring contents, oldest first. Size <= ringCapacity always. */
-    std::vector<SampledToken> ringContents() const
-    {
-        return ring_.snapshot();
-    }
     /** Per-site aggregates, in site-id order. */
     std::vector<SamplerSiteStats> siteStats() const;
 
-    /** Human-readable dump (per-site lines + ring stats). */
+    /** Human-readable dump (a totals line, then one line per site). */
     void exportText(std::ostream &out) const;
 
   private:
@@ -154,8 +132,6 @@ class SamplingProfiler
     std::vector<std::uint64_t> siteTokens_;
     std::vector<std::uint64_t> siteSampled_;
     std::vector<std::uint64_t> siteSampledNs_;
-
-    BoundedRing<SampledToken> ring_;
 };
 
 } // namespace tomur

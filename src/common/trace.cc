@@ -255,7 +255,6 @@ struct TreeNode
     const TraceRecord *rec = nullptr;
     std::vector<std::size_t> children; ///< indices into nodes
     std::string key;                   ///< canonical subtree key
-    std::size_t lines = 1;             ///< records in the subtree
 };
 
 } // namespace
@@ -312,33 +311,9 @@ Tracer::exportJsonl(std::ostream &out,
             node.key += "\n" + k;
         for (const auto &k : spanKeys)
             node.key += "\n" + k;
-        for (std::size_t c : node.children)
-            node.lines += nodes[c].lines;
     };
     for (std::size_t r : roots)
         buildKey(buildKey, r);
-    if (opts.maxBytes > 0) {
-        // A root's emitted bytes are its key's plus the final newline,
-        // and on each line an id and a parent id that the key writes
-        // as "0": no renumbered id has more digits than the span
-        // count. Roots are in recording order, so keep a suffix.
-        std::size_t spans = 0;
-        for (const auto &r : records)
-            spans += r.isSpan ? 1 : 0;
-        const std::size_t id_extra =
-            2 * (std::to_string(spans).size() - 1);
-        std::size_t used = 0, keep = roots.size();
-        while (keep > 0) {
-            const TreeNode &root = nodes[roots[keep - 1]];
-            std::size_t bytes =
-                root.key.size() + 1 + root.lines * id_extra;
-            if (used + bytes > opts.maxBytes)
-                break;
-            used += bytes;
-            --keep;
-        }
-        roots.erase(roots.begin(), roots.begin() + keep);
-    }
     std::sort(roots.begin(), roots.end(),
               [&](std::size_t a, std::size_t b) {
                   return nodes[a].key < nodes[b].key;

@@ -24,7 +24,8 @@
  *
  * Two export modes:
  *  - exportJsonl(): JSON-lines in recording order, wall-clock
- *    timestamps included — the CLI's `--trace-out` format.
+ *    timestamps included — the CLI's `--trace-out` format and
+ *    the `/debug/trace` body.
  *  - canonical export (ExportOptions::canonical): the span tree is
  *    rebuilt, siblings are sorted by their serialized subtree, span
  *    ids are renumbered depth-first, and timestamps are omitted.
@@ -81,10 +82,6 @@ struct TraceExportOptions
     /** Sort siblings, renumber ids depth-first, omit timestamps —
      *  deterministic for deterministic workloads (golden tests). */
     bool canonical = false;
-    /** Canonical export only, 0 = unbounded: keep the newest root
-     *  trees (by recording order) whose lines fit in this many
-     *  bytes, and drop the older ones before the sort. */
-    std::size_t maxBytes = 0;
 };
 
 /** Bounded-ring span recorder; see file header. */

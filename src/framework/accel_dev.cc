@@ -265,4 +265,11 @@ CryptoDevice::encrypt(std::span<const std::uint8_t> payload,
     return out;
 }
 
+DeviceSet::DeviceSet(const regex::RuleSet &rules)
+    : regex(std::make_shared<RegexDevice>(rules)),
+      compression(std::make_shared<CompressionDevice>()),
+      crypto(std::make_shared<CryptoDevice>())
+{
+}
+
 } // namespace tomur::framework

@@ -121,6 +121,11 @@ class CryptoDevice
 /** Bundle of devices an NF chain may use. */
 struct DeviceSet
 {
+    /** No devices: the caller attaches the ones its chain uses. */
+    DeviceSet() = default;
+    /** All three devices, the regex one compiled from `rules`. */
+    explicit DeviceSet(const regex::RuleSet &rules);
+
     std::shared_ptr<RegexDevice> regex;
     std::shared_ptr<CompressionDevice> compression;
     std::shared_ptr<CryptoDevice> crypto;

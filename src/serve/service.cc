@@ -171,13 +171,9 @@ ModelService::handleDebug(const std::string &path) const
             r.body = "{\"enabled\":false,\"records\":0}";
             return r;
         }
-        // The cap drops the oldest requests, not the last ones in the
-        // canonical (text-sorted) order.
-        TraceExportOptions topts;
-        topts.canonical = true;
-        topts.maxBytes = kDebugBodyCap;
+        // Recording order, so the tail cap keeps the newest requests.
         r.contentType = "application/jsonl";
-        r.body = tracer().exportString(topts);
+        r.body = capTailLines(tracer().exportString());
         return r;
     }
     // Observatory-backed views 503 without one attached — but only
@@ -342,7 +338,7 @@ ModelService::handlePredict(const HttpRequest &req) const
     o += ",\"drop_pct\":";
     appendFixed(o, drop_pct, 2);
     o += ",\"dominant\":\"";
-    o += core::attributedResourceName(a.dominantResource);
+    o += core::resourceName(a.dominantResource);
     o += "\",\"confidence\":";
     appendFixed(o, b.confidence, 2);
     o += b.degraded ? ",\"degraded\":true" : ",\"degraded\":false";
@@ -380,7 +376,7 @@ ModelService::handleDiagnose(const HttpRequest &req) const
     o += "\",\"model_version\":";
     appendUnsigned(o, snap.version);
     o += ",\"dominant\":\"";
-    o += core::attributedResourceName(a.dominantResource);
+    o += core::resourceName(a.dominantResource);
     o += "\",\"solo_pps\":";
     appendFixed(o, a.soloThroughput, 1);
     o += ",\"predicted_pps\":";
@@ -394,7 +390,7 @@ ModelService::handleDiagnose(const HttpRequest &req) const
     for (std::size_t i = 0; i < a.ranked.size(); ++i) {
         const auto &c = a.ranked[i];
         o += i == 0 ? "{\"resource\":\"" : ",{\"resource\":\"";
-        o += core::attributedResourceName(c.resource);
+        o += core::resourceName(c.resource);
         o += "\",\"drop_pps\":";
         appendFixed(o, c.drop, 1);
         o += ",\"share\":";

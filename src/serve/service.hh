@@ -73,12 +73,13 @@ class Service
  * traffic profile). A body that breaks these rules is a 400 naming
  * the fault.
  *
- * Live introspection (GET-only, read-only, response bodies capped
- * the way requests are capped by ParserLimits):
+ * Live introspection (GET-only, read-only; each body keeps its
+ * newest complete lines within a 256 KiB cap, the way requests are
+ * capped by ParserLimits):
  *
  *   GET /debug/vars     metrics snapshot as one JSON object
- *   GET /debug/trace    the tracer's retained (newest) records,
- *                       canonical export (JSONL)
+ *   GET /debug/trace    the tracer's retained (newest) records in
+ *                       recording order, with durations (JSONL)
  *   GET /debug/slo      SLO burn events + budget summary (JSONL)
  *   GET /debug/access   recent access-log records (JSONL)
  *   GET /debug/profile  sampling-profiler text dump

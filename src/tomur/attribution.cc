@@ -3,20 +3,17 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/logging.hh"
 #include "common/strutil.hh"
 
 namespace tomur::core {
 
 const char *
-attributedResourceName(int resource)
+resourceName(Resource r)
 {
-    if (resource == 0)
+    if (r == Resource::Memory)
         return "memory";
-    int kind = resource - 1;
-    if (kind >= 0 && kind < hw::numAccelKinds)
-        return hw::accelName(static_cast<hw::AccelKind>(kind));
-    panic("attributedResourceName: bad resource index");
+    return hw::accelName(
+        static_cast<hw::AccelKind>(static_cast<int>(r) - 1));
 }
 
 std::string
@@ -27,7 +24,7 @@ ContentionAttribution::toString() const
         if (!out.empty())
             out += ", ";
         out += strf("%s %.0f%% (-%.1f Kpps)",
-                    attributedResourceName(c.resource),
+                    resourceName(c.resource),
                     100.0 * c.share, c.drop / 1e3);
     }
     return out;
@@ -48,22 +45,22 @@ attributeContention(const PredictionBreakdown &b)
     // the max() guards keep a hand-built breakdown from producing
     // negative contributions.
     a.ranked.push_back(
-        {0,
+        {Resource::Memory,
          std::max(0.0, b.soloThroughput - b.memoryOnlyThroughput),
          0.0});
     for (int k = 0; k < hw::numAccelKinds; ++k) {
         if (!b.accelUsed[k])
             continue;
         a.ranked.push_back(
-            {k + 1,
+            {accelResource(static_cast<hw::AccelKind>(k)),
              std::max(0.0,
                       b.soloThroughput - b.accelOnlyThroughput[k]),
              0.0});
     }
 
-    // Descending by drop; stable keeps the resource-index order on
-    // ties, so memory wins an all-zero tie exactly like the
-    // predictor's historical strict-> argmax did.
+    // Descending by drop; stable keeps the Resource order on ties,
+    // so memory wins an all-zero tie exactly like the predictor's
+    // historical strict-> argmax did.
     std::stable_sort(a.ranked.begin(), a.ranked.end(),
                      [](const ResourceContribution &x,
                         const ResourceContribution &y) {

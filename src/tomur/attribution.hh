@@ -21,20 +21,32 @@
 
 namespace tomur::core {
 
-/**
- * Attributed-resource index convention: 0 = memory, otherwise
- * 1 + accelerator kind index (1 = regex, 2 = compression,
- * 3 = crypto).
- */
-constexpr int numAttributedResources = 1 + hw::numAccelKinds;
+/** A shared resource an NF contends on: memory, then the
+ *  accelerators in hw::AccelKind order. */
+enum class Resource
+{
+    Memory,
+    Regex,
+    Compression,
+    Crypto,
+};
 
-/** Resource name for one attributed index ("memory", "regex", ...). */
-const char *attributedResourceName(int resource);
+/** Resource name for reports and bodies ("memory", "regex", ...). */
+const char *resourceName(Resource r);
+
+/** The resource one accelerator kind is. */
+constexpr Resource
+accelResource(hw::AccelKind kind)
+{
+    return static_cast<Resource>(1 + static_cast<int>(kind));
+}
+static_assert(accelResource(hw::AccelKind::Crypto) == Resource::Crypto &&
+              hw::numAccelKinds == 3);
 
 /** One resource's contribution to the predicted drop. */
 struct ResourceContribution
 {
-    int resource = 0;   ///< attributed-resource index
+    Resource resource = Resource::Memory;
     double drop = 0.0;  ///< solo minus resource-only throughput (pps)
     double share = 0.0; ///< fraction of the summed drops, in [0, 1]
 };
@@ -43,14 +55,14 @@ struct ResourceContribution
 struct ContentionAttribution
 {
     /**
-     * Contributions sorted by descending drop; ties keep the
-     * resource-index order (memory first), matching the predictor's
-     * historical argmax. Memory is always present; accelerators the
+     * Contributions sorted by descending drop; ties keep Resource
+     * order (memory first), matching the predictor's historical
+     * argmax. Memory is always present; accelerators the
      * prediction did not model (unused or degraded sub-model) are
      * omitted.
      */
     std::vector<ResourceContribution> ranked;
-    int dominantResource = 0; ///< ranked.front().resource
+    Resource dominantResource = Resource::Memory; ///< ranked.front()
     double soloThroughput = 0.0;
     double predicted = 0.0;
     double totalDrop = 0.0; ///< solo minus composed prediction

@@ -106,7 +106,7 @@ makeMonitorSample(const std::string &deployment,
     s.measured = measured;
     s.confidence = a.confidence;
     s.degraded = a.degraded;
-    s.bottleneck = attributedResourceName(a.dominantResource);
+    s.bottleneck = resourceName(a.dominantResource);
     return s;
 }
 

@@ -1,24 +1,8 @@
 #include "usecases/diagnosis.hh"
 
-#include "common/logging.hh"
-
 namespace tomur::usecases {
 
-const char *
-resourceName(Resource r)
-{
-    switch (r) {
-      case Resource::Memory:
-        return "memory";
-      case Resource::Regex:
-        return "regex";
-      case Resource::Compression:
-        return "compression";
-      case Resource::Crypto:
-        return "crypto";
-    }
-    panic("resourceName: bad resource");
-}
+using core::Resource;
 
 Resource
 truthBottleneck(const sim::Measurement &m)
@@ -38,24 +22,9 @@ truthBottleneck(const sim::Measurement &m)
 }
 
 Resource
-resourceFromAttribution(int resource)
-{
-    switch (resource) {
-      case 1:
-        return Resource::Regex;
-      case 2:
-        return Resource::Compression;
-      case 3:
-        return Resource::Crypto;
-      default:
-        return Resource::Memory;
-    }
-}
-
-Resource
 tomurDiagnosis(const core::ContentionAttribution &a)
 {
-    return resourceFromAttribution(a.dominantResource);
+    return a.dominantResource;
 }
 
 Resource

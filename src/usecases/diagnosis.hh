@@ -19,41 +19,25 @@
 
 namespace tomur::usecases {
 
-/** Diagnosable resources. */
-enum class Resource
-{
-    Memory,
-    Regex,
-    Compression,
-    Crypto,
-};
-
-/** Resource name for reports. */
-const char *resourceName(Resource r);
-
 /** Ground-truth resource from a testbed measurement. */
-Resource truthBottleneck(const sim::Measurement &m);
-
-/** Diagnosable resource for one attributed-resource index (the
- *  attribution module's convention: 0 = memory, else 1 + accel). */
-Resource resourceFromAttribution(int resource);
+core::Resource truthBottleneck(const sim::Measurement &m);
 
 /**
  * Tomur's diagnosis: the top-ranked resource of a prediction's
  * contention attribution.
  */
-Resource tomurDiagnosis(const core::ContentionAttribution &a);
+core::Resource tomurDiagnosis(const core::ContentionAttribution &a);
 
 /** Convenience overload: attribute the breakdown, then diagnose. */
-Resource tomurDiagnosis(const core::PredictionBreakdown &breakdown);
+core::Resource tomurDiagnosis(const core::PredictionBreakdown &breakdown);
 
 /** One diagnosis trial outcome. */
 struct DiagnosisTrial
 {
     double mtbr = 0.0;
-    Resource truth = Resource::Memory;
-    Resource tomur = Resource::Memory;
-    Resource slomo = Resource::Memory; ///< always Memory
+    core::Resource truth = core::Resource::Memory;
+    core::Resource tomur = core::Resource::Memory;
+    core::Resource slomo = core::Resource::Memory; ///< always Memory
     /** Carried over from the prediction's attribution: a diagnosis
      *  made on a degraded fallback path is flagged so scoring can
      *  discount it instead of counting a guess as a verdict. */
@@ -66,7 +50,7 @@ struct DiagnosisTrial
  * one place Tomur's verdict, its confidence, and the degraded flag
  * are read off a prediction).
  */
-DiagnosisTrial makeTrial(double mtbr, Resource truth,
+DiagnosisTrial makeTrial(double mtbr, core::Resource truth,
                          const core::ContentionAttribution &a);
 
 /** Correctness percentages over a set of trials. */

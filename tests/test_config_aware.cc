@@ -8,37 +8,16 @@
 #include <gtest/gtest.h>
 
 #include "nfs/registry.hh"
-#include "regex/ruleset.hh"
 #include "tomur/config_aware.hh"
+#include "tomur/lab.hh"
 
 namespace tomur::core {
 namespace {
 
-namespace fw = framework;
-
-struct Fixture
+/** A lab on a noiseless testbed. */
+struct Fixture : Lab
 {
-    Fixture() : rules(regex::defaultRuleSet()), bed(hw::blueField2(),
-                                                    noiseless())
-    {
-        dev.regex = std::make_shared<fw::RegexDevice>(rules);
-        dev.compression = std::make_shared<fw::CompressionDevice>();
-        dev.crypto = std::make_shared<fw::CryptoDevice>();
-        lib = std::make_unique<BenchLibrary>(bed, dev, rules);
-        trainer = std::make_unique<TomurTrainer>(*lib);
-    }
-    static sim::TestbedOptions
-    noiseless()
-    {
-        sim::TestbedOptions o;
-        o.noiseSigma = 0.0;
-        return o;
-    }
-    regex::RuleSet rules;
-    fw::DeviceSet dev;
-    sim::Testbed bed;
-    std::unique_ptr<BenchLibrary> lib;
-    std::unique_ptr<TomurTrainer> trainer;
+    Fixture() : Lab(hw::blueField2(), {.noiseSigma = 0.0}) {}
 };
 
 TEST(IpTunnelConfig, MtuChangesPerformance)

@@ -13,7 +13,7 @@
 #include "nfs/registry.hh"
 #include "regex/ruleset.hh"
 #include "sim/testbed.hh"
-#include "tomur/profiler.hh"
+#include "tomur/lab.hh"
 
 namespace tomur {
 namespace {
@@ -94,25 +94,14 @@ TEST(CryptoDevice, RecordsRequests)
     EXPECT_TRUE(off.offloads().empty());
 }
 
+constexpr sim::TestbedOptions kNoiseless{.noiseSigma = 0.0};
+
+/** The devices and a noiseless testbed (no bench library). */
 struct Fixture
 {
-    Fixture() : rules(regex::defaultRuleSet()), bed(hw::blueField2(),
-                                                    noiseless())
-    {
-        dev.regex = std::make_shared<fw::RegexDevice>(rules);
-        dev.compression = std::make_shared<fw::CompressionDevice>();
-        dev.crypto = std::make_shared<fw::CryptoDevice>();
-    }
-    static sim::TestbedOptions
-    noiseless()
-    {
-        sim::TestbedOptions o;
-        o.noiseSigma = 0.0;
-        return o;
-    }
-    regex::RuleSet rules;
-    fw::DeviceSet dev;
-    sim::Testbed bed;
+    regex::RuleSet rules = regex::defaultRuleSet();
+    fw::DeviceSet dev{rules};
+    sim::Testbed bed{hw::blueField2(), kNoiseless};
 };
 
 TEST(IpsecNf, EncryptsPayloadInPlace)
@@ -177,24 +166,20 @@ TEST(IpsecNf, TomurModelsCryptoAccelerator)
     // The queue model carries over to the crypto engine (§4.1.1
     // "other accelerators"): calibrate on IPsecGateway and predict
     // under crypto-bench contention.
-    Fixture f;
-    core::BenchLibrary lib(f.bed, f.dev, f.rules);
-    core::TomurTrainer trainer(lib);
+    core::Lab lab(hw::blueField2(), kNoiseless);
     auto defaults = traffic::TrafficProfile::defaults();
-    auto nf = nfs::makeIpsecGateway(f.dev);
+    auto nf = nfs::makeIpsecGateway(lab.dev);
     core::TrainOptions opts;
     opts.adaptive.quota = 60;
-    auto model = trainer.train(*nf, defaults, opts);
+    auto model = lab.trainer->train(*nf, defaults, opts);
     ASSERT_TRUE(model.accelModel(hw::AccelKind::Crypto).has_value());
     EXPECT_FALSE(model.accelModel(hw::AccelKind::Regex).has_value());
 
     const auto &bench =
-        lib.accelBench(hw::AccelKind::Crypto, 150e3, 24000.0);
-    auto ms = f.bed.run(
-        {trainer.workloadOf(*nf, defaults), bench.workload});
-    double solo =
-        f.bed.runSolo(trainer.workloadOf(*nf, defaults))
-            .truthThroughput;
+        lab.lib->accelBench(hw::AccelKind::Crypto, 150e3, 24000.0);
+    const auto &w = lab.trainer->workloadOf(*nf, defaults);
+    auto ms = lab.bed.run({w, bench.workload});
+    double solo = lab.bed.runSolo(w).truthThroughput;
     double pred = model.predict({bench.level}, defaults, solo);
     EXPECT_NEAR(pred / ms[0].truthThroughput, 1.0, 0.12);
 }

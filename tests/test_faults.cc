@@ -28,7 +28,7 @@
 #include "nfs/registry.hh"
 #include "regex/ruleset.hh"
 #include "sim/faults.hh"
-#include "tomur/profiler.hh"
+#include "tomur/lab.hh"
 #include "tomur/supervisor.hh"
 
 namespace tomur {
@@ -515,15 +515,10 @@ TEST(CorruptModelCorpus, HealthFlagsRoundTrip)
 /** A short supervised FlowStats replay that checkpoints: a traffic
  *  shift and a late bias make the monitor fire, and a recalibration
  *  hook that always fails makes the supervisor fire. */
-struct ReplayRig
+struct ReplayRig : core::Lab
 {
     ReplayRig()
     {
-        dev.regex = std::make_shared<fw::RegexDevice>(rules);
-        dev.compression = std::make_shared<fw::CompressionDevice>();
-        dev.crypto = std::make_shared<fw::CryptoDevice>();
-        lib = std::make_unique<core::BenchLibrary>(faulty, dev, rules);
-        trainer = std::make_unique<core::TomurTrainer>(*lib);
         nf = nfs::makeByName("FlowStats", dev);
         core::TrainOptions topts;
         topts.adaptive.quota = 20;
@@ -598,12 +593,6 @@ struct ReplayRig
         });
     }
 
-    regex::RuleSet rules = regex::defaultRuleSet();
-    fw::DeviceSet dev;
-    sim::Testbed bed{hw::blueField2()};
-    sim::FaultInjectingTestbed faulty{bed, {}};
-    std::unique_ptr<core::BenchLibrary> lib;
-    std::unique_ptr<core::TomurTrainer> trainer;
     std::unique_ptr<fw::NetworkFunction> nf;
     core::TomurModel model;
 };
@@ -828,24 +817,17 @@ TEST(FallbackChain, UntrainedModelReportsNoInformation)
 
 TEST(FaultyTraining, CompletesAndStaysAccurate)
 {
-    auto rules = regex::defaultRuleSet();
-    fw::DeviceSet dev;
-    dev.regex = std::make_shared<fw::RegexDevice>(rules);
-    dev.compression = std::make_shared<fw::CompressionDevice>();
-    dev.crypto = std::make_shared<fw::CryptoDevice>();
     auto defaults = traffic::TrafficProfile::defaults();
 
     core::TrainOptions opts;
     opts.adaptive.quota = 50;
 
     // Clean reference run.
-    sim::Testbed clean_bed(hw::blueField2(), {});
-    core::BenchLibrary clean_lib(clean_bed, dev, rules);
-    core::TomurTrainer clean_trainer(clean_lib);
-    auto clean_nf = nfs::makeByName("FlowStats", dev);
+    core::Lab clean;
+    auto clean_nf = nfs::makeByName("FlowStats", clean.dev);
     core::TrainReport clean_report;
-    auto clean_model = clean_trainer.train(*clean_nf, defaults, opts,
-                                           &clean_report);
+    auto clean_model = clean.trainer->train(*clean_nf, defaults, opts,
+                                            &clean_report);
     EXPECT_EQ(clean_report.faultySamplesDetected, 0u);
     EXPECT_EQ(clean_report.samplesAbandoned, 0u);
     EXPECT_EQ(clean_report.subModelsDegraded, 0u);
@@ -853,17 +835,15 @@ TEST(FaultyTraining, CompletesAndStaysAccurate)
 
     // Faulty run: 10% sample corruption, library profiled cleanly
     // first (it is a one-time controlled step), then faults on.
-    sim::Testbed inner(hw::blueField2(), {});
-    sim::FaultInjectingTestbed faulty(inner, {});
-    core::BenchLibrary faulty_lib(faulty, dev, rules);
-    core::TomurTrainer faulty_trainer(faulty_lib);
-    faulty.setConfig(sim::FaultConfig::uniformCorruption(0.10, 99));
+    core::Lab flaky;
+    flaky.faulty.setConfig(
+        sim::FaultConfig::uniformCorruption(0.10, 99));
 
-    auto faulty_nf = nfs::makeByName("FlowStats", dev);
+    auto faulty_nf = nfs::makeByName("FlowStats", flaky.dev);
     core::TrainOptions fopts = opts;
     fopts.screen.verifyBelowRatio = 0.6; // deep screen on bad gear
     core::TrainReport report;
-    auto model = faulty_trainer.train(*faulty_nf, defaults, fopts,
+    auto model = flaky.trainer->train(*faulty_nf, defaults, fopts,
                                       &report);
 
     // Training completed and the screens actually caught things.
@@ -872,22 +852,21 @@ TEST(FaultyTraining, CompletesAndStaysAccurate)
 
     // Score both models against noise-free ground truth on unseen
     // co-runs (the evaluation itself uses the clean testbed).
-    auto eval = [&](const core::TomurModel &mdl,
-                    core::BenchLibrary &lib) {
+    auto eval = [&](const core::TomurModel &mdl) {
         Rng rng(5);
         double err_sum = 0.0;
         int n = 0;
-        auto nf = nfs::makeByName("FlowStats", dev);
-        core::TomurTrainer probe(lib); // workload profiling only
+        auto nf = nfs::makeByName("FlowStats", clean.dev);
+        core::TomurTrainer probe(*clean.lib); // workload profiling only
         for (int i = 0; i < 6; ++i) {
             auto p = defaults.withAttribute(
                 traffic::Attribute::FlowCount,
                 rng.uniform(2e3, 4e5));
             const auto &w = probe.workloadOf(*nf, p);
-            const auto &bench = clean_lib.randomMemBench(rng);
-            auto ms = clean_bed.run({w, bench.workload});
+            const auto &bench = clean.lib->randomMemBench(rng);
+            auto ms = clean.bed.run({w, bench.workload});
             double truth = ms[0].truthThroughput;
-            double solo = clean_bed.runSolo(w).truthThroughput;
+            double solo = clean.bed.runSolo(w).truthThroughput;
             double pred =
                 mdl.predict({bench.level}, p, solo);
             err_sum += std::abs(pred - truth) / truth;
@@ -895,8 +874,8 @@ TEST(FaultyTraining, CompletesAndStaysAccurate)
         }
         return err_sum / n;
     };
-    double clean_err = eval(clean_model, clean_lib);
-    double faulty_err = eval(model, clean_lib);
+    double clean_err = eval(clean_model);
+    double faulty_err = eval(model);
 
     // Graceful degradation: the fault-trained model stays within 2x
     // of the fault-free error (with a small absolute floor so a
@@ -908,7 +887,7 @@ TEST(FaultyTraining, CompletesAndStaysAccurate)
     // Clean-model predictions are never flagged degraded.
     Rng pick(1);
     std::vector<core::ContentionLevel> one_bench = {
-        clean_lib.randomMemBench(pick).level};
+        clean.lib->randomMemBench(pick).level};
     auto b = clean_model.predictDetailed(one_bench, defaults, 5e5);
     EXPECT_FALSE(b.degraded);
     resetWarnCount();

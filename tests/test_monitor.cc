@@ -27,7 +27,7 @@
 #include "common/strutil.hh"
 #include "common/threadpool.hh"
 #include "nfs/registry.hh"
-#include "regex/ruleset.hh"
+#include "tomur/lab.hh"
 #include "tomur/monitor.hh"
 #include "tomur/supervisor.hh"
 #include "traffic/synth.hh"
@@ -86,11 +86,11 @@ TEST(Attribution, RanksLargestDropFirst)
     b.predicted = 550.0;
     auto a = core::attributeContention(b);
     ASSERT_EQ(a.ranked.size(), 2u);
-    EXPECT_EQ(a.ranked[0].resource, 1); // regex
+    EXPECT_EQ(a.ranked[0].resource, core::Resource::Regex);
     EXPECT_DOUBLE_EQ(a.ranked[0].drop, 400.0);
-    EXPECT_EQ(a.ranked[1].resource, 0); // memory
+    EXPECT_EQ(a.ranked[1].resource, core::Resource::Memory);
     EXPECT_DOUBLE_EQ(a.ranked[1].drop, 100.0);
-    EXPECT_EQ(a.dominantResource, 1);
+    EXPECT_EQ(a.dominantResource, core::Resource::Regex);
     EXPECT_DOUBLE_EQ(a.totalDrop, 450.0);
 }
 
@@ -121,7 +121,7 @@ TEST(Attribution, AllZeroTieGoesToMemory)
     b.accelOnlyThroughput[0] = 1000.0;
     b.accelOnlyThroughput[1] = 1000.0;
     auto a = core::attributeContention(b);
-    EXPECT_EQ(a.dominantResource, 0);
+    EXPECT_EQ(a.dominantResource, core::Resource::Memory);
     for (const auto &c : a.ranked)
         EXPECT_DOUBLE_EQ(c.share, 0.0);
 }
@@ -133,7 +133,7 @@ TEST(Attribution, UnusedAccelsAreNotRanked)
     b.memoryOnlyThroughput = 950.0;
     auto a = core::attributeContention(b);
     ASSERT_EQ(a.ranked.size(), 1u);
-    EXPECT_EQ(a.ranked[0].resource, 0);
+    EXPECT_EQ(a.ranked[0].resource, core::Resource::Memory);
 }
 
 TEST(Attribution, ToStringRendersRanking)
@@ -149,10 +149,11 @@ TEST(Attribution, ToStringRendersRanking)
 
 TEST(Attribution, ResourceNames)
 {
-    EXPECT_STREQ(core::attributedResourceName(0), "memory");
-    EXPECT_STREQ(core::attributedResourceName(1), "regex");
-    EXPECT_STREQ(core::attributedResourceName(2), "compression");
-    EXPECT_STREQ(core::attributedResourceName(3), "crypto");
+    EXPECT_STREQ(core::resourceName(core::Resource::Memory), "memory");
+    EXPECT_STREQ(core::resourceName(core::Resource::Regex), "regex");
+    EXPECT_STREQ(core::resourceName(core::Resource::Compression),
+                 "compression");
+    EXPECT_STREQ(core::resourceName(core::Resource::Crypto), "crypto");
 }
 
 // ---------------------------------------------------------------
@@ -947,36 +948,27 @@ checkGolden(const std::string &file, const std::string &actual)
 std::string
 runGoldenReplay()
 {
-    regex::RuleSet rules = regex::defaultRuleSet();
-    fw::DeviceSet dev;
-    dev.regex = std::make_shared<fw::RegexDevice>(rules);
-    dev.compression = std::make_shared<fw::CompressionDevice>();
-    dev.crypto = std::make_shared<fw::CryptoDevice>();
-
-    sim::Testbed bed(hw::blueField2());
-    sim::FaultInjectingTestbed faulty(bed, {});
-    core::BenchLibrary lib(faulty, dev, rules);
-    core::TomurTrainer trainer(lib);
+    core::Lab lab;
 
     auto defaults = traffic::TrafficProfile::defaults();
-    auto nf = nfs::makeByName("FlowMonitor", dev);
+    auto nf = nfs::makeByName("FlowMonitor", lab.dev);
     core::TrainOptions topts;
     topts.adaptive.quota = 60;
-    auto model = trainer.train(*nf, defaults, topts);
+    auto model = lab.trainer->train(*nf, defaults, topts);
 
     // Reference contention: the heaviest large-WSS mem-bench plus a
     // moderate regex bench (FlowMonitor's accelerator).
-    auto ref =
-        lib.referenceContention(trainer.workloadOf(*nf, defaults));
+    auto ref = lab.lib->referenceContention(
+        lab.trainer->workloadOf(*nf, defaults));
 
     core::ReplayContext ctx;
-    ctx.trainer = &trainer;
+    ctx.trainer = lab.trainer.get();
     ctx.model = &model;
     ctx.nf = nf.get();
     ctx.levels = ref.levels;
     ctx.competitors = ref.workloads;
-    ctx.soloBed = &bed;
-    ctx.measureBed = &faulty;
+    ctx.soloBed = &lab.bed;
+    ctx.measureBed = &lab.faulty;
     ctx.label = "FlowMonitor";
 
     auto shifted = defaults.withAttribute(
@@ -1379,34 +1371,25 @@ TEST(Report, TextAndHtmlShowTheSameRows)
 std::string
 runGoldenScenarioReplay()
 {
-    regex::RuleSet rules = regex::defaultRuleSet();
-    fw::DeviceSet dev;
-    dev.regex = std::make_shared<fw::RegexDevice>(rules);
-    dev.compression = std::make_shared<fw::CompressionDevice>();
-    dev.crypto = std::make_shared<fw::CryptoDevice>();
-
-    sim::Testbed bed(hw::blueField2());
-    sim::FaultInjectingTestbed faulty(bed, {});
-    core::BenchLibrary lib(faulty, dev, rules);
-    core::TomurTrainer trainer(lib);
+    core::Lab lab;
 
     auto defaults = traffic::TrafficProfile::defaults();
-    auto nf = nfs::makeByName("FlowMonitor", dev);
+    auto nf = nfs::makeByName("FlowMonitor", lab.dev);
     core::TrainOptions topts;
     topts.adaptive.quota = 60;
-    auto model = trainer.train(*nf, defaults, topts);
+    auto model = lab.trainer->train(*nf, defaults, topts);
 
-    auto ref =
-        lib.referenceContention(trainer.workloadOf(*nf, defaults));
+    auto ref = lab.lib->referenceContention(
+        lab.trainer->workloadOf(*nf, defaults));
 
     core::ReplayContext ctx;
-    ctx.trainer = &trainer;
+    ctx.trainer = lab.trainer.get();
     ctx.model = &model;
     ctx.nf = nf.get();
     ctx.levels = ref.levels;
     ctx.competitors = ref.workloads;
-    ctx.soloBed = &bed;
-    ctx.measureBed = &faulty;
+    ctx.soloBed = &lab.bed;
+    ctx.measureBed = &lab.faulty;
     ctx.label = "FlowMonitor";
 
     std::vector<traffic::SynthStep> steps;

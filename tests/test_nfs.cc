@@ -26,12 +26,7 @@ namespace fw = framework;
 fw::DeviceSet
 devices()
 {
-    fw::DeviceSet dev;
-    dev.regex =
-        std::make_shared<fw::RegexDevice>(regex::defaultRuleSet());
-    dev.compression = std::make_shared<fw::CompressionDevice>();
-        dev.crypto = std::make_shared<fw::CryptoDevice>();
-    return dev;
+    return fw::DeviceSet(regex::defaultRuleSet());
 }
 
 net::Packet

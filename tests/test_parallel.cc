@@ -37,7 +37,7 @@
 #include "sim/faults.hh"
 #include "sim/measurement_cache.hh"
 #include "sim/testbed.hh"
-#include "tomur/profiler.hh"
+#include "tomur/lab.hh"
 
 namespace tomur {
 namespace {
@@ -286,11 +286,6 @@ TEST(ParallelDeterminism, RunBatchMatchesSerialRunLoop)
 
 TEST(ParallelDeterminism, TrainedModelIsBitIdenticalAcrossWidths)
 {
-    auto rules = regex::defaultRuleSet();
-    fw::DeviceSet dev;
-    dev.regex = std::make_shared<fw::RegexDevice>(rules);
-    dev.compression = std::make_shared<fw::CompressionDevice>();
-    dev.crypto = std::make_shared<fw::CryptoDevice>();
     auto defaults = traffic::TrafficProfile::defaults();
 
     core::TrainOptions topts;
@@ -299,11 +294,9 @@ TEST(ParallelDeterminism, TrainedModelIsBitIdenticalAcrossWidths)
 
     auto trainOnce = [&](int threads) {
         PoolWidth width(threads);
-        sim::Testbed bed(hw::blueField2(), {});
-        core::BenchLibrary lib(bed, dev, rules);
-        core::TomurTrainer trainer(lib);
-        auto nf = nfs::makeByName("FlowStats", dev);
-        auto model = trainer.train(*nf, defaults, topts);
+        core::Lab lab;
+        auto nf = nfs::makeByName("FlowStats", lab.dev);
+        auto model = lab.trainer->train(*nf, defaults, topts);
         std::ostringstream out;
         EXPECT_TRUE(model.save(out));
         return out.str();
@@ -356,29 +349,22 @@ const DigestCase kDigestCases[] = {
 std::string
 trainedModelDigests()
 {
-    auto rules = regex::defaultRuleSet();
-    fw::DeviceSet dev;
-    dev.regex = std::make_shared<fw::RegexDevice>(rules);
-    dev.compression = std::make_shared<fw::CompressionDevice>();
-    dev.crypto = std::make_shared<fw::CryptoDevice>();
     auto defaults = traffic::TrafficProfile::defaults();
 
     std::ostringstream out;
     for (const auto &c : kDigestCases) {
-        sim::Testbed bed(hw::blueField2(), {});
-        sim::FaultInjectingTestbed faulty(bed, {});
-        core::BenchLibrary lib(faulty, dev, rules);
-        core::TomurTrainer trainer(lib);
+        core::Lab lab;
         core::TrainOptions topts;
         topts.sampling = c.sampling;
         topts.adaptive.quota = c.quota;
         if (c.faulty) {
-            faulty.setConfig(sim::FaultConfig::uniformCorruption(0.2));
+            lab.faulty.setConfig(
+                sim::FaultConfig::uniformCorruption(0.2));
             topts.screen.verifyBelowRatio = 0.6;
         }
-        auto nf = nfs::makeByName(c.nf, dev);
+        auto nf = nfs::makeByName(c.nf, lab.dev);
         core::TrainReport report;
-        auto model = trainer.train(*nf, defaults, topts, &report);
+        auto model = lab.trainer->train(*nf, defaults, topts, &report);
         if (c.faulty) {
             // The screen's retry path must actually run, or the
             // digest would not pin its constants.

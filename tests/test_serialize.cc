@@ -13,8 +13,7 @@
 #include "common/rng.hh"
 #include "ml/gbr.hh"
 #include "nfs/registry.hh"
-#include "regex/ruleset.hh"
-#include "tomur/profiler.hh"
+#include "tomur/lab.hh"
 #include "tomur/supervisor.hh"
 
 namespace tomur {
@@ -128,21 +127,13 @@ TEST(Serialize, TomurModelRoundTrip)
 {
     // Train a real (small-quota) model, persist it, reload it, and
     // check predictions match exactly on fresh inputs.
-    auto rules = regex::defaultRuleSet();
-    framework::DeviceSet dev;
-    dev.regex = std::make_shared<framework::RegexDevice>(rules);
-    dev.compression =
-        std::make_shared<framework::CompressionDevice>();
-    dev.crypto = std::make_shared<framework::CryptoDevice>();
-    sim::Testbed bed(hw::blueField2(), {});
-    core::BenchLibrary lib(bed, dev, rules);
-    core::TomurTrainer trainer(lib);
+    core::Lab lab;
 
     auto defaults = traffic::TrafficProfile::defaults();
-    auto nf = nfs::makeNids(dev);
+    auto nf = nfs::makeNids(lab.dev);
     core::TrainOptions opts;
     opts.adaptive.quota = 50;
-    auto model = trainer.train(*nf, defaults, opts);
+    auto model = lab.trainer->train(*nf, defaults, opts);
 
     std::stringstream ss;
     ASSERT_TRUE(model.save(ss));
@@ -161,9 +152,9 @@ TEST(Serialize, TomurModelRoundTrip)
                                     rng.uniform(0, 1100))
                      .withAttribute(traffic::Attribute::FlowCount,
                                     rng.uniform(1e3, 5e5));
-        const auto &bench = lib.randomMemBench(rng);
-        const auto &rx = lib.accelBench(hw::AccelKind::Regex,
-                                        rng.uniform(1e5, 4e5), 800.0);
+        const auto &bench = lab.lib->randomMemBench(rng);
+        const auto &rx = lab.lib->accelBench(
+            hw::AccelKind::Regex, rng.uniform(1e5, 4e5), 800.0);
         std::vector<core::ContentionLevel> levels = {bench.level,
                                                      rx.level};
         EXPECT_EQ(model.predict(levels, p),
@@ -177,20 +168,12 @@ TEST(Serialize, EveryLoadPathPredictsLikeTheTrainedModel)
     // Loading compiles each ensemble's node pool from the trees it
     // read: a model file's load(), a checkpoint blob's loadBody() and
     // a copy all predict exactly what the trained model predicts.
-    auto rules = regex::defaultRuleSet();
-    framework::DeviceSet dev;
-    dev.regex = std::make_shared<framework::RegexDevice>(rules);
-    dev.compression =
-        std::make_shared<framework::CompressionDevice>();
-    dev.crypto = std::make_shared<framework::CryptoDevice>();
-    sim::Testbed bed(hw::blueField2(), {});
-    core::BenchLibrary lib(bed, dev, rules);
-    core::TomurTrainer trainer(lib);
+    core::Lab lab;
     auto defaults = traffic::TrafficProfile::defaults();
-    auto nf = nfs::makeByName("FlowStats", dev);
+    auto nf = nfs::makeByName("FlowStats", lab.dev);
     core::TrainOptions opts;
     opts.adaptive.quota = 20;
-    const auto model = trainer.train(*nf, defaults, opts);
+    const auto model = lab.trainer->train(*nf, defaults, opts);
 
     std::stringstream file;
     ASSERT_TRUE(model.save(file));
@@ -212,7 +195,7 @@ TEST(Serialize, EveryLoadPathPredictsLikeTheTrainedModel)
                      .withAttribute(traffic::Attribute::Mtbr,
                                     i % 10 == 0 ? 1e12
                                                 : rng.uniform(0, 2000));
-        const auto &bench = lib.randomMemBench(rng);
+        const auto &bench = lab.lib->randomMemBench(rng);
         std::vector<core::ContentionLevel> levels = {bench.level};
         const double want = model.predict(levels, p);
         EXPECT_EQ(fromFile.predict(levels, p), want);

@@ -37,13 +37,11 @@
 #include "common/trace.hh"
 #include "serve/observe.hh"
 #include "nfs/registry.hh"
-#include "regex/ruleset.hh"
 #include "serve/registry.hh"
 #include "serve/server.hh"
 #include "serve/service.hh"
 #include "serve/transport.hh"
-#include "sim/faults.hh"
-#include "tomur/profiler.hh"
+#include "tomur/lab.hh"
 #include "traffic/profile.hh"
 
 namespace tomur {
@@ -902,18 +900,10 @@ TEST(ServeChaos, AcceptFailuresAreCountedNotFatal)
 
 /** Shared trained model + reference levels (built once: training is
  *  the expensive part of this binary). */
-struct ModelWorld
+struct ModelWorld : core::Lab
 {
     ModelWorld()
-        : rules(regex::defaultRuleSet()), bed(hw::blueField2()),
-          faulty(bed, {})
     {
-        dev.regex = std::make_shared<fw::RegexDevice>(rules);
-        dev.compression = std::make_shared<fw::CompressionDevice>();
-        dev.crypto = std::make_shared<fw::CryptoDevice>();
-        lib = std::make_unique<core::BenchLibrary>(faulty, dev,
-                                                   rules);
-        trainer = std::make_unique<core::TomurTrainer>(*lib);
         nf = nfs::makeByName("FlowMonitor", dev);
         core::TrainOptions topts;
         topts.adaptive.quota = 60;
@@ -933,12 +923,6 @@ struct ModelWorld
         saveStatus = model.save(out);
     }
 
-    regex::RuleSet rules;
-    fw::DeviceSet dev;
-    sim::Testbed bed;
-    sim::FaultInjectingTestbed faulty;
-    std::unique_ptr<core::BenchLibrary> lib;
-    std::unique_ptr<core::TomurTrainer> trainer;
     std::unique_ptr<fw::NetworkFunction> nf;
     core::TomurModel model;
     std::vector<core::ContentionLevel> levels;
@@ -1321,6 +1305,33 @@ TEST(ModelServiceEndpoints, MetricsEndpointDumpsRegistry)
     EXPECT_EQ(h.roundTrip(simpleGet("/metrics")), 200);
     EXPECT_NE(h.body.find("tomur_server_requests_total"),
               std::string::npos);
+}
+
+TEST(ModelServiceEndpoints, ReportIsPlainTextWithTheMetricsSection)
+{
+    ServiceHarness h;
+    EXPECT_EQ(h.roundTrip(simpleGet("/report")), 200);
+    EXPECT_NE(h.wire.find("Content-Type: text/plain\r\n"),
+              std::string::npos);
+    EXPECT_NE(h.body.find("Metrics ("), std::string::npos);
+    EXPECT_NE(h.body.find("tomur_server_requests_total"),
+              std::string::npos);
+}
+
+TEST(ModelServiceEndpoints, ReportHtmlQueryAnswersHtml)
+{
+    ServiceHarness h;
+    EXPECT_EQ(h.roundTrip(simpleGet("/report?html=1")), 200);
+    EXPECT_NE(h.wire.find("Content-Type: text/html"), std::string::npos);
+    EXPECT_NE(h.body.find("<html"), std::string::npos);
+    EXPECT_NE(h.body.find("Metrics ("), std::string::npos);
+}
+
+TEST(ModelServiceEndpoints, ReportRefusesPost)
+{
+    ServiceHarness h;
+    EXPECT_EQ(h.roundTrip(simplePost("/report", "{}")), 405);
+    EXPECT_NE(h.body.find("use GET /report"), std::string::npos);
 }
 
 TEST(ModelServiceEndpoints, ReloadHotSwapsAndReportsFailure)

@@ -18,25 +18,10 @@ namespace {
 
 namespace fw = framework;
 
+constexpr TestbedOptions kNoiseless{.noiseSigma = 0.0};
+
 struct Fixture
 {
-    Fixture()
-        : rules(regex::defaultRuleSet()),
-          bed(hw::blueField2(), noiseless())
-    {
-        dev.regex = std::make_shared<fw::RegexDevice>(rules);
-        dev.compression = std::make_shared<fw::CompressionDevice>();
-        dev.crypto = std::make_shared<fw::CryptoDevice>();
-    }
-
-    static TestbedOptions
-    noiseless()
-    {
-        TestbedOptions o;
-        o.noiseSigma = 0.0;
-        return o;
-    }
-
     fw::WorkloadProfile
     profileOf(fw::NetworkFunction &nf,
               traffic::TrafficProfile tp =
@@ -65,9 +50,9 @@ struct Fixture
         return profileOf(*nf);
     }
 
-    regex::RuleSet rules;
-    fw::DeviceSet dev;
-    Testbed bed;
+    regex::RuleSet rules = regex::defaultRuleSet();
+    fw::DeviceSet dev{rules};
+    Testbed bed{hw::blueField2(), kNoiseless};
 };
 
 TEST(Testbed, SoloThroughputsPlausible)
@@ -327,7 +312,7 @@ TEST(Testbed, MtbrSlowsRegexNfs)
 TEST(Testbed, PensandoRunsFirewall)
 {
     Fixture f;
-    Testbed pen(hw::pensando(), Fixture::noiseless());
+    Testbed pen(hw::pensando(), kNoiseless);
     auto nf = nfs::makeFirewall(f.dev);
     auto m = pen.runSolo(f.profileOf(*nf));
     EXPECT_GT(m.truthThroughput, 50e3);

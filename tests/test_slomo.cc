@@ -13,30 +13,15 @@
 #include "ml/metrics.hh"
 #include "nfs/bench_nfs.hh"
 #include "nfs/registry.hh"
-#include "regex/ruleset.hh"
 #include "slomo/slomo.hh"
+#include "tomur/lab.hh"
 
 namespace tomur::slomo {
 namespace {
 
 namespace fw = framework;
 
-struct Fixture
-{
-    Fixture()
-        : rules(regex::defaultRuleSet()), bed(hw::blueField2(), {})
-    {
-        dev.regex = std::make_shared<fw::RegexDevice>(rules);
-        dev.compression = std::make_shared<fw::CompressionDevice>();
-        dev.crypto = std::make_shared<fw::CryptoDevice>();
-        lib = std::make_unique<core::BenchLibrary>(bed, dev, rules);
-    }
-
-    regex::RuleSet rules;
-    fw::DeviceSet dev;
-    sim::Testbed bed;
-    std::unique_ptr<core::BenchLibrary> lib;
-};
+using Fixture = core::Lab;
 
 TEST(Slomo, AccurateAtFixedTrafficMemoryOnly)
 {

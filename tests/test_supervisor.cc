@@ -33,7 +33,7 @@
 #include "common/telemetry.hh"
 #include "common/threadpool.hh"
 #include "nfs/registry.hh"
-#include "regex/ruleset.hh"
+#include "tomur/lab.hh"
 #include "tomur/supervisor.hh"
 
 namespace tomur {
@@ -771,18 +771,10 @@ TEST(SupervisorTest, RestoreRejectsGarbage)
  *  cheapest NF: no accelerators, so reference contention is just the
  *  heavy mem-bench). `trainInitial` is false when the model is about
  *  to be restored from a checkpoint instead. */
-struct AutoEnv
+struct AutoEnv : core::Lab
 {
     explicit AutoEnv(bool trainInitial)
-        : rules(regex::defaultRuleSet()), bed(hw::blueField2()),
-          faulty(bed, {})
     {
-        dev.regex = std::make_shared<fw::RegexDevice>(rules);
-        dev.compression = std::make_shared<fw::CompressionDevice>();
-        dev.crypto = std::make_shared<fw::CryptoDevice>();
-        lib = std::make_unique<core::BenchLibrary>(faulty, dev,
-                                                   rules);
-        trainer = std::make_unique<core::TomurTrainer>(*lib);
         nf = nfs::makeByName("FlowStats", dev);
         if (trainInitial)
             model = trainer->train(*nf, defaults(), trainOptions());
@@ -846,12 +838,6 @@ struct AutoEnv
         };
     }
 
-    regex::RuleSet rules;
-    fw::DeviceSet dev;
-    sim::Testbed bed;
-    sim::FaultInjectingTestbed faulty;
-    std::unique_ptr<core::BenchLibrary> lib;
-    std::unique_ptr<core::TomurTrainer> trainer;
     std::unique_ptr<fw::NetworkFunction> nf;
     core::TomurModel model;
     std::vector<core::ContentionLevel> levels;
@@ -1108,18 +1094,11 @@ TEST(AutopilotGolden, WideRunIsByteIdenticalToFixture)
 core::TomurModel
 trainCatalogModel(const std::string &name)
 {
-    auto rules = regex::defaultRuleSet();
-    fw::DeviceSet dev;
-    dev.regex = std::make_shared<fw::RegexDevice>(rules);
-    dev.compression = std::make_shared<fw::CompressionDevice>();
-    dev.crypto = std::make_shared<fw::CryptoDevice>();
-    sim::Testbed bed(hw::blueField2());
-    core::BenchLibrary lib(bed, dev, rules);
-    core::TomurTrainer trainer(lib);
-    auto nf = nfs::makeByName(name, dev);
+    core::Lab lab;
+    auto nf = nfs::makeByName(name, lab.dev);
     core::TrainOptions topts;
     topts.adaptive.quota = 20;
-    return trainer.train(*nf, AutoEnv::defaults(), topts);
+    return lab.trainer->train(*nf, AutoEnv::defaults(), topts);
 }
 
 std::string

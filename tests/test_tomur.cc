@@ -11,10 +11,9 @@
 
 #include "nfs/registry.hh"
 #include "nfs/synthetic.hh"
-#include "regex/ruleset.hh"
 #include "tomur/adaptive.hh"
 #include "tomur/composition.hh"
-#include "tomur/profiler.hh"
+#include "tomur/lab.hh"
 
 namespace tomur::core {
 namespace {
@@ -302,21 +301,14 @@ TEST(EndToEnd, TrainedModelBeatsNaiveOnRegexNf)
     // Small end-to-end round trip: train on FlowMonitor with a tight
     // quota, verify prediction under combined contention lands near
     // ground truth while a memory-only view does not.
-    auto rules = regex::defaultRuleSet();
-    fw::DeviceSet dev;
-    dev.regex = std::make_shared<fw::RegexDevice>(rules);
-    dev.compression = std::make_shared<fw::CompressionDevice>();
-        dev.crypto = std::make_shared<fw::CryptoDevice>();
-    sim::Testbed bed(hw::blueField2(), {});
-    BenchLibrary lib(bed, dev, rules);
-    TomurTrainer trainer(lib);
+    Lab lab;
 
     auto defaults = traffic::TrafficProfile::defaults();
-    auto nf = nfs::makeFlowMonitor(dev);
+    auto nf = nfs::makeFlowMonitor(lab.dev);
     TrainOptions opts;
     opts.adaptive.quota = 80;
     TrainReport report;
-    auto model = trainer.train(*nf, defaults, opts, &report);
+    auto model = lab.trainer->train(*nf, defaults, opts, &report);
 
     // Note: FlowMonitor's execution pattern is only weakly
     // observable (its solo throughput is already regex-bound, so
@@ -329,13 +321,13 @@ TEST(EndToEnd, TrainedModelBeatsNaiveOnRegexNf)
     EXPECT_GT(report.memorySamples, 20u);
 
     // Combined contention scenario.
-    const auto &rx = lib.accelBench(hw::AccelKind::Regex, 400e3, 800);
-    const auto &mem = lib.memBenches()[50];
-    auto ms = bed.run({trainer.workloadOf(*nf, defaults), mem.workload,
-                       rx.workload});
+    const auto &rx =
+        lab.lib->accelBench(hw::AccelKind::Regex, 400e3, 800);
+    const auto &mem = lab.lib->memBenches()[50];
+    const auto &w = lab.trainer->workloadOf(*nf, defaults);
+    auto ms = lab.bed.run({w, mem.workload, rx.workload});
     double truth = ms[0].truthThroughput;
-    double solo =
-        bed.runSolo(trainer.workloadOf(*nf, defaults)).truthThroughput;
+    double solo = lab.bed.runSolo(w).truthThroughput;
     double pred =
         model.predict({mem.level, rx.level}, defaults, solo);
     EXPECT_NEAR(pred / truth, 1.0, 0.15);

@@ -7,31 +7,16 @@
 #include <gtest/gtest.h>
 
 #include "nfs/registry.hh"
-#include "regex/ruleset.hh"
+#include "tomur/lab.hh"
 #include "usecases/diagnosis.hh"
 #include "usecases/placement.hh"
 
 namespace tomur::usecases {
 namespace {
 
-namespace fw = framework;
+using core::Resource;
 
-struct Fixture
-{
-    Fixture()
-        : rules(regex::defaultRuleSet()), bed(hw::blueField2(), {})
-    {
-        dev.regex = std::make_shared<fw::RegexDevice>(rules);
-        dev.compression = std::make_shared<fw::CompressionDevice>();
-        dev.crypto = std::make_shared<fw::CryptoDevice>();
-        lib = std::make_unique<core::BenchLibrary>(bed, dev, rules);
-    }
-
-    regex::RuleSet rules;
-    fw::DeviceSet dev;
-    sim::Testbed bed;
-    std::unique_ptr<core::BenchLibrary> lib;
-};
+using Fixture = core::Lab;
 
 std::vector<Arrival>
 makeArrivals(const std::vector<std::string> &names, int count,
@@ -104,9 +89,9 @@ TEST(Placement, UnknownNfIsFatal)
 
 TEST(Diagnosis, ResourceNames)
 {
-    EXPECT_STREQ(resourceName(Resource::Memory), "memory");
-    EXPECT_STREQ(resourceName(Resource::Regex), "regex");
-    EXPECT_STREQ(resourceName(Resource::Compression), "compression");
+    EXPECT_STREQ(core::resourceName(Resource::Memory), "memory");
+    EXPECT_STREQ(core::resourceName(Resource::Regex), "regex");
+    EXPECT_STREQ(core::resourceName(Resource::Compression), "compression");
 }
 
 TEST(Diagnosis, TruthMapping)
@@ -138,10 +123,13 @@ TEST(Diagnosis, BreakdownMapping)
 
 TEST(Diagnosis, ResourceFromAttributionMapping)
 {
-    EXPECT_EQ(resourceFromAttribution(0), Resource::Memory);
-    EXPECT_EQ(resourceFromAttribution(1), Resource::Regex);
-    EXPECT_EQ(resourceFromAttribution(2), Resource::Compression);
-    EXPECT_EQ(resourceFromAttribution(3), Resource::Crypto);
+    // The attribution names each accelerator kind's resource.
+    EXPECT_EQ(core::accelResource(hw::AccelKind::Regex),
+              Resource::Regex);
+    EXPECT_EQ(core::accelResource(hw::AccelKind::Compression),
+              Resource::Compression);
+    EXPECT_EQ(core::accelResource(hw::AccelKind::Crypto),
+              Resource::Crypto);
 }
 
 TEST(Diagnosis, MakeTrialCarriesAttribution)
@@ -186,12 +174,11 @@ TEST(Diagnosis, BottleneckShiftDetectedEndToEnd)
     // the truth bottleneck is memory, at high MTBR regex, and Tomur
     // follows the shift (§7.5.2).
     Fixture f;
-    core::TomurTrainer trainer(*f.lib);
     auto defaults = traffic::TrafficProfile::defaults();
     auto nf = nfs::makeFlowMonitor(f.dev);
     core::TrainOptions topts;
     topts.adaptive.quota = 80;
-    auto model = trainer.train(*nf, defaults, topts);
+    auto model = f.trainer->train(*nf, defaults, topts);
 
     // Fixed memory contention + closed-loop regex bench.
     const auto &mem = f.lib->memBenches()[160];
@@ -201,7 +188,7 @@ TEST(Diagnosis, BottleneckShiftDetectedEndToEnd)
     for (double mtbr : {50.0, 1000.0}) {
         auto p =
             defaults.withAttribute(traffic::Attribute::Mtbr, mtbr);
-        const auto &w = trainer.workloadOf(*nf, p);
+        const auto &w = f.trainer->workloadOf(*nf, p);
         auto ms = f.bed.run({w, mem.workload, rx.workload});
         double solo = f.bed.runSolo(w).truthThroughput;
         auto breakdown = model.predictDetailed(

@@ -69,15 +69,14 @@
 #include "common/telemetry.hh"
 #include "common/trace.hh"
 #include "nfs/registry.hh"
-#include "regex/ruleset.hh"
 #include "serve/epoll_server.hh"
 #include "serve/observe.hh"
 #include "serve/registry.hh"
 #include "serve/server.hh"
 #include "serve/service.hh"
 #include "sim/faults.hh"
+#include "tomur/lab.hh"
 #include "tomur/monitor.hh"
-#include "tomur/profiler.hh"
 #include "tomur/supervisor.hh"
 #include "traffic/synth.hh"
 #include "usecases/diagnosis.hh"
@@ -383,23 +382,12 @@ parse(int argc, char **argv)
     return cli;
 }
 
-/** Lazily constructed heavy state. */
-struct Env
+/** The lab, its NIC made faulty after the bench library is
+ *  profiled (a one-time, controlled step even on a flaky NIC). */
+struct Env : core::Lab
 {
-    explicit Env(double fault_rate = 0.0)
-        : rules(regex::defaultRuleSet()), bed(hw::blueField2()),
-          faulty(bed, {})
+    explicit Env(double fault_rate)
     {
-        dev.regex = std::make_shared<framework::RegexDevice>(rules);
-        dev.compression =
-            std::make_shared<framework::CompressionDevice>();
-        dev.crypto = std::make_shared<framework::CryptoDevice>();
-        // The bench library is always profiled on the clean testbed
-        // (a one-time, controlled step even on a flaky NIC); the
-        // fault rate only applies to the runs after it.
-        lib = std::make_unique<core::BenchLibrary>(faulty, dev,
-                                                   rules);
-        trainer = std::make_unique<core::TomurTrainer>(*lib);
         if (fault_rate > 0.0) {
             faulty.setConfig(
                 sim::FaultConfig::uniformCorruption(fault_rate));
@@ -409,13 +397,6 @@ struct Env
                          fault_rate);
         }
     }
-
-    regex::RuleSet rules;
-    framework::DeviceSet dev;
-    sim::Testbed bed;
-    sim::FaultInjectingTestbed faulty;
-    std::unique_ptr<core::BenchLibrary> lib;
-    std::unique_ptr<core::TomurTrainer> trainer;
 };
 
 /** Load a persisted model, mapping failures to exit codes. */
@@ -639,8 +620,7 @@ cmdDiagnose(const Cli &cli)
     std::printf("  composed prediction : %10.1f Kpps\n",
                 b.predicted / 1e3);
     std::printf("  dominant bottleneck : %s\n",
-                usecases::resourceName(
-                    usecases::tomurDiagnosis(b)));
+                core::resourceName(usecases::tomurDiagnosis(b)));
     if (b.degraded) {
         std::printf("  CAUTION             : degraded prediction "
                     "(confidence %.2f): %s\n",
@@ -841,13 +821,10 @@ runSupervisedReplay(const Cli &cli)
                 mon.recoveries, mon.meanRecoverySamples,
                 mon.maxRecoverySamples,
                 mon.recoveryOpen ? "; one regime still open" : "");
-    std::printf("  profiler: %llu tokens, %llu sampled "
-                "(%llu dropped from ring)\n",
+    std::printf("  profiler: %llu tokens, %llu sampled\n",
                 static_cast<unsigned long long>(profiler.tokens()),
                 static_cast<unsigned long long>(
-                    profiler.sampledTokens()),
-                static_cast<unsigned long long>(
-                    profiler.droppedTokens()));
+                    profiler.sampledTokens()));
     if (!cli.profileOut.empty() &&
         !writeOutput(cli.profileOut, "profile", [&](std::ostream &out) {
             profiler.exportText(out);
